@@ -110,8 +110,14 @@ class CacheStore:
                         % (frac_to_str(old), frac_to_str(value), key))
                 return
             line = json.dumps(_record_of(key, value, provenance), sort_keys=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            with open(self.path, "a+b") as fh:
+                # A torn write can leave the last line unterminated; end it
+                # (never truncate it) so this record stays a line of its own.
+                if fh.seek(0, os.SEEK_END):
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        line = "\n" + line
+                fh.write((line + "\n").encode("utf-8"))
             self._records[key] = value
 
 

@@ -44,12 +44,20 @@ def _load_config(path):
         raise UsageError("config %s unreadable: %s" % (path, e))
     if not isinstance(cfg, dict):
         raise UsageError("config %s must hold a JSON object" % path)
+    table = cfg.get("truncation", {})
+    if not (isinstance(table, dict) and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in table.values())):
+        raise UsageError("config %s: \"truncation\" must map geometry names to "
+                         "integers" % path)
+    cache = cfg.get("cache")
+    if cache is not None and not isinstance(cache, str):
+        raise UsageError("config %s: \"cache\" must be a path" % path)
     return cfg
 
 
 def _default_trunc(cfg, name):
     table = cfg.get("truncation", {})
-    return int(table.get(name, table.get("default", 2)))
+    return table.get(name, table.get("default", 2))
 
 
 def _build_geometry(args):
@@ -285,7 +293,7 @@ def main(argv=None):
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except (ArithmeticError, CacheCorruption, RuntimeError) as e:
+    except (ArithmeticError, CacheCorruption, RuntimeError, OSError) as e:
         print("computation failed: %s" % e, file=sys.stderr)
         return 1
 

@@ -7,6 +7,11 @@ deformation/obstruction blocks and per-node smoothing factors, integrated
 by one residue per vertex, innermost vertex first.  All amplitudes are
 exact rationals.
 
+Each geometry is a short declaration of data: coordinate weights and a
+hypersurface degree for the one-form targets; section and fiber data,
+branch constant, orbifold weight and residue profiles for the two-form
+targets.  One amplitude engine per number of forms consumes it.
+
 Supported geometries and their string names:
 
   cpn   degree-k hypersurface data in projective space of N variables
@@ -14,14 +19,18 @@ Supported geometries and their string names:
   kf0   canonical bundle of the quadric surface P1 x P1 (free parameter k
         enters only classical pairings; quantum numbers are k-free)
   f3    Hirzebruch surface of twist 3
-  wp1   degree-4 hypersurface in the weighted space P(1,1,2,2,2)
+  wp1   degree-8 hypersurface in the weighted space P(1,1,2,2,2), fibered
+        over P1 by quartic K3 surfaces
   wp2   degree-6 hypersurface in P(1,1,1,3), a K3 surface
-  wp3   degree-6 hypersurface in P(1,1,2,2,6)
+  wp3   degree-12 hypersurface in P(1,1,2,2,6), fibered over P1 by the
+        K3 surfaces of wp2
 """
 
+import math
 import re
 from fractions import Fraction
 
+from .cache import cached_two_point
 from .parts import InvalidDegree, ordered_bipartitions, ordered_partitions
 from .polys import RatFunc, VarSet
 from .residues import PoleSpec, residue_at, residue_sum
@@ -171,8 +180,52 @@ class Geometry:
         raise NotImplementedError
 
 
+def _linform(c1, p1, c2, p2, scale):
+    return (p1 * c1 + p2 * c2) * scale
+
+
+def _hypersurface_roots(num, k, d, p, q):
+    """num times the k*d + 1 roots (j p + (k d - j) q)/d that a degree-k
+    equation contributes on one part of degree d."""
+    for j in range(0, k * d + 1):
+        num = num * _linform(j, p, k * d - j, q, Fraction(1, d))
+    return num
+
+
+def _part_poles(coords, d, p, q, base=None):
+    """Denominator factors of one part of degree d from p to q.
+
+    `coords` lists (weight, twist, multiplicity) per group of coordinates.
+    Each distinct weight m, in ascending order, gives the forms
+    (j p + (m d - j) q)/d for 0 < j < m d; every group of that weight
+    contributes the form shifted by -twist * base, to its multiplicity.
+    """
+    den = []
+    for m in sorted({weight for weight, _, _ in coords}):
+        for j in range(1, m * d):
+            pt = _linform(j, p, m * d - j, q, Fraction(1, d))
+            for weight, twist, mult in coords:
+                if weight == m:
+                    den.append((pt - twist * base if twist else pt, mult))
+    return den
+
+
 class _OneFormGeometry(Geometry):
+    """A degree-k hypersurface in weighted projective space.
+
+    Subclasses declare the coordinate weights, the degree k and the order
+    in which the vertex residues are taken; the integrand of a chain is
+    built from those alone.
+    """
+
     n_forms = 1
+    weights = None
+    k = None
+    _DESCENDING = False     # residues in descending vertex order
+
+    @property
+    def dim(self):
+        return len(self.weights) - 2
 
     def _check_degree(self, dd):
         if isinstance(dd, tuple):
@@ -184,9 +237,76 @@ class _OneFormGeometry(Geometry):
     def _chains(self, d):
         return ordered_partitions(d)
 
+    def kahler_classes(self):
+        return [Insertion(1)]
+
+    def selection_degree(self, d):
+        return len(self.weights) - 3 + (sum(self.weights) - self.k) * d
+
+    def classical_triple(self, a, b, c):
+        a, b, c = (self.check_insertion(x) for x in (a, b, c))
+        if a.degree() + b.degree() + c.degree() != self.dim:
+            return Fraction(0)
+        return Fraction(self.k, math.prod(self.weights))
+
+    def amplitude(self, sigma, a, b):
+        """One chain's contribution, including the 1/deg part prefactors.
+
+        Every vertex carries one variable with a pole of order len(weights)
+        and the orbifold factor 1/prod(weights); every node carries 1/k.
+        """
+        a, b = self.check_insertion(a), self.check_insertion(b)
+        sigma = tuple(sigma)
+        l = len(sigma)
+        n = len(self.weights)
+        coords = [(m, 0, self.weights.count(m)) for m in sorted(set(self.weights))]
+        vs = VarSet(["z%d" % j for j in range(l + 1)])
+        z = [vs.poly("z%d" % j) for j in range(l + 1)]
+        num = z[0] ** a.exps[0] * z[l] ** b.exps[0]
+        orbifold = math.prod(self.weights)
+        if orbifold != 1:
+            num = num * Fraction(1, orbifold) ** (l + 1)
+        den = [(zz, n) for zz in z]
+        for i, d in enumerate(sigma):
+            num = _hypersurface_roots(num, self.k, d, z[i], z[i + 1])
+            den += _part_poles(coords, d, z[i], z[i + 1])
+        for j in range(1, l):
+            form = (z[j] - z[j - 1]) * Fraction(1, sigma[j - 1]) \
+                 + (z[j] - z[j + 1]) * Fraction(1, sigma[j])
+            den += [(form, 1), (z[j], 1)]
+            num = num * Fraction(1, self.k)
+        f = RatFunc(num, den)
+        order = range(l, -1, -1) if self._DESCENDING else range(0, l + 1)
+        for j in order:
+            f = residue_at(f, PoleSpec("z%d" % j, 0))
+        val = f.as_rational()
+        for d in sigma:
+            val /= d
+        return val
+
 
 class _TwoFormGeometry(Geometry):
+    """A surface or a threefold with two Kahler forms, z and w.
+
+    A part along an axis in _SECTION_AXES is a section-direction block:
+    the roots (-i p - (S d - i) q)/d + shift * other for 0 < i < S d over
+    a doubled P1 denominator, where S is _SPAN.  A part along any other
+    axis is a fiber-direction block: the _FIBER coordinate groups, and the
+    roots of the degree-_FIBER_DEGREE fiber equation when there is one.
+    A hypersurface also puts its equation's degree, times w, in front of
+    each section block, and 1/(_FIBER_DEGREE w) on each node.
+    """
+
     n_forms = 2
+    _SECTION_AXES = "a"
+    _SPAN = _SHIFT = None
+    _FIBER_DEGREE = None    # degree of the fiber hypersurface, if any
+    _FIBER = ()             # (weight, twist, multiplicity) per coordinate group
+    # residue-step profiles: (w power in the measure, measure carries the
+    # branch factor (w - c z), contour also encircles w = c z)
+    _RES_FIRST_B = _RES_AB = _RES_BB = _RES_LAST_A = _RES_LAST_B = None
+    _BRANCH = None          # c in the movable zero w = c z, if any
+    _W_SCALE = Fraction(1)  # orbifold weight per w residue
 
     def kahler_classes(self):
         return [Insertion(1, 0), Insertion(0, 1)]
@@ -199,20 +319,31 @@ class _TwoFormGeometry(Geometry):
     def _chains(self, dd):
         return ordered_bipartitions(*dd)
 
-    # residue-step profiles: (w power in the measure, measure carries the
-    # branch factor (w - c z), contour also encircles w = c z)
-    _RES_FIRST_B = _RES_AB = _RES_BB = _RES_LAST_A = _RES_LAST_B = None
-    _BRANCH = None          # c in the movable zero w = c z, if any
-    _W_SCALE = Fraction(1)  # orbifold weight per w residue
+    def _section_block(self, d, p, q, other):
+        num = p.vars.const(1)
+        if self._FIBER_DEGREE:
+            num = self._FIBER_DEGREE * other
+        for i in range(1, self._SPAN * d):
+            num = num * ((-i * p - (self._SPAN * d - i) * q) * Fraction(1, d)
+                         + self._SHIFT * other)
+        return RatFunc(num, _part_poles([(1, 0, 2)], d, p, q))
 
-    def _block_a(self, d, zp, wp, zq):
-        raise NotImplementedError
-
-    def _block_b(self, d, wp, wq, zp):
-        raise NotImplementedError
+    def _fiber_block(self, d, p, q, other):
+        num = p.vars.const(1)
+        if self._FIBER_DEGREE:
+            num = _hypersurface_roots(num, self._FIBER_DEGREE, d, p, q)
+        return RatFunc(num, _part_poles(self._FIBER, d, p, q, other))
 
     def _node(self, axes, zj, wj, form):
-        raise NotImplementedError
+        # a node between two section blocks carries their root at the node
+        num = zj.vars.const(1)
+        if all(axis in self._SECTION_AXES for axis in axes):
+            num = self._SHIFT * wj - self._SPAN * zj
+        den = [(form, 1)]
+        if self._FIBER_DEGREE:
+            num = num * Fraction(1, self._FIBER_DEGREE)
+            den.append((wj, 1))
+        return RatFunc(num, den)
 
     def amplitude(self, sigma, a, b):
         """One chain's contribution, including the 1/deg part prefactors."""
@@ -229,10 +360,13 @@ class _TwoFormGeometry(Geometry):
         f = RatFunc(z[0] ** a.exps[0] * w[0] ** a.exps[1]
                     * z[l] ** b.exps[0] * w[l] ** b.exps[1])
         for i, part in enumerate(sigma):
-            if _axis(part) == "a":
-                f = f * self._block_a(part[0], z[i], w[i], z[i + 1])
+            axis = _axis(part)
+            if axis == "a":
+                d, p, q, other = part[0], z[i], z[i + 1], w[i]
             else:
-                f = f * self._block_b(part[1], w[i], w[i + 1], z[i])
+                d, p, q, other = part[1], w[i], w[i + 1], z[i]
+            block = self._section_block if axis in self._SECTION_AXES else self._fiber_block
+            f = f * block(d, p, q, other)
         for j in range(1, l):
             prv, nxt = sigma[j - 1], sigma[j]
             A = (z[j] - z[j - 1]) if _axis(prv) == "a" else (w[j] - w[j - 1])
@@ -277,9 +411,25 @@ class _TwoFormGeometry(Geometry):
             out = out * self._W_SCALE
         return out
 
+    def classical_triple(self, a, b, c):
+        """The degree-zero pairing: the last fiber residue profile, then z.
 
-def _linform(c1, p1, c2, p2, scale):
-    return (p1 * c1 + p2 * c2) * scale
+        A fiber hypersurface contributes its class _FIBER_DEGREE * w at the
+        orbifold weight of a fiber residue.
+        """
+        a, b, c = (self.check_insertion(x) for x in (a, b, c))
+        vs = VarSet(["z", "w"])
+        zz, ww = vs.poly("z"), vs.poly("w")
+        s = a.exps[0] + b.exps[0] + c.exps[0]
+        t = a.exps[1] + b.exps[1] + c.exps[1]
+        scale = 1
+        if self._FIBER_DEGREE:
+            scale, t = self._FIBER_DEGREE * self._W_SCALE, t + 1
+        power = self._RES_LAST_B[0]
+        f = RatFunc(scale * zz ** s * ww ** t,
+                    [(ww, power), (ww - self._BRANCH * zz, 1), (zz, 2)])
+        g = residue_sum(f, [PoleSpec("w", 0), PoleSpec("w", self._BRANCH * zz)])
+        return residue_at(g, PoleSpec("z", 0)).as_rational()
 
 
 class CpnGeometry(_OneFormGeometry):
@@ -291,13 +441,14 @@ class CpnGeometry(_OneFormGeometry):
     """
 
     name = "cpn"
+    _DESCENDING = True
 
     def __init__(self, N, k):
         if N < 2 or k < 1:
             raise ValueError("need N >= 2 and k >= 1")
         self.N = int(N)
         self.k = int(k)
-        self.dim = N - 2
+        self.weights = (1,) * self.N
 
     def params(self):
         return (("N", self.N), ("k", self.k))
@@ -305,49 +456,27 @@ class CpnGeometry(_OneFormGeometry):
     def basis(self):
         return [Insertion(i) for i in range(self.N - 1)]
 
-    def selection_degree(self, d):
-        return self.N - 3 + (self.N - self.k) * d
 
-    def kahler_classes(self):
-        return [Insertion(1)]
+class Wp2Geometry(_OneFormGeometry):
+    """Degree-6 hypersurface in P(1,1,1,3): a K3 surface with one form.
 
-    def classical_triple(self, a, b, c):
-        a, b, c = (self.check_insertion(x) for x in (a, b, c))
-        deg = a.degree() + b.degree() + c.degree()
-        return Fraction(self.k) if deg == self.N - 2 else Fraction(0)
+    Every vertex residue carries the orbifold weight 1/3 and a fourth-order
+    pole at the origin; residues run in ascending vertex order.
+    """
 
-    def amplitude(self, sigma, a, b):
-        a, b = self.check_insertion(a), self.check_insertion(b)
-        sigma = tuple(sigma)
-        l = len(sigma)
-        vs = VarSet(["z%d" % j for j in range(l + 1)])
-        z = [vs.poly("z%d" % j) for j in range(l + 1)]
-        num = z[0] ** a.exps[0] * z[l] ** b.exps[0]
-        den = [(zz, self.N) for zz in z]
-        for i, d in enumerate(sigma):
-            zp, zq = z[i], z[i + 1]
-            for j in range(0, self.k * d + 1):
-                num = num * _linform(j, zp, self.k * d - j, zq, Fraction(1, d))
-            for j in range(1, d):
-                den.append((_linform(j, zp, d - j, zq, Fraction(1, d)), self.N))
-        for j in range(1, l):
-            form = (z[j] - z[j - 1]) * Fraction(1, sigma[j - 1]) \
-                 + (z[j] - z[j + 1]) * Fraction(1, sigma[j])
-            den += [(form, 1), (z[j], 1)]
-            num = num * Fraction(1, self.k)
-        f = RatFunc(num, den)
-        for j in range(l, -1, -1):
-            f = residue_at(f, PoleSpec("z%d" % j, 0))
-        val = f.as_rational()
-        for d in sigma:
-            val /= d
-        return val
+    name = "wp2"
+    weights = (1, 1, 1, 3)
+    k = 6
+
+    def basis(self):
+        return [Insertion(i) for i in range(4)]
 
 
 class Kf0Geometry(_TwoFormGeometry):
     """The canonical bundle over P1 x P1 (a local surface).
 
-    Quantum two-point numbers are independent of the ring parameter k; the
+    Both axes carry the section block of the bundle O(-2, -2).  Quantum
+    two-point numbers are independent of the ring parameter k; the
     classical triple pairing is a k-linear table on the six-element virtual
     ring {1, z, w, z^2, zw, z^3}.
     """
@@ -355,6 +484,8 @@ class Kf0Geometry(_TwoFormGeometry):
     name = "kf0"
     dim = 3
 
+    _SECTION_AXES = "ab"
+    _SPAN, _SHIFT = 2, -2
     _RES_FIRST_B = _RES_AB = _RES_BB = (2, False, False)
     _RES_LAST_A = _RES_LAST_B = (2, False, False)
 
@@ -391,32 +522,18 @@ class Kf0Geometry(_TwoFormGeometry):
         t = sum(x.exps[1] for x in exps)
         return table.get((s, t), Fraction(0))
 
-    def _block_a(self, d, zp, wp, zq):
-        # obstruction roots (i(zp - zq))/d - 2 zp - 2 wp with the same-axis
-        # -2 zp absorbed into the linear part; only -2 wp stays undivided
-        num = zp.vars.const(1)
-        for i in range(1, 2 * d):
-            num = num * ((-i * zp - (2 * d - i) * zq) * Fraction(1, d) - 2 * wp)
-        den = [(_linform(i, zp, d - i, zq, Fraction(1, d)), 2) for i in range(1, d)]
-        return RatFunc(num, den)
-
-    def _block_b(self, d, wp, wq, zp):
-        num = wp.vars.const(1)
-        for i in range(1, 2 * d):
-            num = num * ((-i * wp - (2 * d - i) * wq) * Fraction(1, d) - 2 * zp)
-        den = [(_linform(i, wp, d - i, wq, Fraction(1, d)), 2) for i in range(1, d)]
-        return RatFunc(num, den)
-
-    def _node(self, axes, zj, wj, form):
-        return RatFunc(-2 * (zj + wj), [(form, 1)])
-
 
 class F3Geometry(_TwoFormGeometry):
-    """The Hirzebruch surface of twist 3 (fiber class squares to zero)."""
+    """The Hirzebruch surface of twist 3 (fiber class squares to zero).
+
+    The fiber has one coordinate twisted by 3 and one untwisted.
+    """
 
     name = "f3"
     dim = 2
 
+    _SPAN, _SHIFT = 3, 1
+    _FIBER = ((1, 3, 1), (1, 0, 1))
     _BRANCH = 3
     _RES_FIRST_B = _RES_BB = _RES_LAST_B = (1, True, True)
     _RES_AB = (1, False, False)
@@ -429,41 +546,14 @@ class F3Geometry(_TwoFormGeometry):
         da, db = dd
         return 1 - da + 2 * db
 
-    def classical_triple(self, a, b, c):
-        a, b, c = (self.check_insertion(x) for x in (a, b, c))
-        vs = VarSet(["z", "w"])
-        zz, ww = vs.poly("z"), vs.poly("w")
-        s = a.exps[0] + b.exps[0] + c.exps[0]
-        t = a.exps[1] + b.exps[1] + c.exps[1]
-        f = RatFunc(zz ** s * ww ** t, [(ww, 1), (ww - 3 * zz, 1), (zz, 2)])
-        g = residue_sum(f, [PoleSpec("w", 0), PoleSpec("w", 3 * zz)])
-        return residue_at(g, PoleSpec("z", 0)).as_rational()
 
-    def _block_a(self, d, zp, wp, zq):
-        num = zp.vars.const(1)
-        for i in range(1, 3 * d):
-            num = num * ((-i * zp - (3 * d - i) * zq) * Fraction(1, d) + wp)
-        den = [(_linform(i, zp, d - i, zq, Fraction(1, d)), 2) for i in range(1, d)]
-        return RatFunc(num, den)
+class _WeightedFibration(_TwoFormGeometry):
+    """A Calabi-Yau hypersurface in weighted projective space, fibered
+    over P1 by a K3 hypersurface of degree _FIBER_DEGREE."""
 
-    def _block_b(self, d, wp, wq, zp):
-        den = []
-        for i in range(1, d):
-            pt = _linform(i, wp, d - i, wq, Fraction(1, d))
-            den += [(pt - 3 * zp, 1), (pt, 1)]
-        return RatFunc(wp.vars.const(1), den)
-
-    def _node(self, axes, zj, wj, form):
-        num = (wj - 3 * zj) if axes == ("a", "a") else zj.vars.const(1)
-        return RatFunc(num, [(form, 1)])
-
-
-class Wp1Geometry(_TwoFormGeometry):
-    """Degree-4 hypersurface in P(1,1,2,2,2), fibered over P1."""
-
-    name = "wp1"
     dim = 3
 
+    _SPAN, _SHIFT = 2, 1
     _BRANCH = 2
     _RES_FIRST_B = _RES_BB = _RES_LAST_B = (3, True, True)
     _RES_AB = (3, False, True)
@@ -475,150 +565,31 @@ class Wp1Geometry(_TwoFormGeometry):
     def selection_degree(self, dd):
         return 2
 
-    def classical_triple(self, a, b, c):
-        a, b, c = (self.check_insertion(x) for x in (a, b, c))
-        vs = VarSet(["z", "w"])
-        zz, ww = vs.poly("z"), vs.poly("w")
-        s = a.exps[0] + b.exps[0] + c.exps[0]
-        t = a.exps[1] + b.exps[1] + c.exps[1] + 1
-        f = RatFunc(4 * zz ** s * ww ** t, [(ww, 3), (ww - 2 * zz, 1), (zz, 2)])
-        g = residue_sum(f, [PoleSpec("w", 0), PoleSpec("w", 2 * zz)])
-        return residue_at(g, PoleSpec("z", 0)).as_rational()
 
-    def _block_a(self, d, zp, wp, zq):
-        num = 4 * wp
-        for i in range(1, 2 * d):
-            num = num * ((-i * zp - (2 * d - i) * zq) * Fraction(1, d) + wp)
-        den = [(_linform(i, zp, d - i, zq, Fraction(1, d)), 2) for i in range(1, d)]
-        return RatFunc(num, den)
-
-    def _block_b(self, d, wp, wq, zp):
-        num = wp.vars.const(1)
-        for i in range(0, 4 * d + 1):
-            num = num * _linform(i, wp, 4 * d - i, wq, Fraction(1, d))
-        den = []
-        for i in range(1, d):
-            pt = _linform(i, wp, d - i, wq, Fraction(1, d))
-            den += [(pt, 3), (pt - 2 * zp, 1)]
-        return RatFunc(num, den)
-
-    def _node(self, axes, zj, wj, form):
-        num = (wj - 2 * zj) if axes == ("a", "a") else zj.vars.const(1)
-        return RatFunc(num * Fraction(1, 4), [(form, 1), (wj, 1)])
-
-
-class Wp2Geometry(_OneFormGeometry):
-    """Degree-6 hypersurface in P(1,1,1,3): a K3 surface with one form.
-
-    Every vertex residue carries the orbifold weight 1/3 and a fourth-order
-    pole at the origin.
+class Wp1Geometry(_WeightedFibration):
+    """Degree-8 hypersurface in P(1,1,2,2,2), fibered over P1 by quartic K3
+    surfaces in P3: three untwisted fiber coordinates and one twisted by 2.
     """
 
-    name = "wp2"
-    dim = 2
+    name = "wp1"
 
-    def basis(self):
-        return [Insertion(i) for i in range(4)]
-
-    def selection_degree(self, d):
-        return 1
-
-    def kahler_classes(self):
-        return [Insertion(1)]
-
-    def classical_triple(self, a, b, c):
-        a, b, c = (self.check_insertion(x) for x in (a, b, c))
-        vs = VarSet(["z"])
-        zz = vs.poly("z")
-        s = a.exps[0] + b.exps[0] + c.exps[0] + 1
-        f = RatFunc(6 * zz ** s * Fraction(1, 3), [(zz, 4)])
-        return residue_at(f, PoleSpec("z", 0)).as_rational()
-
-    def amplitude(self, sigma, a, b):
-        a, b = self.check_insertion(a), self.check_insertion(b)
-        sigma = tuple(sigma)
-        l = len(sigma)
-        vs = VarSet(["z%d" % j for j in range(l + 1)])
-        z = [vs.poly("z%d" % j) for j in range(l + 1)]
-        num = z[0] ** a.exps[0] * z[l] ** b.exps[0] * Fraction(1, 3) ** (l + 1)
-        den = [(zz, 4) for zz in z]
-        for i, d in enumerate(sigma):
-            zp, zq = z[i], z[i + 1]
-            for j in range(0, 6 * d + 1):
-                num = num * _linform(j, zp, 6 * d - j, zq, Fraction(1, d))
-            for j in range(1, d):
-                den.append((_linform(j, zp, d - j, zq, Fraction(1, d)), 3))
-            for j in range(1, 3 * d):
-                den.append((_linform(j, zp, 3 * d - j, zq, Fraction(1, d)), 1))
-        for j in range(1, l):
-            form = (z[j] - z[j - 1]) * Fraction(1, sigma[j - 1]) \
-                 + (z[j] - z[j + 1]) * Fraction(1, sigma[j])
-            den += [(form, 1), (z[j], 1)]
-            num = num * Fraction(1, 6)
-        f = RatFunc(num, den)
-        for j in range(0, l + 1):
-            f = residue_at(f, PoleSpec("z%d" % j, 0))
-        val = f.as_rational()
-        for d in sigma:
-            val /= d
-        return val
+    _FIBER_DEGREE = 4
+    _FIBER = ((1, 0, 3), (1, 2, 1))
 
 
-class Wp3Geometry(_TwoFormGeometry):
-    """Degree-6 hypersurface in P(1,1,2,2,6), fibered over P1.
+class Wp3Geometry(_WeightedFibration):
+    """Degree-12 hypersurface in P(1,1,2,2,6), fibered over P1.
 
-    The fiber is the P(1,1,1,3) model: two unit-weight directions, one
+    The fiber is the P(1,1,1,3) sextic: two unit-weight directions, one
     twisted unit-weight direction, one weight-3 direction; each fiber
     residue carries the orbifold weight 1/3.
     """
 
     name = "wp3"
-    dim = 3
 
-    _BRANCH = 2
+    _FIBER_DEGREE = 6
+    _FIBER = ((1, 0, 2), (1, 2, 1), (3, 0, 1))
     _W_SCALE = Fraction(1, 3)
-    _RES_FIRST_B = _RES_BB = _RES_LAST_B = (3, True, True)
-    _RES_AB = (3, False, True)
-    _RES_LAST_A = (3, False, True)
-
-    def basis(self):
-        return [Insertion(s, t) for t in range(4) for s in range(2)]
-
-    def selection_degree(self, dd):
-        return 2
-
-    def classical_triple(self, a, b, c):
-        a, b, c = (self.check_insertion(x) for x in (a, b, c))
-        vs = VarSet(["z", "w"])
-        zz, ww = vs.poly("z"), vs.poly("w")
-        s = a.exps[0] + b.exps[0] + c.exps[0]
-        t = a.exps[1] + b.exps[1] + c.exps[1] + 1
-        f = RatFunc(2 * zz ** s * ww ** t, [(ww, 3), (ww - 2 * zz, 1), (zz, 2)])
-        g = residue_sum(f, [PoleSpec("w", 0), PoleSpec("w", 2 * zz)])
-        return residue_at(g, PoleSpec("z", 0)).as_rational()
-
-    def _block_a(self, d, zp, wp, zq):
-        num = 6 * wp
-        for i in range(1, 2 * d):
-            num = num * ((-i * zp - (2 * d - i) * zq) * Fraction(1, d) + wp)
-        den = [(_linform(i, zp, d - i, zq, Fraction(1, d)), 2) for i in range(1, d)]
-        return RatFunc(num, den)
-
-    def _block_b(self, d, wp, wq, zp):
-        num = wp.vars.const(1)
-        for i in range(0, 6 * d + 1):
-            num = num * _linform(i, wp, 6 * d - i, wq, Fraction(1, d))
-        den = []
-        for i in range(1, d):
-            pt = _linform(i, wp, d - i, wq, Fraction(1, d))
-            den += [(pt, 2), (pt - 2 * zp, 1)]
-        for i in range(1, 3 * d):
-            den.append((_linform(i, wp, 3 * d - i, wq, Fraction(1, d)), 1))
-        return RatFunc(num, den)
-
-    def _node(self, axes, zj, wj, form):
-        num = (wj - 2 * zj) if axes == ("a", "a") else zj.vars.const(1)
-        return RatFunc(num * Fraction(1, 6), [(form, 1), (wj, 1)])
 
 
 _GEOMETRIES = {
@@ -643,33 +614,31 @@ def geometry(name, **params):
     return _INSTANCES[key]
 
 
-def amplitude(g, sigma, a, b):
-    return g.amplitude(sigma, a, b)
-
-
-def classical_triple(g, a, b, c):
-    return g.classical_triple(a, b, c)
+def _two_point(name, dd, a, b, **params):
+    """A named geometry's two-point number, through the active cache."""
+    g = geometry(name, **params)
+    return cached_two_point(g, dd, g.check_insertion(a), g.check_insertion(b))
 
 
 def two_point_cpn(N, k, d, a, b):
-    return geometry("cpn", N=N, k=k).two_point(d, a, b)
+    return _two_point("cpn", d, a, b, N=N, k=k)
 
 
 def two_point_kf0(dd, a, b, k=1):
-    return geometry("kf0", k=k).two_point(dd, a, b)
+    return _two_point("kf0", dd, a, b, k=k)
 
 
 def two_point_f3(dd, a, b):
-    return geometry("f3").two_point(dd, a, b)
+    return _two_point("f3", dd, a, b)
 
 
 def two_point_wp1(dd, a, b):
-    return geometry("wp1").two_point(dd, a, b)
+    return _two_point("wp1", dd, a, b)
 
 
 def two_point_wp2(d, a, b):
-    return geometry("wp2").two_point(d, a, b)
+    return _two_point("wp2", d, a, b)
 
 
 def two_point_wp3(dd, a, b):
-    return geometry("wp3").two_point(dd, a, b)
+    return _two_point("wp3", dd, a, b)

@@ -321,17 +321,6 @@ class MultiPoly:
         return MultiPoly(self.vars, quot)
 
 
-def poly_combine(op, p, q):
-    """Combine two polynomials: op is "add", "mul", or "pow" (q an int)."""
-    if op == "add":
-        return p + q
-    if op == "mul":
-        return p * q
-    if op == "pow":
-        return p ** q
-    raise ValueError("unknown op %r" % (op,))
-
-
 def _monic(f):
     """Normalize a factor to leading (lex) coefficient 1; returns (monic, lead)."""
     e, c = f.leading()
@@ -565,29 +554,6 @@ def _poly_subs_rat(poly, name, p, q):
     for j, a in parts.items():
         out = out + RatFunc(a) * p ** j * q ** (top - j)
     return out * q.inv() ** top
-
-
-def ratfunc_arith(op, r, s=None):
-    """Arithmetic dispatch: op in {"add", "mul", "neg", "inv"}."""
-    if op == "add":
-        return r + s
-    if op == "mul":
-        return r * s
-    if op == "neg":
-        assert s is None
-        return -r
-    if op == "inv":
-        assert s is None
-        return r.inv()
-    raise ValueError("unknown op %r" % (op,))
-
-
-def ratfunc_substitute(r, name, value):
-    return r.substitute(name, value)
-
-
-def ratfunc_reduce(r):
-    return r.reduce()
 
 
 # -- serialization --------------------------------------------------------

@@ -13,6 +13,7 @@ Only the upper triangle is stored; both matrices are symmetric.
 
 from fractions import Fraction
 
+from .cache import cached_two_point
 from .geoms import geometry, parse_insertion
 
 _F = Fraction
@@ -78,6 +79,6 @@ def check_conjecture2():
                 if dd == (0, 0):
                     got = g.classical_triple(a, b, kahler[direction])
                 else:
-                    got = dd[slot] * g.two_point(dd, a, b)
+                    got = dd[slot] * cached_two_point(g, dd, a, b)
                 rows.append((direction, ra, cb, dd, ref, got, ref == got))
     return ConnectionReport(rows)

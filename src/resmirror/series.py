@@ -235,19 +235,6 @@ class GradedSeries:
         return (self * inv).scale(Fraction(1) / den.const)
 
 
-def series_arith(op, a, b=None):
-    """Dispatcher mirroring the polynomial-layer arithmetic entry points."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    if op == "exp_of_pure_q":
-        return a.exp_of_pure_q()
-    raise ValueError("unknown series op %r" % (op,))
-
-
 def series_to_json(s):
     return {
         "affine": {"x1": frac_to_str(s.affine[0]),

@@ -76,3 +76,19 @@ def test_cached_two_point_records_once(tmp_path):
     assert len(store) == 1
     rec = json.loads(open(store.path).readline())
     assert rec["value"] == "3850"
+
+
+def test_store_after_torn_last_line_keeps_both_records(tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    first, second = key_for(b="z2"), key_for(a="z", b="z")
+    CacheStore(path).store(first, Fraction(3850))
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data.rstrip(b"\n"))  # complete record, newline lost
+    CacheStore(path).store(second, Fraction(6725))
+    reloaded = CacheStore(path)
+    assert len(reloaded) == 2
+    assert reloaded.lookup(first) == 3850 and reloaded.lookup(second) == 6725
+    with open(path, "rb") as fh:
+        assert fh.read().startswith(data)  # the old line is kept, not truncated

@@ -224,3 +224,35 @@ def test_warm_cache_rerun_is_byte_identical(tmp_path):
 
 def test_no_arguments_is_a_usage_error(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("cfg", [{"truncation": 3}, {"truncation": {"cpn": [3]}},
+                                 {"cache": 5}])
+def test_malformed_config_is_a_usage_error(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc, _, err = run(capsys, "series", "--geometry", "cpn", "--N", "5", "--k", "5",
+                     "--a", "z", "--b", "z", "--config", str(path))
+    assert rc == 2 and err.startswith("error:")
+
+
+def test_cache_path_that_is_a_directory_fails_with_exit_1(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc, _, err = run(capsys, "two-point", "--geometry", "f3", "--d", "0,1",
+                         "--a", "w", "--b", "w2", "--cache", str(tmp_path))
+    assert rc == 1 and err.startswith("computation failed:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "theorem1", "--N", "5", "--k", "5", "--d", "2"),
+    ("check", "conjecture2"),
+])
+def test_checks_go_through_the_cache(tmp_path, capsys, argv):
+    path = tmp_path / "memo.jsonl"
+    rc, cold, _ = run(capsys, *argv, "--cache", str(path))
+    assert rc == 0 and path.stat().st_size > 0
+    size = path.stat().st_size
+    rc, warm, _ = run(capsys, *argv, "--cache", str(path))
+    assert rc == 0 and warm == cold
+    assert path.stat().st_size == size

@@ -267,3 +267,45 @@ class TestStructuralProperties:
     def test_unknown_geometry(self):
         with pytest.raises(ValueError):
             geometry("nosuch")
+
+
+# Every chain's amplitude at low degree, one insertion pair per degree that
+# meets the selection rule.  Sums alone would not notice a change that moves
+# value between chains, such as a different vertex residue order.
+CHAIN_PINS = [
+    ("cpn", dict(N=5, k=5), 1, "1", "z2", {(1,): 3850}),
+    ("cpn", dict(N=5, k=5), 2, "1", "z2", {(1, 1): -462000, (2,): 4051125}),
+    ("cpn", dict(N=5, k=5), 3, "1", "z2",
+     {(1, 1, 1): 55440000, (1, 2): -486135000, (2, 1): -436590000,
+      (3,): F(18728395000, 3)}),
+    ("wp2", dict(), 1, "1", "z", {(1,): 1488}),
+    ("wp2", dict(), 2, "1", "z", {(1, 1): -1285632, (2,): 2232936}),
+    ("wp2", dict(), 3, "1", "z",
+     {(1, 1, 1): 1243634688, (1, 2): -1799027712, (2, 1): -1995681024,
+      (3,): 3454542208}),
+    ("kf0", dict(), (1, 0), "1", "zw", {((1, 0),): -1}),
+    ("kf0", dict(), (0, 1), "1", "zw", {((0, 1),): -1}),
+    ("kf0", dict(), (2, 0), "1", "zw", {((1, 0), (1, 0)): 2, ((2, 0),): F(-7, 2)}),
+    ("kf0", dict(), (1, 1), "1", "zw", {((0, 1), (1, 0)): 2, ((1, 0), (0, 1)): -8}),
+    ("kf0", dict(), (0, 2), "1", "zw", {((0, 1), (0, 1)): 2, ((0, 2),): F(-7, 2)}),
+    ("f3", dict(), (1, 0), "1", "1", {((1, 0),): 5}),
+    ("f3", dict(), (0, 1), "w", "w2", {((0, 1),): 3}),
+    ("f3", dict(), (1, 1), "z", "z", {((0, 1), (1, 0)): 2, ((1, 0), (0, 1)): -1}),
+    ("wp1", dict(), (1, 0), "1", "zw", {((1, 0),): -4}),
+    ("wp1", dict(), (0, 1), "1", "zw", {((0, 1),): 416}),
+    ("wp1", dict(), (2, 0), "1", "zw", {((1, 0), (1, 0)): 8, ((2, 0),): -14}),
+    ("wp1", dict(), (1, 1), "z", "z", {((0, 1), (1, 0)): 416, ((1, 0), (0, 1)): 416}),
+    ("wp1", dict(), (0, 2), "1", "zw", {((0, 1), (0, 1)): -292288, ((0, 2),): 331408}),
+    ("wp3", dict(), (1, 0), "1", "zw", {((1, 0),): -2}),
+    ("wp3", dict(), (0, 1), "1", "zw", {((0, 1),): 1488}),
+    ("wp3", dict(), (2, 0), "1", "zw", {((1, 0), (1, 0)): 4, ((2, 0),): -7}),
+    ("wp3", dict(), (1, 1), "z", "z", {((0, 1), (1, 0)): 1488, ((1, 0), (0, 1)): 1488}),
+    ("wp3", dict(), (0, 2), "1", "zw",
+     {((0, 1), (0, 1)): -6483168, ((0, 2),): 7430472}),
+]
+
+
+@pytest.mark.parametrize("name,params,dd,a,b,chains", CHAIN_PINS)
+def test_chain_amplitudes(name, params, dd, a, b, chains):
+    g = geometry(name, **params)
+    assert {tuple(sigma): g.amplitude(sigma, a, b) for sigma in g._chains(dd)} == chains

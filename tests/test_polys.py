@@ -11,12 +11,8 @@ from resmirror.polys import (
     VarSet,
     frac_from_str,
     frac_to_str,
-    poly_combine,
     poly_from_json,
     poly_to_json,
-    ratfunc_arith,
-    ratfunc_reduce,
-    ratfunc_substitute,
 )
 
 XY = VarSet(["x", "y"])
@@ -47,12 +43,10 @@ def test_pow():
         (X + Y) ** -1
 
 
-def test_poly_combine_ops():
-    assert poly_combine("add", X, Y) == X + Y
-    assert poly_combine("mul", X, Y) == X * Y
-    assert poly_combine("pow", X + 1, 2) == X * X + 2 * X + 1
-    with pytest.raises(ValueError):
-        poly_combine("div", X, Y)
+def test_poly_operators():
+    assert (X + Y).terms == {(1, 0): 1, (0, 1): 1}
+    assert (X * Y).terms == {(1, 1): 1}
+    assert (X + 1) ** 2 == X * X + 2 * X + 1
 
 
 def test_subs_shift():
@@ -130,11 +124,11 @@ def test_ratfunc_merges_and_normalizes_factors():
 def test_ratfunc_add_inv():
     one_over_x = RatFunc(XY.const(1), [(X, 1)])
     one_over_y = RatFunc(XY.const(1), [(Y, 1)])
-    s = ratfunc_arith("add", one_over_x, one_over_y)
+    s = one_over_x + one_over_y
     assert s == RatFunc(X + Y, [(X, 1), (Y, 1)])
-    assert ratfunc_arith("inv", s) == RatFunc(X * Y, [(X + Y, 1)])
-    assert ratfunc_arith("neg", one_over_x) == RatFunc(XY.const(-1), [(X, 1)])
-    assert ratfunc_arith("mul", one_over_x, one_over_y) == RatFunc(XY.const(1), [(X, 1), (Y, 1)])
+    assert s.inv() == RatFunc(X * Y, [(X + Y, 1)])
+    assert -one_over_x == RatFunc(XY.const(-1), [(X, 1)])
+    assert one_over_x * one_over_y == RatFunc(XY.const(1), [(X, 1), (Y, 1)])
 
 
 def test_ratfunc_zero_denominator_factor():
@@ -147,7 +141,7 @@ def test_ratfunc_zero_denominator_factor():
 def test_ratfunc_substitute_polynomial():
     # (x + y)/x with y := 2x collapses to the constant 3
     r = RatFunc(X + Y, [(X, 1)])
-    assert ratfunc_substitute(r, "y", 2 * X).as_rational() == 3
+    assert r.substitute("y", 2 * X).as_rational() == 3
 
 
 def test_ratfunc_substitute_hits_pole():
@@ -172,7 +166,7 @@ def test_ratfunc_substitute_rational_value():
 
 def test_ratfunc_reduce_trial_division():
     r = RatFunc((X ** 2 - Y ** 2) * X, [(X - Y, 1), (X, 2)])
-    red = ratfunc_reduce(r)
+    red = r.reduce()
     assert red.num == X + Y
     assert red.den == ((X, 1),)
 

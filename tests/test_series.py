@@ -17,7 +17,6 @@ from resmirror.series import (
     mirror_map,
     picard_fuchs_basis,
     reversion_weights,
-    series_arith,
     series_from_json,
     series_to_json,
     transform,
@@ -74,14 +73,12 @@ def test_exp_rejects_affine_part():
         GradedSeries((0, 0), 1, {}, 2).exp_of_pure_q()
 
 
-def test_series_arith_dispatch():
+def test_series_operators():
     a = q_series({(1, 0): 1}, 2)
-    assert series_arith("add", a, a).terms == {(1, 0): F(2)}
-    assert series_arith("mul", a, a).terms == {(2, 0): F(1)}
-    assert series_arith("scale", a, F(1, 2)).terms == {(1, 0): F(1, 2)}
-    assert series_arith("exp_of_pure_q", a).const == 1
-    with pytest.raises(ValueError):
-        series_arith("pow", a, a)
+    assert (a + a).terms == {(1, 0): F(2)}
+    assert (a * a).terms == {(2, 0): F(1)}
+    assert a.scale(F(1, 2)).terms == {(1, 0): F(1, 2)}
+    assert a.exp_of_pure_q().const == 1
 
 
 def test_div_unit_inverts_multiplication():
