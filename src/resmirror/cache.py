@@ -1,6 +1,7 @@
-"""On-disk memo cache for two-point numbers.
+"""Two-point numbers, memoized once per process and optionally on disk.
 
-One JSON-lines file: each line is a self-contained record carrying a
+Both memos use :func:`two_point_key`, which sorts the insertions.  The
+store is one JSON-lines file: each line is a self-contained record carrying a
 schema version, the geometry key, the degree, the insertion exponents and
 the exact value as a rational string.  Records are append-only; a record
 whose key is already present must carry the identical value, anything
@@ -31,7 +32,7 @@ def two_point_key(g, dd, a, b):
     return (SCHEMA, "two-point", g.name, params, degree, ins)
 
 
-def _record_of(key, value, provenance):
+def _record_of(key, value):
     schema, kind, name, params, degree, ins = key
     return {
         "schema": schema,
@@ -41,7 +42,7 @@ def _record_of(key, value, provenance):
         "degree": list(degree),
         "insertions": [list(e) for e in ins],
         "value": frac_to_str(value),
-        "provenance": provenance,
+        "provenance": "residue-chain",
     }
 
 
@@ -99,7 +100,7 @@ class CacheStore:
     def lookup(self, key):
         return self._records.get(key)
 
-    def store(self, key, value, provenance="residue-chain"):
+    def store(self, key, value):
         value = Fraction(value)
         with self._lock:
             old = self._records.get(key)
@@ -109,7 +110,7 @@ class CacheStore:
                         "refusing to overwrite %s with %s for %r"
                         % (frac_to_str(old), frac_to_str(value), key))
                 return
-            line = json.dumps(_record_of(key, value, provenance), sort_keys=True)
+            line = json.dumps(_record_of(key, value), sort_keys=True)
             with open(self.path, "a+b") as fh:
                 # A torn write can leave the last line unterminated; end it
                 # (never truncate it) so this record stays a line of its own.
@@ -122,17 +123,16 @@ class CacheStore:
 
 
 _ACTIVE = None
+_MEMO = {}
 
 
-def activate(path_or_store):
-    """Install a process-wide store; returns it.  Pass None to deactivate."""
+def activate(path):
+    """Install a process-wide store on path; returns it.  None deactivates."""
     global _ACTIVE
-    if path_or_store is None:
+    if path is None:
         _ACTIVE = None
-    elif isinstance(path_or_store, CacheStore):
-        _ACTIVE = path_or_store
     else:
-        _ACTIVE = CacheStore(path_or_store)
+        _ACTIVE = CacheStore(path)
     return _ACTIVE
 
 
@@ -140,29 +140,19 @@ def active_store():
     return _ACTIVE
 
 
-def cache_lookup(key):
-    """Consult the active store, if any."""
-    return None if _ACTIVE is None else _ACTIVE.lookup(key)
-
-
-def cache_store(key, value, provenance="residue-chain"):
-    """Record into the active store; a no-op when none is active."""
-    if _ACTIVE is not None:
-        _ACTIVE.store(key, value, provenance)
-
-
 def cached_two_point(g, dd, a, b):
-    """Geometry two-point with a cache consultation when a store is active.
+    """g.two_point(dd, a, b) from the active store, else from the process
+    memo, else computed; the store records what it lacks.
 
     a and b must already be Insertion values.
     """
-    store = _ACTIVE
-    if store is None:
-        return g.two_point(dd, a, b)
     key = two_point_key(g, dd, a, b)
-    hit = store.lookup(key)
+    store = _ACTIVE
+    hit = None if store is None else store.lookup(key)
     if hit is not None:
         return hit
-    value = g.two_point(dd, a, b)
-    store.store(key, value)
-    return value
+    if key not in _MEMO:
+        _MEMO[key] = g.two_point(dd, a, b)
+    if store is not None:
+        store.store(key, _MEMO[key])
+    return _MEMO[key]

@@ -161,6 +161,10 @@ def _cmd_gw(args, cfg):
             raise UsageError("the closed-form transform stops at degree 3")
         table = gmt_upto3(args.N, args.k)
         rows = [(d, a, b, v) for (d, (a, b)), v in table.items() if d <= dmax]
+        if args.a is not None:
+            g = geometry("cpn", N=args.N, k=args.k)
+            sel = {g.check_insertion(args.a).exps[0], g.check_insertion(args.b).exps[0]}
+            rows = [r for r in rows if {r[1], r[2]} == sel]
     else:
         if args.a is None or args.b is None:
             raise UsageError("the transform route needs --a and --b")
@@ -171,10 +175,6 @@ def _cmd_gw(args, cfg):
                         mirror_map(g, dmax))
         rows = [(d, a.exps[0], b.exps[0], out.coefficient((d, 0)))
                 for d in range(1, dmax + 1)]
-    if args.a is not None and args.N < args.k:
-        g = geometry("cpn", N=args.N, k=args.k)
-        sel = {parse_insertion(g, args.a).exps[0], parse_insertion(g, args.b).exps[0]}
-        rows = [r for r in rows if {r[1], r[2]} == sel]
     rows.sort()
     lines = ["d=%d (%d,%d): %s" % (d, a, b, frac_to_str(v)) for d, a, b, v in rows]
     _emit(args, lines,

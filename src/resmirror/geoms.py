@@ -161,17 +161,14 @@ class Geometry:
         return [a for a in self.basis() if a.degree() == self.dim - 1]
 
     def two_point(self, dd, a, b):
-        """Sum of chain amplitudes at degree dd with the two insertions."""
+        """Sum of chain amplitudes at degree dd with the two insertions,
+        computed on every call; cache.cached_two_point memoizes it."""
         a, b = self.check_insertion(a), self.check_insertion(b)
         dd = self._check_degree(dd)
-        key = (dd, a.exps, b.exps)
-        memo = self.__dict__.setdefault("_memo", {})
-        if key not in memo:
-            total = Fraction(0)
-            for sigma in self._chains(dd):
-                total += self.amplitude(sigma, a, b)
-            memo[key] = total
-        return memo[key]
+        total = Fraction(0)
+        for sigma in self._chains(dd):
+            total += self.amplitude(sigma, a, b)
+        return total
 
     def amplitude(self, sigma, a, b):
         raise NotImplementedError
@@ -601,21 +598,17 @@ _GEOMETRIES = {
     "wp3": Wp3Geometry,
 }
 
-_INSTANCES = {}
-
 
 def geometry(name, **params):
-    """Shared geometry instances, so two-point memoization is global."""
+    """A new instance of the named geometry.  Instances hold no memo:
+    cache.cached_two_point keys two-point numbers by name and parameters."""
     if name not in _GEOMETRIES:
         raise ValueError("unknown geometry %r (have: %s)" % (name, ", ".join(sorted(_GEOMETRIES))))
-    key = (name, tuple(sorted(params.items())))
-    if key not in _INSTANCES:
-        _INSTANCES[key] = _GEOMETRIES[name](**params)
-    return _INSTANCES[key]
+    return _GEOMETRIES[name](**params)
 
 
 def _two_point(name, dd, a, b, **params):
-    """A named geometry's two-point number, through the active cache."""
+    """A named geometry's two-point number, through cache.cached_two_point."""
     g = geometry(name, **params)
     return cached_two_point(g, dd, g.check_insertion(a), g.check_insertion(b))
 

@@ -23,8 +23,8 @@ representation of the same coefficients is kept as an independent oracle
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
-from threading import Lock
 
 from ._linalg import solve
 from .geoms import two_point_cpn
@@ -80,9 +80,7 @@ def _supported_monomials(positions, deg, nvars):
         yield tuple(e)
 
 
-_DEC_CACHE = {}
-
-
+@cache
 def _decomposition_table(d):
     """All decomposition coefficients f_S at once, S over interior subsets.
 
@@ -91,8 +89,6 @@ def _decomposition_table(d):
     matching all degree-(d-1) monomials of the defining identity gives a
     square linear system, and its unique solution is the table.
     """
-    if d in _DEC_CACHE:
-        return _DEC_CACHE[d]
     vs = VarSet(["z%d" % j for j in range(d + 1)])
     z = [vs.poly("z%d" % j) for j in range(d + 1)]
     slots = []
@@ -119,7 +115,6 @@ def _decomposition_table(d):
         table.setdefault(sub, vs.zero())
         if c:
             table[sub] = table[sub] + vs.monomial(mono, c)
-    _DEC_CACHE[d] = table
     return table
 
 
@@ -212,31 +207,27 @@ def decomposition_by_contours(d, indices, order=None):
     return _on_vars(_as_poly(f) * pref, out)
 
 
-_POLY_CACHE = {}
-
-
+@cache
 def poly_d(d):
     """The degree-(d-1) universal polynomial in x, y, z1 .. z{d-1} whose
     monomials drive one step of the level recursion."""
     d = int(d)
     if d < 1:
         raise InvalidComb("d must be positive, got %r" % (d,))
-    if d not in _POLY_CACHE:
-        vs = VarSet(["x", "y"] + ["z%d" % i for i in range(1, d)])
-        rename = {"z0": "x", "z%d" % d: "y"}
-        total = vs.const(0)
-        for comb in _interior_subsets(d):
-            bounds = (0,) + comb + (d,)
-            coef = Fraction(d)
-            for lo, hi in zip(bounds, bounds[1:]):
-                coef /= hi - lo
-            term = vs.const(1) * coef
-            for i in comb:
-                term = term * vs.poly("z%d" % i)
-            f = _on_vars(decomposition_coefficient(d, comb), vs, rename)
-            total = total + term * f
-        _POLY_CACHE[d] = total
-    return _POLY_CACHE[d]
+    vs = VarSet(["x", "y"] + ["z%d" % i for i in range(1, d)])
+    rename = {"z0": "x", "z%d" % d: "y"}
+    total = vs.const(0)
+    for comb in _interior_subsets(d):
+        bounds = (0,) + comb + (d,)
+        coef = Fraction(d)
+        for lo, hi in zip(bounds, bounds[1:]):
+            coef /= hi - lo
+        term = vs.const(1) * coef
+        for i in comb:
+            term = term * vs.poly("z%d" % i)
+        f = _on_vars(decomposition_coefficient(d, comb), vs, rename)
+        total = total + term * f
+    return total
 
 
 def poly_d_direct(d):
@@ -281,24 +272,24 @@ def _initial_coeffs(k):
     return [Fraction(k * c) for c in poly]
 
 
-_MEMO = {}
-_MEMO_LOCK = Lock()
+def _check_domain(N, k, d):
+    """(N, k, d) as integers; every route needs N >= 2, k >= 1, d >= 1."""
+    N, k, d = int(N), int(k), int(d)
+    if N < 2 or k < 1 or d < 1:
+        raise ValueError("need N >= 2, k >= 1, d >= 1")
+    return N, k, d
 
 
+@cache
 def vsc_recursive(N, k, d, n):
     """L(N, k, d, n) by the level recursion, memoized.
 
     Out-of-range n yields zero; the recursion grounds where N >= 2k.
     """
-    N, k, d, n = int(N), int(k), int(d), int(n)
-    if N < 2 or k < 1 or d < 1:
-        raise ValueError("need N >= 2, k >= 1, d >= 1")
+    N, k, d = _check_domain(N, k, d)
+    n = int(n)
     if not 0 <= n <= N - 1 - (N - k) * d:
         return Fraction(0)
-    key = (N, k, d, n)
-    hit = _MEMO.get(key)
-    if hit is not None:
-        return hit
     if N >= 2 * k:
         val = _initial_coeffs(k)[n] if d == 1 else Fraction(0)
     else:
@@ -321,14 +312,13 @@ def vsc_recursive(N, k, d, n):
                 if not term:
                     break
             val += term
-    with _MEMO_LOCK:
-        _MEMO[key] = val
     return val
 
 
 def vsc_residue(N, k, d, n):
     """L(N, k, d, n) from the cpn two-point number at matched insertions."""
-    N, k, d, n = int(N), int(k), int(d), int(n)
+    N, k, d = _check_domain(N, k, d)
+    n = int(n)
     return Fraction(d, k) * two_point_cpn(N, k, d, N - 2 - n, n - 1 + (N - k) * d)
 
 
@@ -340,7 +330,8 @@ def vsc_merged_contour(N, k, d, n):
     origin only.  Unlike vsc_residue, the endpoint exponents may be negative
     here.
     """
-    N, k, d, n = int(N), int(k), int(d), int(n)
+    N, k, d = _check_domain(N, k, d)
+    n = int(n)
     vs = VarSet(["z%d" % j for j in range(d + 1)])
     z = [vs.poly("z%d" % j) for j in range(d + 1)]
     num = vs.const(1)
@@ -388,7 +379,7 @@ class Theorem1Report:
 
 def check_theorem1(N, k, d):
     """Compare vsc_recursive and vsc_residue on every n both routes cover."""
-    N, k, d = int(N), int(k), int(d)
+    N, k, d = _check_domain(N, k, d)
     lo = max(0, 1 - (N - k) * d)
     hi = min(N - 2, N - 1 - (N - k) * d)
     rows = [(n, vsc_recursive(N, k, d, n), vsc_residue(N, k, d, n))

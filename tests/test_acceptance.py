@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from resmirror.geoms import geometry, two_point_cpn, two_point_wp2
+from resmirror.geoms import geometry, two_point_cpn, two_point_f3, two_point_wp2
 from resmirror.parts import ordered_bipartitions, ordered_partitions
 from resmirror.refdata import check_conjecture2
 from resmirror.series import (
@@ -205,9 +205,8 @@ TWIST_RAW = [
 
 def test_criterion_5_twisted_surface():
     def body():
-        g = geometry("f3")
         for dd, a, b, want in TWIST_RAW:
-            assert g.two_point(dd, a, b) == want
+            assert two_point_f3(dd, a, b) == want
         report = check_conjecture2()
         assert report.ok
         assert len(report.rows) == 33

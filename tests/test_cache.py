@@ -7,8 +7,6 @@ from resmirror.cache import (
     CacheCorruption,
     CacheStore,
     activate,
-    cache_lookup,
-    cache_store,
     cached_two_point,
     two_point_key,
 )
@@ -48,20 +46,6 @@ def test_reload_from_disk(tmp_path):
 
 def test_symmetric_key_is_shared():
     assert key_for(a="1", b="z2") == key_for(a="z2", b="1")
-
-
-def test_free_functions_follow_the_active_store(tmp_path):
-    k = key_for()
-    assert cache_lookup(k) is None  # no active store
-    cache_store(k, Fraction(3850))  # no-op without a store
-    activate(str(tmp_path / "c.jsonl"))
-    try:
-        assert cache_lookup(k) is None
-        cache_store(k, Fraction(3850))
-        assert cache_lookup(k) == 3850
-    finally:
-        activate(None)
-    assert cache_lookup(k) is None
 
 
 def test_cached_two_point_records_once(tmp_path):

@@ -123,10 +123,16 @@ def test_validation_failures_exit_2(capsys):
         ("series", "--geometry", "cpn", "--N", "5", "--k", "5",
          "--a", "1", "--b", "z", "--config", "/no/such/config.json"),
         ("vsc", "--N", "5", "--k", "5", "--d", "2"),
+        ("vsc", "--N", "1", "--k", "5", "--d", "1", "--n", "0", "--route", "contour"),
+        ("vsc", "--N", "5", "--k", "5", "--d", "0", "--n", "0", "--route", "contour"),
+        ("vsc", "--N", "5", "--k", "0", "--d", "1", "--n", "0", "--route", "contour"),
+        ("vsc", "--N", "5", "--k", "0", "--d", "1", "--n", "0", "--route", "residue"),
+        ("check", "theorem1", "--N", "1", "--k", "1", "--d", "1"),
+        ("gw", "--N", "4", "--k", "5", "--a", "z", "--b", "z5"),
     ]
     for argv in bad:
         rc, _, err = run(capsys, *argv)
-        assert rc == 2, argv
+        assert rc == 2 and "error:" in err, argv
 
 
 def test_cache_stores_and_shares_symmetric_key(tmp_path, capsys):

@@ -9,6 +9,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from resmirror import cache
+from resmirror.cache import cached_two_point
 from resmirror.geoms import (
     Insertion,
     InvalidInsertion,
@@ -257,12 +259,31 @@ class TestStructuralProperties:
         for a, b in pairs:
             assert g.two_point(dd, a, b) == g.two_point(dd, b, a)
 
-    def test_shared_instances_and_memo(self):
-        g1 = geometry("cpn", N=7, k=5)
-        g2 = geometry("cpn", N=7, k=5)
-        assert g1 is g2
-        v = g1.two_point(1, 1, 5)
-        assert ((1, (1,), (5,)) in g1._memo) and v == 600
+    def test_memo_shared_across_orders_and_instances(self, monkeypatch):
+        assert cache.active_store() is None
+        monkeypatch.setattr(cache, "_MEMO", {})
+        calls = []
+
+        def counting(orig):
+            def amplitude(self, sigma, a, b):
+                calls.append(sigma)
+                return orig(self, sigma, a, b)
+            return amplitude
+
+        f3, cpn = geometry("f3"), geometry("cpn", N=7, k=5)
+        for cls in (type(f3), type(cpn)):
+            monkeypatch.setattr(cls, "amplitude", counting(cls.amplitude))
+        one, w = parse_insertion(f3, "1"), parse_insertion(f3, "w")
+        assert cached_two_point(f3, (2, 1), one, w) == F(39, 2)
+        assert len(calls) == 5
+        # the swapped order is the same number: no chain is evaluated again
+        assert cached_two_point(f3, (2, 1), w, one) == F(39, 2)
+        assert len(calls) == 5
+        # nor for a second instance with the same name and parameters
+        a, b = Insertion(1), Insertion(5)
+        assert cached_two_point(cpn, 1, a, b) == 600 and len(calls) == 6
+        again = geometry("cpn", N=7, k=5)
+        assert cached_two_point(again, 1, a, b) == 600 and len(calls) == 6
 
     def test_unknown_geometry(self):
         with pytest.raises(ValueError):
