@@ -155,8 +155,10 @@ def _cmd_mirror_map(args, cfg):
 
 
 def _cmd_gw(args, cfg):
+    dmax = args.dmax if args.dmax is not None else 3
+    if dmax < 1:
+        raise UsageError("--dmax must be at least 1")
     if args.N < args.k:
-        dmax = args.dmax if args.dmax is not None else 3
         if dmax > 3:
             raise UsageError("the closed-form transform stops at degree 3")
         table = gmt_upto3(args.N, args.k)
@@ -168,7 +170,6 @@ def _cmd_gw(args, cfg):
     else:
         if args.a is None or args.b is None:
             raise UsageError("the transform route needs --a and --b")
-        dmax = args.dmax if args.dmax is not None else 3
         g = geometry("cpn", N=args.N, k=args.k)
         a, b = parse_insertion(g, args.a), parse_insertion(g, args.b)
         out = transform(build_generating_function(g, a, b, dmax),

@@ -7,9 +7,23 @@ mapping exponent tuples to coefficients, indexed against a fixed ordered
 (polynomial factor, multiplicity) pairs and never expands it; cancellation
 is by trial division of the numerator by denominator factors only, which is
 all the residue calculus downstream needs.
+
+Most trial divisions fail, so :meth:`MultiPoly.exact_div` first looks for a
+cheap proof of failure: a point P on the divisor's zero set modulo the
+prime p = 2^61 - 1 at which the numerator does not vanish.  A quotient,
+were there one, would have p-integral coefficients whenever the inputs do
+and the divisor's leading coefficient is a unit mod p, and it would make
+the numerator vanish at P; so a nonzero value there is a proof, and None
+stays exact.  The point comes from a fixed sequence, so runs repeat
+exactly.  When no proof is found, long division in lex order decides,
+taking the leading remainder term from a heap.
 """
 
+import functools
+import heapq
 from fractions import Fraction
+from math import prod
+from operator import getitem
 
 
 class IdenticallySingular(ArithmeticError):
@@ -290,35 +304,130 @@ class MultiPoly:
     def exact_div(self, divisor):
         """Exact polynomial quotient self/divisor, or None if it does not divide.
 
-        Single-divisor long division in lexicographic term order; only exact
-        leading-term steps are taken, so a None return is a proof of
-        non-divisibility within this monomial order.
+        First a modular certificate (:func:`_off_zero_set`): a point P on
+        divisor = 0 mod p = 2^61 - 1 where self does not vanish proves that
+        the divisor does not divide, and None is returned at once.  The
+        certificate is only used when every coefficient is p-integral and
+        the divisor's lex-leading coefficient is a unit mod p: then a quotient,
+        if there were one, would be p-integral too (long division only ever
+        divides by that leading coefficient), so self(P) = divisor(P) q(P)
+        would vanish mod p.  Otherwise, or when self(P) vanishes, single-
+        divisor long division in lexicographic term order decides; it takes
+        only exact leading-term steps, so its None is a proof as well.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        de, dc = divisor.leading()
-        rem = dict(self.terms)
+        if _off_zero_set(self, divisor):
+            return None
+        return self._long_div(divisor)
+
+    def _long_div(self, divisor):
+        # Exponents are kept negated, so the min-heap of remainder keys pops
+        # the lex-largest term; keys cancelled meanwhile are skipped lazily.
+        neg = [(tuple(-x for x in e), c) for e, c in divisor.terms.items()]
+        nde, dc = min(neg)
+        rem = {tuple(-x for x in e): c for e, c in self.terms.items()}
+        heap = list(rem)
+        heapq.heapify(heap)
         quot = {}
         while rem:
-            e = max(rem)
-            diff = tuple(a - b for a, b in zip(e, de))
-            if any(x < 0 for x in diff):
+            ne = heapq.heappop(heap)
+            c = rem.get(ne)
+            if c is None:
+                continue
+            ndiff = tuple(a - b for a, b in zip(ne, nde))
+            if any(x > 0 for x in ndiff):
                 return None
-            q = Fraction(rem[e], 1) / dc if isinstance(rem[e], int) else rem[e] / dc
+            q = Fraction(c, 1) / dc if isinstance(c, int) else c / dc
             if q.denominator == 1:
                 q = int(q)
-            quot[diff] = q
-            for e2, c2 in divisor.terms.items():
-                tgt = tuple(a + b for a, b in zip(diff, e2))
-                s = rem.get(tgt, 0) - q * c2
+            quot[tuple(-x for x in ndiff)] = q
+            for ne2, c2 in neg:
+                tgt = tuple(a + b for a, b in zip(ndiff, ne2))
+                old = rem.get(tgt)
+                if old is None:
+                    rem[tgt] = -q * c2
+                    heapq.heappush(heap, tgt)
+                    continue
+                s = old - q * c2
                 if s:
                     rem[tgt] = s
                 else:
-                    rem.pop(tgt, None)
+                    del rem[tgt]
         return MultiPoly(self.vars, quot)
+
+
+_P = (1 << 61) - 1
+_M64 = (1 << 64) - 1
+
+
+@functools.cache
+def _point(n):
+    """A fixed point with n coordinates mod p: the splitmix64 sequence, whose
+    bit mixing leaves no low-degree relation among the coordinates (powers
+    or multiples of one number would satisfy the binomial forms that the
+    chains divide by)."""
+    out = []
+    for k in range(1, n + 1):
+        x = k * 0x9E3779B97F4A7C15 & _M64
+        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _M64
+        x = (x ^ x >> 27) * 0x94D049BB133111EB & _M64
+        out.append((x ^ x >> 31) % _P)
+    return tuple(out)
+
+
+def _value(poly, pt):
+    """poly(pt) mod p, or None if a coefficient's denominator is divisible
+    by p.  Every power of every coordinate is computed once."""
+    pows = []
+    for x, top in zip(pt, map(max, zip(*poly.terms))):
+        row = [1]
+        for _ in range(top):
+            row.append(row[-1] * x % _P)
+        pows.append(row)
+    inverses = {}
+    total = 0
+    for e, c in poly.terms.items():
+        if not isinstance(c, int):
+            d = c.denominator
+            inv = inverses.get(d)
+            if inv is None:
+                if not d % _P:
+                    return None
+                inv = inverses[d] = pow(d, -1, _P)
+            c = c.numerator * inv
+        total += c * prod(map(getitem, pows, e)) % _P
+    return total % _P
+
+
+def _off_zero_set(num, f):
+    """True only if num(P) != 0 mod p at a point P with f(P) = 0 mod p,
+    which proves that f does not divide num (see MultiPoly.exact_div).
+
+    P takes the other coordinates from a fixed sequence and solves
+    f = a x_i + b for the first variable x_i of degree exactly one in f.
+    False means no proof: no such variable, a coefficient that is not
+    p-integral, a leading coefficient of f divisible by p, a(P) = 0 mod p,
+    or num(P) = 0.
+    """
+    tops = list(map(max, zip(*f.terms)))
+    if 1 not in tops or not f.leading()[1].numerator % _P:
+        return False
+    i = tops.index(1)
+    pt = list(_point(len(tops)))
+    pt[i] = 0
+    b = _value(f, pt)
+    if b is None:
+        return False
+    pt[i] = 1
+    a = (_value(f, pt) - b) % _P
+    if not a:
+        return False
+    pt[i] = -b * pow(a, -1, _P) % _P
+    return bool(_value(num, pt))
 
 
 def _monic(f):
@@ -424,14 +533,13 @@ class RatFunc:
             factors[f] = max(factors.get(f, 0), m)
         for f, m in o.den:
             factors[f] = max(factors.get(f, 0), m)
-        a = self.num
+        a, b = self.num, o.num
+        mine, theirs = dict(self.den), dict(o.den)
         for f, m in factors.items():
-            need = m - dict(self.den).get(f, 0)
+            need = m - mine.get(f, 0)
             if need:
                 a = a * f ** need
-        b = o.num
-        for f, m in factors.items():
-            need = m - dict(o.den).get(f, 0)
+            need = m - theirs.get(f, 0)
             if need:
                 b = b * f ** need
         return RatFunc(a + b, tuple(factors.items()))

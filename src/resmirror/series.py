@@ -600,7 +600,8 @@ def j_coefficients(dmax):
     reversion identity is re-solved as a cross-check before returning.
     """
     if not 1 <= dmax <= 6:
-        raise ValueError("desk-scale expansion stops at degree 6")
+        raise ValueError("dmax must be in 1..6: the desk-scale expansion "
+                         "stops at degree 6")
     g = geometry("wp2")
     one, zc = Insertion(0), Insertion(1)
     w = [cached_two_point(g, d, one, zc) / 2 for d in range(1, dmax + 1)]

@@ -280,6 +280,11 @@ def _check_domain(N, k, d):
     return N, k, d
 
 
+def _vanishes(N, k, d, n):
+    """The range rule: L(N, k, d, n) = 0 unless 0 <= n <= N - 1 - (N - k) d."""
+    return not 0 <= n <= N - 1 - (N - k) * d
+
+
 @cache
 def vsc_recursive(N, k, d, n):
     """L(N, k, d, n) by the level recursion, memoized.
@@ -288,7 +293,7 @@ def vsc_recursive(N, k, d, n):
     """
     N, k, d = _check_domain(N, k, d)
     n = int(n)
-    if not 0 <= n <= N - 1 - (N - k) * d:
+    if _vanishes(N, k, d, n):
         return Fraction(0)
     if N >= 2 * k:
         val = _initial_coeffs(k)[n] if d == 1 else Fraction(0)
@@ -316,9 +321,19 @@ def vsc_recursive(N, k, d, n):
 
 
 def vsc_residue(N, k, d, n):
-    """L(N, k, d, n) from the cpn two-point number at matched insertions."""
+    """L(N, k, d, n) from the cpn two-point number at matched insertions.
+
+    Out-of-range n yields zero, as in vsc_recursive.  Inside the range the
+    insertions z^(N-2-n) and z^(n-1+(N-k)d) must both be basis classes,
+    which needs 1 - (N-k)d <= n <= N - 2; other n raise ValueError.
+    """
     N, k, d = _check_domain(N, k, d)
     n = int(n)
+    if _vanishes(N, k, d, n):
+        return Fraction(0)
+    lo = 1 - (N - k) * d
+    if not lo <= n <= N - 2:
+        raise ValueError("the residue route needs %d <= n <= %d" % (lo, N - 2))
     return Fraction(d, k) * two_point_cpn(N, k, d, N - 2 - n, n - 1 + (N - k) * d)
 
 

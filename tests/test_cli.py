@@ -27,6 +27,14 @@ def test_vsc_routes_agree(capsys):
     assert rc == 0 and out == "1435650\n"
 
 
+@pytest.mark.parametrize("n", ["-1", "5"])
+def test_vsc_routes_agree_out_of_range(capsys, n):
+    for route in ("recursive", "residue", "contour"):
+        rc, out, _ = run(capsys, "vsc", "--N", "5", "--k", "5", "--d", "1", "--n", n,
+                         "--route", route)
+        assert rc == 0 and out == "0\n", route
+
+
 def test_two_point_table_and_json(capsys):
     rc, out, _ = run(capsys, "two-point", "--geometry", "f3",
                      "--d", "0,1", "--a", "w", "--b", "w2")
@@ -129,10 +137,19 @@ def test_validation_failures_exit_2(capsys):
         ("vsc", "--N", "5", "--k", "0", "--d", "1", "--n", "0", "--route", "residue"),
         ("check", "theorem1", "--N", "1", "--k", "1", "--d", "1"),
         ("gw", "--N", "4", "--k", "5", "--a", "z", "--b", "z5"),
+        ("gw", "--N", "8", "--k", "9", "--dmax", "0"),
+        ("gw", "--N", "5", "--k", "5", "--a", "z", "--b", "z", "--dmax", "0"),
+        ("j", "--dmax", "0"),
+        ("vsc", "--N", "5", "--k", "5", "--d", "1", "--n", "4", "--route", "residue"),
     ]
     for argv in bad:
         rc, _, err = run(capsys, *argv)
         assert rc == 2 and "error:" in err, argv
+    rc, _, err = run(capsys, "j", "--dmax", "0")
+    assert "1..6" in err
+    rc, _, err = run(capsys, "vsc", "--N", "5", "--k", "5", "--d", "1", "--n", "4",
+                     "--route", "residue")
+    assert "1 <= n <= 3" in err
 
 
 def test_cache_stores_and_shares_symmetric_key(tmp_path, capsys):

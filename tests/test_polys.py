@@ -9,6 +9,7 @@ from resmirror.polys import (
     MultiPoly,
     RatFunc,
     VarSet,
+    _off_zero_set,
     frac_from_str,
     frac_to_str,
     poly_from_json,
@@ -108,6 +109,108 @@ def test_exact_div_round_trip(p, q):
     if q.is_zero():
         return
     assert (p * q).exact_div(q) == p
+
+
+# -- exact division against the plain long division -------------------------
+
+XYZ = VarSet(["x", "y", "z"])
+P61 = (1 << 61) - 1
+
+
+def long_div_oracle(num, divisor):
+    """Lex long division that rescans the remainder for its leading term."""
+    de, dc = divisor.leading()
+    rem = dict(num.terms)
+    quot = {}
+    while rem:
+        e = max(rem)
+        diff = tuple(a - b for a, b in zip(e, de))
+        if any(x < 0 for x in diff):
+            return None
+        q = Fraction(rem[e], 1) / dc if isinstance(rem[e], int) else rem[e] / dc
+        if q.denominator == 1:
+            q = int(q)
+        quot[diff] = q
+        for e2, c2 in divisor.terms.items():
+            tgt = tuple(a + b for a, b in zip(diff, e2))
+            s = rem.get(tgt, 0) - q * c2
+            if s:
+                rem[tgt] = s
+            else:
+                rem.pop(tgt, None)
+    return MultiPoly(num.vars, quot)
+
+
+def assert_same_division(num, divisor):
+    got, want = num.exact_div(divisor), long_div_oracle(num, divisor)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+coeffs = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def sparse_polys(draw, min_terms=0):
+    n = draw(st.integers(min_value=min_terms, max_value=4))
+    terms = {}
+    for _ in range(n):
+        e = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(3))
+        terms[e] = terms.get(e, 0) + draw(coeffs)
+    return MultiPoly(XYZ, terms)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sparse_polys(), sparse_polys(min_terms=1))
+def test_exact_div_matches_oracle_on_products(p, q):
+    if q.is_zero():
+        return
+    assert_same_division(p * q, q)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(sparse_polys(), sparse_polys(min_terms=1), sparse_polys(min_terms=1))
+def test_exact_div_matches_oracle_off_multiples(p, q, r):
+    if q.is_zero() or r.is_zero():
+        return
+    assert_same_division(p * q + r, q)
+
+
+def test_exact_div_skips_certificate_without_a_proof():
+    x, y, z = (XYZ.poly(n) for n in XYZ.names)
+    cases = [
+        # a coefficient whose denominator is p, in the numerator or the divisor
+        (Fraction(1, P61) * x + y, x + 1),
+        (x * y + 1, x + Fraction(1, P61) * y),
+        # no variable of degree one in the divisor
+        (x ** 2 + y ** 2 + 1, x ** 2 + y ** 2),
+        # a lex-leading coefficient divisible by p
+        (y + 1, P61 * x * y + x + 1),
+        # the coefficient of the degree-one variable y vanishes mod p
+        (x + 1, x ** 2 + P61 * y),
+    ]
+    for num, f in cases:
+        assert not _off_zero_set(num, f), (num, f)
+        assert_same_division(num, f)
+        assert_same_division(num * f, f)
+
+
+def test_exact_div_certificate_returns_none_before_long_division(monkeypatch):
+    x, y, z = (XYZ.poly(n) for n in XYZ.names)
+    num, f = x ** 3 * y + z ** 2 - 2 * x * z, x - y + 3 * z
+    assert long_div_oracle(num, f) is None
+
+    def no_long_division(self, divisor):
+        raise AssertionError("the certificate should have decided")
+
+    monkeypatch.setattr(MultiPoly, "_long_div", no_long_division)
+    assert num.exact_div(f) is None
 
 
 # -- rational functions ----------------------------------------------------

@@ -137,6 +137,21 @@ def test_residue_route_values():
     assert vsc_residue(5, 5, 2, 1) == 1435650
 
 
+def test_residue_route_follows_the_range_rule():
+    # outside 0 <= n <= N-1-(N-k)d every route gives zero
+    for N, k, d, n in ((5, 5, 1, -1), (5, 5, 1, 5), (5, 5, 2, 6), (6, 4, 2, 2)):
+        assert vsc_recursive(N, k, d, n) == 0
+        assert vsc_residue(N, k, d, n) == 0
+
+
+def test_residue_route_rejects_n_it_cannot_form():
+    # inside the range, but z^(N-2-n) or z^(n-1+(N-k)d) leaves the basis
+    for n in (0, 4):
+        assert vsc_recursive(5, 5, 1, n) == 120
+        with pytest.raises(ValueError, match="1 <= n <= 3"):
+            vsc_residue(5, 5, 1, n)
+
+
 def test_recursion_step_at_degree_two():
     # one step of the level recursion, spelled out: the universal degree-2
     # polynomial (x + y)/2 + z1 predicts
