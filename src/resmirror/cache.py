@@ -70,20 +70,23 @@ class CacheStore:
         if not os.path.exists(self.path):
             return
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
+            with open(self.path, "rb") as fh:
                 lines = fh.read().splitlines()
         except OSError as e:
             warnings.warn("cache %s unreadable (%s); recomputing" % (self.path, e))
             return
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, raw in enumerate(lines, 1):
+            # Decoding, parsing and the value itself are all per line, so a
+            # damaged line costs only its own record.
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 key = _key_of(rec)
                 value = frac_from_str(rec["value"])
-            except (ValueError, KeyError, TypeError) as e:
+            except (ValueError, KeyError, TypeError, AttributeError,
+                    ZeroDivisionError) as e:
                 warnings.warn("cache %s line %d unreadable (%s); skipping"
                               % (self.path, lineno, e))
                 continue

@@ -161,6 +161,9 @@ def _cmd_gw(args, cfg):
     if args.N < args.k:
         if dmax > 3:
             raise UsageError("the closed-form transform stops at degree 3")
+        if (args.a is None) != (args.b is None):
+            raise UsageError("the closed-form route takes both --a and --b, "
+                             "or neither")
         table = gmt_upto3(args.N, args.k)
         rows = [(d, a, b, v) for (d, (a, b)), v in table.items() if d <= dmax]
         if args.a is not None:

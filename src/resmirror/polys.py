@@ -124,22 +124,11 @@ class MultiPoly:
             raise ValueError("not a constant: %r" % self)
         return Fraction(c)
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def max_exp(self, name):
         i = self.vars.index(name)
         if not self.terms:
             return 0
         return max(e[i] for e in self.terms)
-
-    def min_exp(self, name):
-        i = self.vars.index(name)
-        if not self.terms:
-            return 0
-        return min(e[i] for e in self.terms)
 
     def leading(self):
         """(exponent tuple, coefficient) of the lexicographically largest term."""
@@ -482,10 +471,6 @@ class RatFunc:
         self.num = num
         self.den = tuple(merged)
 
-    @classmethod
-    def const(cls, vars_, c):
-        return cls(vars_.const(c))
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -563,25 +548,6 @@ class RatFunc:
             num = num * f ** m
         return RatFunc(num, ((self.num, 1),))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise ValueError("powers must be integers")
-        if n < 0:
-            return self.inv() ** (-n)
-        out = RatFunc(self.vars.const(1))
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -589,36 +555,28 @@ class RatFunc:
         return (self - o).num.is_zero()
 
     def substitute(self, name, value):
-        """Substitute for a variable in numerator and every denominator factor.
+        """Substitute a polynomial or a rational constant for a variable, in
+        the numerator and in every denominator factor.
 
-        `value` must not involve the substituted variable.  Raises
-        IdenticallySingular when a denominator factor becomes identically
-        zero (the substitution lands on a pole).
+        `value` must not involve the substituted variable; a value with a
+        denominator is a TypeError.  Raises IdenticallySingular when a
+        denominator factor becomes identically zero (the substitution lands
+        on a pole).
         """
         pv = self._coerce(value)
-        if pv is None:
+        if pv is None or pv.den:
             raise TypeError("cannot substitute %r" % (value,))
-        if pv.num.max_exp(name) > 0 or any(f.max_exp(name) > 0 for f, _ in pv.den):
+        if pv.num.max_exp(name) > 0:
             raise ValueError("substituted value may not involve %r" % name)
-        if not pv.den:
-            num = self.num.subs(name, pv.num)
-            den = []
-            for f, m in self.den:
-                g = f.subs(name, pv.num)
-                if g.is_zero():
-                    raise IdenticallySingular(
-                        "denominator factor %r vanishes at %s = %r" % (f, name, pv.num))
-                den.append((g, m))
-            return RatFunc(num, den)
-        # rational value: substitute p/q by clearing q powers
-        qpoly = self.vars.const(1)
-        for f, m in pv.den:
-            qpoly = qpoly * f ** m
-        p, q = RatFunc(pv.num), RatFunc(qpoly)
-        out = _poly_subs_rat(self.num, name, p, q)
+        num = self.num.subs(name, pv.num)
+        den = []
         for f, m in self.den:
-            out = out * _poly_subs_rat(f, name, p, q).inv() ** m
-        return out
+            g = f.subs(name, pv.num)
+            if g.is_zero():
+                raise IdenticallySingular(
+                    "denominator factor %r vanishes at %s = %r" % (f, name, pv.num))
+            den.append((g, m))
+        return RatFunc(num, den)
 
     def reduce(self):
         """Cancel denominator factors that divide the numerator exactly."""
@@ -652,18 +610,6 @@ class RatFunc:
         return v
 
 
-def _poly_subs_rat(poly, name, p, q):
-    """poly with name := p/q, returned as a RatFunc (p, q RatFuncs, q poly-free ok)."""
-    parts = poly.split_by(name)
-    if not parts:
-        return RatFunc(poly)
-    top = max(parts)
-    out = RatFunc(poly.vars.const(0))
-    for j, a in parts.items():
-        out = out + RatFunc(a) * p ** j * q ** (top - j)
-    return out * q.inv() ** top
-
-
 # -- serialization --------------------------------------------------------
 
 def frac_to_str(c):
@@ -675,26 +621,8 @@ def frac_to_str(c):
 
 
 def frac_from_str(s):
+    """The rational a frac_to_str text denotes.  Only text is accepted: a
+    JSON float has already lost its exact value."""
+    if not isinstance(s, str):
+        raise TypeError("exact rational text expected, got %r" % (s,))
     return Fraction(s)
-
-
-def poly_to_json(p):
-    """{"vars": [...], "terms": [{"coef": "...", "exps": [...]}, ...]} sorted by exponents."""
-    return {
-        "vars": list(p.vars.names),
-        "terms": [
-            {"coef": frac_to_str(p.terms[e]), "exps": list(e)}
-            for e in sorted(p.terms, reverse=True)
-        ],
-    }
-
-
-def poly_from_json(obj):
-    vs = VarSet(obj["vars"])
-    terms = {}
-    for t in obj["terms"]:
-        e = tuple(t["exps"])
-        if len(e) != len(vs):
-            raise ValueError("exponent arity mismatch")
-        terms[e] = terms.get(e, 0) + frac_from_str(t["coef"])
-    return MultiPoly(vs, terms)

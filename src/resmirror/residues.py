@@ -1,11 +1,12 @@
-"""Laurent expansion and iterated residues for factored rational functions.
+"""Residues of factored rational functions at fixed or movable poles.
 
 A pole is specified by a variable and a location; the location may be a
 polynomial in the *other* variables (a movable pole such as 3z or
 (a + b)/2), so nested contours whose centers depend on outer variables
-work directly.  Pole orders are read off the factored denominator, never
-guessed: expanding about v = loc, each factor splits as eps^j * (unit),
-and the unit parts are inverted as formal power series in eps with exact
+work directly: iterated residues are successive calls, innermost variable
+first.  Pole orders are read off the factored denominator, never guessed:
+expanding about v = loc, each factor splits as eps^j * (unit), and the
+unit parts are inverted as formal power series in eps with exact
 rational-function coefficients.
 """
 
@@ -22,16 +23,14 @@ class PoleSpec:
     """A contour around `location` in the variable `var`.
 
     `location` is a polynomial (or rational constant) in the remaining
-    variables.  `order_bound`, when given, is an upper bound on the pole
-    order used only as a sanity check; the true order is computed.
+    variables.
     """
 
-    __slots__ = ("var", "location", "order_bound")
+    __slots__ = ("var", "location")
 
-    def __init__(self, var, location=0, order_bound=None):
+    def __init__(self, var, location=0):
         self.var = var
         self.location = location
-        self.order_bound = order_bound
 
     def loc_poly(self, vars_):
         loc = self.location
@@ -45,19 +44,6 @@ class PoleSpec:
 
     def __repr__(self):
         return "PoleSpec(%s = %r)" % (self.var, self.location)
-
-
-class ResidueSchedule:
-    """An ordered list of (var, [PoleSpec, ...]) steps, innermost first."""
-
-    def __init__(self, steps):
-        self.steps = list(steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __len__(self):
-        return len(self.steps)
 
 
 def _series_mul(a, b, top):
@@ -96,11 +82,11 @@ def _series_inv_unit(parts, j0, top, zero):
     return out
 
 
-def _expand(r, spec, top_exp):
-    """Coefficients of the expansion of r about spec, up to eps^top_exp.
+def _expand(r, spec):
+    """The principal part of r about spec: coefficients up to eps^-1.
 
     Returns (order P >= 0, coeffs, spectators) where coeffs[i] is the
-    coefficient of eps^(i - P) for i = 0 .. top_exp + P, and spectators are
+    coefficient of eps^(i - P) for i = 0 .. P - 1, and spectators are
     denominator factors free of the expansion variable, to be reattached.
     """
     v = spec.var
@@ -122,10 +108,8 @@ def _expand(r, spec, top_exp):
         j0 = min(j for j, a in parts.items() if not a.is_zero())
         pole_order += j0 * m
         units.append(({j - j0: a for j, a in parts.items()}, 0, m))
-    if spec.order_bound is not None and pole_order > spec.order_bound:
-        raise ValueError("pole order %d exceeds declared bound %d" % (pole_order, spec.order_bound))
 
-    top = top_exp + pole_order
+    top = pole_order - 1
     if top < 0:
         return pole_order, [], spectators
 
@@ -143,24 +127,9 @@ def _expand(r, spec, top_exp):
     return pole_order, coeffs, spectators
 
 
-def laurent_expand(r, spec, upto):
-    """[(exponent, coefficient RatFunc), ...] of r about the pole, through eps^upto.
-
-    Exponents run from -order to `upto`; identically zero coefficients are
-    dropped.  Coefficients do not involve the expansion variable.
-    """
-    order, coeffs, spect = _expand(r, spec, upto)
-    out = []
-    for i, c in enumerate(coeffs):
-        c = RatFunc(c.num, c.den + tuple(spect)).reduce()
-        if not c.is_zero():
-            out.append((i - order, c))
-    return out
-
-
 def residue_at(r, spec):
     """The coefficient of 1/(v - location) in the expansion of r."""
-    order, coeffs, spect = _expand(r, spec, -1)
+    order, coeffs, spect = _expand(r, spec)
     if order == 0:
         return RatFunc(r.vars.zero())
     c = coeffs[order - 1]
@@ -190,18 +159,3 @@ def residue_sum(r, specs):
     for s in specs:
         total = total + residue_at(r, s)
     return total.reduce()
-
-
-def iterated_residue(r, schedule):
-    """Fold residue sums over the schedule, innermost step first.
-
-    An empty schedule is the identity.  Each step must eliminate its
-    variable; leftover variables simply remain in the result.
-    """
-    for var, specs in schedule:
-        specs = [s if isinstance(s, PoleSpec) else PoleSpec(var, s) for s in specs]
-        for s in specs:
-            if s.var != var:
-                raise ValueError("schedule step for %r contains a spec for %r" % (var, s.var))
-        r = residue_sum(r, specs)
-    return r

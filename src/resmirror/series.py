@@ -330,7 +330,14 @@ def _axis_affine(i):
     return (Fraction(1), _F0) if i == 0 else (_F0, Fraction(1))
 
 
-def _mirror_components(g, D):
+def mirror_map(g, D):
+    """The coordinate change t_i = x_i + (pure exponential terms).
+
+    Built by contracting the unit-insertion generating functions with the
+    inverse of the degree-one pairing block.  For the local surface the
+    result does not depend on the free classical parameter; the test suite
+    checks this by comparing two parameter values.
+    """
     rows = g.kahler_classes()
     cols = g.pairing_partners()
     unit = _unit(g)
@@ -353,23 +360,6 @@ def _mirror_components(g, D):
         comps.append(t)
     while len(comps) < 2:
         comps.append(GradedSeries(_axis_affine(len(comps)), 0, None, D))
-    return tuple(comps)
-
-
-def mirror_map(g, D):
-    """The coordinate change t_i = x_i + (pure exponential terms).
-
-    Built by contracting the unit-insertion generating functions with the
-    inverse of the degree-one pairing block.  For the local surface the
-    result must not depend on the free classical parameter; this is
-    checked by evaluating at a second parameter value.
-    """
-    comps = _mirror_components(g, D)
-    if g.name == "kf0":
-        twin = geometry("kf0", k=g.k % 7 + 1)
-        if _mirror_components(twin, D) != comps:
-            raise ArithmeticError("local-surface mirror map depends on the "
-                                  "classical parameter")
     return MirrorMap(g, D, comps)
 
 
@@ -428,24 +418,19 @@ def transform(F, m):
 # -- the degree <= 3 transform in closed form ------------------------------
 
 
-def gmt_upto3(N, k, ltable=None):
-    """Invariants through degree three from the structure-constant table.
+def gmt_upto3(N, k):
+    """Invariants through degree three from the structure constants.
 
     Valid on the side N < k where the closed-form transform is known.
     Returns a map (d, (a, b)) -> value over all insertion pairs allowed
-    at each degree.  ltable may supply the structure constants as a map
-    (d, n) -> value (absent entries read zero); by default they are
-    computed by the level recursion.
+    at each degree.  The structure constants come from the level
+    recursion.
     """
     if N >= k:
         raise ValueError("closed-form transform needs N < k")
 
-    if ltable is None:
-        def L(d, n):
-            return vsc_recursive(N, k, d, n)
-    else:
-        def L(d, n):
-            return ltable.get((d, n), _F0)
+    def L(d, n):
+        return vsc_recursive(N, k, d, n)
 
     e = k - N
 

@@ -17,9 +17,9 @@ The universal polynomials rest on one combinatorial fact: the product
 z_1 ... z_{d-1} decomposes uniquely over products of the node forms
 r_i = 2z_i - z_{i-1} - z_{i+1}, with each coefficient polynomial depending
 only on the endpoints and its own indexed variables.  The coefficients are
-solved for exactly (:func:`decomposition_coefficient`); a contour
-representation of the same coefficients is kept as an independent oracle
-(:func:`decomposition_by_contours`).
+solved for exactly (:func:`decomposition_coefficient`); the test suite
+checks them, and :func:`poly_d`, against their contour representations,
+which it evaluates with :func:`_movable_residues`.
 """
 
 from fractions import Fraction
@@ -48,13 +48,6 @@ def _on_vars(p, vs, rename=None):
                 tgt[vs.index(rename.get(name, name))] += e
         out[tuple(tgt)] = out.get(tuple(tgt), 0) + coef
     return MultiPoly(vs, out)
-
-
-def _as_poly(f):
-    f = f.reduce()
-    if f.den:
-        raise ArithmeticError("residue result is not polynomial: %r" % (f,))
-    return f.num
 
 
 def _check_indices(d, indices):
@@ -170,43 +163,6 @@ def _movable_residues(f, forms, names, fixed):
     return total.reduce()
 
 
-def decomposition_by_contours(d, indices, order=None):
-    """decomposition_coefficient from its contour representation.
-
-    Endpoint variables are integrated about z_0 and z_d; each interior
-    variable about the root of its own node form, plus z_i when indexed.
-    ``order`` permutes the interior steps; the result is order-independent
-    (a fact the tests exercise).  Kept as an oracle for the solved route.
-    """
-    d = int(d)
-    if d < 1:
-        raise InvalidComb("d must be positive, got %r" % (d,))
-    idx = _check_indices(d, indices)
-    vs = VarSet(["u%d" % j for j in range(d + 1)]
-                + ["z%d" % j for j in range(d + 1)])
-    u = [vs.poly("u%d" % j) for j in range(d + 1)]
-    z = [vs.poly("z%d" % j) for j in range(d + 1)]
-    num = vs.const(1)
-    den = [(u[0] - z[0], 1), (u[d] - z[d], 1)]
-    forms = {}
-    fixed = {"u0": [z[0]], "u%d" % d: [z[d]]}
-    for j in range(1, d):
-        num = num * u[j]
-        forms["u%d" % j] = 2 * u[j] - u[j - 1] - u[j + 1]
-    for i in idx:
-        den.append((u[i] - z[i], 1))
-        fixed["u%d" % i] = [z[i]]
-    den += [(forms["u%d" % j], 1) for j in range(1, d)]
-    names = ["u0", "u%d" % d] + ["u%d" % j for j in (order or range(1, d))]
-    f = _movable_residues(RatFunc(num, den), forms, names, fixed)
-    bounds = (0,) + idx + (d,)
-    pref = 1
-    for lo, hi in zip(bounds, bounds[1:]):
-        pref *= hi - lo
-    out = VarSet(["z%d" % j for j in range(d + 1)])
-    return _on_vars(_as_poly(f) * pref, out)
-
-
 @cache
 def poly_d(d):
     """The degree-(d-1) universal polynomial in x, y, z1 .. z{d-1} whose
@@ -228,36 +184,6 @@ def poly_d(d):
         f = _on_vars(decomposition_coefficient(d, comb), vs, rename)
         total = total + term * f
     return total
-
-
-def poly_d_direct(d):
-    """poly_d evaluated straight from its movable-pole contour definition.
-
-    Each interior variable is integrated about z_j and about the root of
-    its own node form, innermost first.  Slower and kept as a low-degree
-    oracle; use poly_d elsewhere.
-    """
-    d = int(d)
-    if d < 1:
-        raise InvalidComb("d must be positive, got %r" % (d,))
-    out = VarSet(["x", "y"] + ["z%d" % i for i in range(1, d)])
-    if d == 1:
-        return out.const(1)
-    vs = VarSet(["u%d" % j for j in range(1, d)] + list(out.names))
-    u = {j: vs.poly("u%d" % j) for j in range(1, d)}
-    u[0], u[d] = vs.poly("x"), vs.poly("y")
-    num = vs.const(1)
-    den = []
-    forms = {}
-    fixed = {}
-    for j in range(1, d):
-        num = num * u[j] ** 2
-        forms["u%d" % j] = 2 * u[j] - u[j - 1] - u[j + 1]
-        fixed["u%d" % j] = [vs.poly("z%d" % j)]
-        den += [(forms["u%d" % j], 1), (u[j] - vs.poly("z%d" % j), 1)]
-    names = ["u%d" % j for j in range(1, d)]
-    f = _movable_residues(RatFunc(num, den), forms, names, fixed)
-    return _on_vars(_as_poly(f) * d, out)
 
 
 def _initial_coeffs(k):

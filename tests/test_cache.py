@@ -10,6 +10,7 @@ from resmirror.cache import (
     cached_two_point,
     two_point_key,
 )
+from resmirror.cli import main
 from resmirror.geoms import geometry, parse_insertion
 
 
@@ -76,3 +77,33 @@ def test_store_after_torn_last_line_keeps_both_records(tmp_path):
     assert reloaded.lookup(first) == 3850 and reloaded.lookup(second) == 6725
     with open(path, "rb") as fh:
         assert fh.read().startswith(data)  # the old line is kept, not truncated
+
+
+def _set(field, value):
+    def damage(line):
+        rec = json.loads(line)
+        rec[field] = value
+        return json.dumps(rec, sort_keys=True).encode()
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    _set("value", "1/0"),
+    _set("value", 0.1),
+    _set("params", []),
+    lambda line: line.replace(b'"f3"', b'"f\xff"'),
+], ids=["zero-denominator", "float-value", "params-not-an-object", "not-utf8"])
+def test_damaged_line_warns_and_keeps_later_records(tmp_path, capsys, damage):
+    path = tmp_path / "memo.jsonl"
+    argv = ["two-point", "--geometry", "f3", "--d", "0,1", "--a", "w", "--b", "w2",
+            "--cache", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    good = path.read_bytes()
+    damaged = damage(good.rstrip(b"\n")) + b"\n" + good
+    path.write_bytes(damaged)
+    with pytest.warns(UserWarning, match="line 1 unreadable"):
+        rc = main(argv)
+    assert rc == 0 and capsys.readouterr().out == "3\n"
+    # the clean record on line 2 was loaded, so nothing was appended
+    assert path.read_bytes() == damaged

@@ -141,6 +141,8 @@ def test_validation_failures_exit_2(capsys):
         ("gw", "--N", "5", "--k", "5", "--a", "z", "--b", "z", "--dmax", "0"),
         ("j", "--dmax", "0"),
         ("vsc", "--N", "5", "--k", "5", "--d", "1", "--n", "4", "--route", "residue"),
+        ("gw", "--N", "8", "--k", "9", "--a", "z"),
+        ("gw", "--N", "8", "--k", "9", "--b", "z"),
     ]
     for argv in bad:
         rc, _, err = run(capsys, *argv)
@@ -150,6 +152,8 @@ def test_validation_failures_exit_2(capsys):
     rc, _, err = run(capsys, "vsc", "--N", "5", "--k", "5", "--d", "1", "--n", "4",
                      "--route", "residue")
     assert "1 <= n <= 3" in err
+    rc, _, err = run(capsys, "gw", "--N", "8", "--k", "9", "--a", "z")
+    assert "--a" in err and "--b" in err
 
 
 def test_cache_stores_and_shares_symmetric_key(tmp_path, capsys):

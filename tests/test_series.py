@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resmirror.cache import activate
 from resmirror.geoms import InvalidInsertion, geometry
 from resmirror.refdata import check_conjecture2
 from resmirror.series import (
@@ -188,6 +190,17 @@ def test_local_surface_map_is_parameter_free():
     assert m1.forward == m7.forward
 
 
+def test_local_surface_map_computes_only_at_its_own_parameter(tmp_path):
+    store = activate(str(tmp_path / "memo.jsonl"))
+    try:
+        mirror_map(geometry("kf0", k=1), 3)
+    finally:
+        activate(None)
+    with open(store.path, encoding="utf-8") as fh:
+        params = [json.loads(line)["params"] for line in fh]
+    assert params and all(p == {"k": 1} for p in params)
+
+
 def test_fibered_mirror_map():
     m = mirror_map(geometry("wp1"), 1)
     assert m.forward[0].terms == {(0, 1): F(48), (1, 0): F(2)}
@@ -312,13 +325,6 @@ def test_closed_form_puncture_zeros():
 def test_closed_form_rejects_fano_side():
     with pytest.raises(ValueError):
         gmt_upto3(9, 8)
-
-
-def test_closed_form_accepts_explicit_table():
-    from resmirror.vsc import vsc_recursive
-    lt = {(d, n): vsc_recursive(8, 9, d, n) for d in (1, 2, 3)
-          for n in range(0, 8 + 3 * d)}
-    assert gmt_upto3(8, 9, lt) == gmt_upto3(8, 9)
 
 
 # -- solution basis --------------------------------------------------------

@@ -4,18 +4,88 @@ from itertools import permutations
 
 import pytest
 
-from resmirror.polys import VarSet
+from resmirror.polys import RatFunc, VarSet
 from resmirror.vsc import (
     InvalidComb,
+    _check_indices,
+    _movable_residues,
+    _on_vars,
     check_theorem1,
-    decomposition_by_contours,
     decomposition_coefficient,
     poly_d,
-    poly_d_direct,
     vsc_merged_contour,
     vsc_recursive,
     vsc_residue,
 )
+
+
+# -- contour oracles for the solved decomposition and for poly_d -----------
+
+
+def _as_poly(f):
+    f = f.reduce()
+    if f.den:
+        raise ArithmeticError("residue result is not polynomial: %r" % (f,))
+    return f.num
+
+
+def decomposition_by_contours(d, indices, order=None):
+    """decomposition_coefficient from its contour representation.
+
+    Endpoint variables are integrated about z_0 and z_d; each interior
+    variable about the root of its own node form, plus z_i when indexed.
+    ``order`` permutes the interior steps; the result is order-independent.
+    """
+    idx = _check_indices(d, indices)
+    vs = VarSet(["u%d" % j for j in range(d + 1)]
+                + ["z%d" % j for j in range(d + 1)])
+    u = [vs.poly("u%d" % j) for j in range(d + 1)]
+    z = [vs.poly("z%d" % j) for j in range(d + 1)]
+    num = vs.const(1)
+    den = [(u[0] - z[0], 1), (u[d] - z[d], 1)]
+    forms = {}
+    fixed = {"u0": [z[0]], "u%d" % d: [z[d]]}
+    for j in range(1, d):
+        num = num * u[j]
+        forms["u%d" % j] = 2 * u[j] - u[j - 1] - u[j + 1]
+    for i in idx:
+        den.append((u[i] - z[i], 1))
+        fixed["u%d" % i] = [z[i]]
+    den += [(forms["u%d" % j], 1) for j in range(1, d)]
+    names = ["u0", "u%d" % d] + ["u%d" % j for j in (order or range(1, d))]
+    f = _movable_residues(RatFunc(num, den), forms, names, fixed)
+    bounds = (0,) + idx + (d,)
+    pref = 1
+    for lo, hi in zip(bounds, bounds[1:]):
+        pref *= hi - lo
+    out = VarSet(["z%d" % j for j in range(d + 1)])
+    return _on_vars(_as_poly(f) * pref, out)
+
+
+def poly_d_direct(d):
+    """poly_d evaluated straight from its movable-pole contour definition.
+
+    Each interior variable is integrated about z_j and about the root of
+    its own node form, innermost first.
+    """
+    out = VarSet(["x", "y"] + ["z%d" % i for i in range(1, d)])
+    if d == 1:
+        return out.const(1)
+    vs = VarSet(["u%d" % j for j in range(1, d)] + list(out.names))
+    u = {j: vs.poly("u%d" % j) for j in range(1, d)}
+    u[0], u[d] = vs.poly("x"), vs.poly("y")
+    num = vs.const(1)
+    den = []
+    forms = {}
+    fixed = {}
+    for j in range(1, d):
+        num = num * u[j] ** 2
+        forms["u%d" % j] = 2 * u[j] - u[j - 1] - u[j + 1]
+        fixed["u%d" % j] = [vs.poly("z%d" % j)]
+        den += [(forms["u%d" % j], 1), (u[j] - vs.poly("z%d" % j), 1)]
+    names = ["u%d" % j for j in range(1, d)]
+    f = _movable_residues(RatFunc(num, den), forms, names, fixed)
+    return _on_vars(_as_poly(f) * d, out)
 
 
 def node_forms(d):
@@ -59,7 +129,7 @@ def test_decomposition_support_and_homogeneity():
     for d in (3, 4):
         for sub in interior_subsets(d):
             f = decomposition_coefficient(d, sub)
-            assert f.total_degree() == d - 1 - len(sub)
+            assert max(map(sum, f.terms)) == d - 1 - len(sub)
             allowed = {"z0", "z%d" % d} | {"z%d" % i for i in sub}
             for name in f.vars.names:
                 if name not in allowed:
