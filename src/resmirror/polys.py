@@ -17,13 +17,23 @@ the numerator vanish at P; so a nonzero value there is a proof, and None
 stays exact.  The point comes from a fixed sequence, so runs repeat
 exactly.  When no proof is found, long division in lex order decides,
 taking the leading remainder term from a heap.
+
+The two hot kernels run on integers.  A product brings each factor to
+integer numerators over the lcm of its denominators, convolves in Python
+ints and divides by the common denominator once per output term.  Long
+division scales the numerator to integers and the divisor to its primitive
+integer multiple F; by Gauss's lemma a quotient by F, if there is one, has
+integer coefficients, so every step is an exact integer division by F's
+leading coefficient and a nonzero remainder there proves that F does not
+divide.  Results keep the usual coefficients: an int where the value is
+integral, a reduced Fraction elsewhere.
 """
 
 import functools
 import heapq
 from fractions import Fraction
-from math import prod
-from operator import getitem
+from math import gcd, lcm, prod
+from operator import add, getitem, sub
 
 
 class IdenticallySingular(ArithmeticError):
@@ -88,7 +98,9 @@ class VarSet:
 
     def monomial(self, exps, c=1):
         exps = tuple(exps)
-        assert len(exps) == len(self.names)
+        if len(exps) != len(self.names):
+            raise ValueError("exponent tuple %r has %d entries, %r needs %d"
+                             % (exps, len(exps), self, len(self.names)))
         if c == 0:
             return MultiPoly(self, {})
         return MultiPoly(self, {exps: _as_coeff(c)})
@@ -177,19 +189,17 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        a, b = self.terms, other.terms
+        a, da = _integral(self.terms)
+        b, db = _integral(other.terms)
         if len(a) > len(b):
             a, b = b, a
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return MultiPoly(self.vars, out)
+        get = out.get
+        for e1, c1 in a:
+            for e2, c2 in b:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return _over(self.vars, out, da * db)
 
     __rmul__ = __mul__
 
@@ -314,11 +324,21 @@ class MultiPoly:
         return self._long_div(divisor)
 
     def _long_div(self, divisor):
+        # Over Z: self * dn and divisor * df have integer coefficients, and
+        # F = divisor * df / g, with g the gcd of the latter, is primitive.
+        # By Gauss's lemma a quotient of an integer polynomial by a primitive
+        # one over Q has integer coefficients, and long division only ever
+        # emits terms of that quotient; so each step divides exactly by F's
+        # leading coefficient, and a step that leaves a remainder proves that
+        # F does not divide.  The quotient is scaled back once at the end.
         # Exponents are kept negated, so the min-heap of remainder keys pops
         # the lex-largest term; keys cancelled meanwhile are skipped lazily.
-        neg = [(tuple(-x for x in e), c) for e, c in divisor.terms.items()]
-        nde, dc = min(neg)
-        rem = {tuple(-x for x in e): c for e, c in self.terms.items()}
+        num, dn = _integral(self.terms)
+        f, df = _integral(divisor.terms)
+        g = gcd(*(c for _, c in f))
+        neg = [(tuple(-x for x in e), c // g) for e, c in f]
+        nde, lead = min(neg)
+        rem = {tuple(-x for x in e): c for e, c in num}
         heap = list(rem)
         heapq.heapify(heap)
         quot = {}
@@ -327,15 +347,15 @@ class MultiPoly:
             c = rem.get(ne)
             if c is None:
                 continue
-            ndiff = tuple(a - b for a, b in zip(ne, nde))
+            ndiff = tuple(map(sub, ne, nde))
             if any(x > 0 for x in ndiff):
                 return None
-            q = Fraction(c, 1) / dc if isinstance(c, int) else c / dc
-            if q.denominator == 1:
-                q = int(q)
-            quot[tuple(-x for x in ndiff)] = q
+            q, r = divmod(c, lead)
+            if r:
+                return None
+            quot[tuple(-x for x in ndiff)] = q * df
             for ne2, c2 in neg:
-                tgt = tuple(a + b for a, b in zip(ndiff, ne2))
+                tgt = tuple(map(add, ndiff, ne2))
                 old = rem.get(tgt)
                 if old is None:
                     rem[tgt] = -q * c2
@@ -346,7 +366,30 @@ class MultiPoly:
                     rem[tgt] = s
                 else:
                     del rem[tgt]
-        return MultiPoly(self.vars, quot)
+        return _over(self.vars, quot, dn * g)
+
+
+def _integral(terms):
+    """(items, den): the terms as (exponent, integer numerator) pairs over
+    den, the lcm of the coefficients' denominators."""
+    den = lcm(*{c.denominator for c in terms.values() if type(c) is not int})
+    return [(e, c * den if type(c) is int else c.numerator * (den // c.denominator))
+            for e, c in terms.items()], den
+
+
+def _over(vars_, nums, den):
+    """The polynomial with coefficients nums[e] / den: zeros dropped, an int
+    where den divides, a reduced Fraction elsewhere.  nums is taken over and
+    rewritten in place; the filtering constructor is bypassed."""
+    if not all(nums.values()):
+        nums = {e: c for e, c in nums.items() if c}
+    if den != 1:
+        for e, c in nums.items():
+            q, r = divmod(c, den)
+            nums[e] = Fraction(c, den) if r else q
+    p = object.__new__(MultiPoly)
+    p.vars, p.terms = vars_, nums
+    return p
 
 
 _P = (1 << 61) - 1
@@ -439,7 +482,8 @@ class RatFunc:
 
     def __init__(self, num, den=()):
         if isinstance(num, RatFunc):
-            assert not den
+            if den:
+                raise TypeError("a RatFunc numerator takes no denominator factors")
             self.vars, self.num, self.den = num.vars, num.num, num.den
             return
         self.vars = num.vars

@@ -62,13 +62,13 @@ def _series_mul(a, b, top):
     return out
 
 
-def _series_inv_unit(parts, j0, top, zero):
-    """Inverse series of U = sum_{h>=0} eps^h A_{j0+h}, with A_{j0} != 0.
+def _series_inv_unit(parts, top, zero):
+    """Inverse series of U = sum_{h>=0} eps^h A_h, with A_0 != 0.
 
     Uses B_0 = 1/A_0 and B_n = -B_0 * sum_{h=1..n} A_h B_{n-h}; every
     coefficient is reduced so denominators stay powers of A_0.
     """
-    a = [parts.get(j0 + h) for h in range(top + 1)]
+    a = [parts.get(h) for h in range(top + 1)]
     b0 = RatFunc(a[0]).inv()
     out = [b0]
     for n in range(1, top + 1):
@@ -95,7 +95,7 @@ def _expand(r, spec):
     shift = (lambda p: p) if loc.is_zero() else (lambda p: p.subs(v, vv + loc))
 
     spectators = []
-    units = []          # (parts dict, j0, mult) with j0 == 0
+    units = []          # (parts dict with a nonzero constant part, mult)
     pole_order = 0
     for f, m in r.den:
         g = shift(f)
@@ -107,7 +107,7 @@ def _expand(r, spec):
         parts = g.split_by(v)
         j0 = min(j for j, a in parts.items() if not a.is_zero())
         pole_order += j0 * m
-        units.append(({j - j0: a for j, a in parts.items()}, 0, m))
+        units.append(({j - j0: a for j, a in parts.items()}, m))
 
     top = pole_order - 1
     if top < 0:
@@ -119,8 +119,8 @@ def _expand(r, spec):
     for j, a in num.split_by(v).items():
         if j <= top:
             series[j] = RatFunc(a)
-    for parts, _, m in units:
-        inv = _series_inv_unit(parts, 0, top, zero)
+    for parts, m in units:
+        inv = _series_inv_unit(parts, top, zero)
         for _ in range(m):
             series = _series_mul(series, inv, top)
     coeffs = [zero if c is None else c for c in series]

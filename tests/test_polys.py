@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from resmirror import polys as polys_module
 from resmirror.polys import (
     IdenticallySingular,
     MultiPoly,
@@ -22,6 +23,13 @@ Y = XY.poly("y")
 def test_varset_rejects_duplicates():
     with pytest.raises(ValueError):
         VarSet(["x", "x"])
+
+
+def test_monomial_rejects_a_wrong_length_exponent():
+    with pytest.raises(ValueError):
+        XY.monomial((1, 0, 2))
+    with pytest.raises(ValueError):
+        XY.monomial((1,))
 
 
 def test_constructor_drops_zero_terms():
@@ -180,6 +188,78 @@ def test_exact_div_matches_oracle_off_multiples(p, q, r):
     assert_same_division(p * q + r, q)
 
 
+def mul_oracle(p, q):
+    """The product as a double loop of Fraction-or-int coefficient products."""
+    a, b = p.terms, q.terms
+    if len(a) > len(b):
+        a, b = b, a
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return MultiPoly(p.vars, out)
+
+
+def assert_same_product(p, q):
+    got = p * q
+    assert got.terms == mul_oracle(p, q).terms
+    # no zero is stored, and a coefficient is an int wherever it is integral
+    assert all(c != 0 for c in got.terms.values())
+    assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sparse_polys(), sparse_polys(), sparse_polys())
+def test_mul_matches_oracle(p, q, r):
+    assert_same_product(p, q)
+    # (q + r)(q - r): the cross terms cancel
+    assert_same_product(q + r, q - r)
+
+
+# Divisors with a non-unit integer content, fractional coefficients or a
+# leading coefficient other than 1, divided by long division alone.
+scales = st.sampled_from([6, -4, Fraction(1, 3), Fraction(-5, 2), Fraction(4, 9)])
+
+
+@st.composite
+def scaled_polys(draw):
+    return draw(sparse_polys(min_terms=1)) * draw(scales)
+
+
+@pytest.fixture
+def no_certificate(monkeypatch):
+    monkeypatch.setattr(polys_module, "_off_zero_set", lambda num, f: False)
+
+
+# the patch is the same for every example, so sharing the fixture is sound
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(p=sparse_polys(), q=scaled_polys(), r=sparse_polys(min_terms=1))
+def test_integer_long_division_matches_oracle(no_certificate, p, q, r):
+    if q.is_zero():
+        return
+    assert_same_division(p * q, q)
+    if not r.is_zero():
+        assert_same_division(p * q + r, q)
+
+
+def test_integer_long_division_pinned_cases(no_certificate):
+    x, y, z = (XYZ.poly(n) for n in XYZ.names)
+    f = 6 * x + 4 * y
+    q = Fraction(1, 3) * x + Fraction(1, 2)
+    got = (f * q).exact_div(f)
+    assert list(got.terms.items()) == [((1, 0, 0), Fraction(1, 3)), ((0, 0, 0), Fraction(1, 2))]
+    assert_same_division(f * q, f)
+    # the first step already leaves 1 mod 2, the leading coefficient of 2x + 1
+    assert (x ** 2 + 1).exact_div(2 * x + 1) is None
+    assert_same_division(x ** 2 + 1, 2 * x + 1)
+
+
 def test_exact_div_skips_certificate_without_a_proof():
     x, y, z = (XYZ.poly(n) for n in XYZ.names)
     cases = [
@@ -230,6 +310,13 @@ def test_ratfunc_add_inv():
     assert s.inv() == RatFunc(X * Y, [(X + Y, 1)])
     assert -one_over_x == RatFunc(XY.const(-1), [(X, 1)])
     assert one_over_x * one_over_y == RatFunc(XY.const(1), [(X, 1), (Y, 1)])
+
+
+def test_ratfunc_of_a_ratfunc_takes_no_denominator():
+    r = RatFunc(X, [(Y, 1)])
+    assert RatFunc(r) == r
+    with pytest.raises(TypeError):
+        RatFunc(r, [(X, 1)])
 
 
 def test_ratfunc_zero_denominator_factor():
