@@ -15,6 +15,13 @@ side of the correspondence.
 
 One-form geometries use the same representation with the second slot
 pinned to zero, so every routine below is written once for both shapes.
+
+Transcendental operations are first-order recurrences over the total
+degree, never sums of truncated powers (Brent and Kung, JACM 25 (1978)):
+the exponential solves theta E = (theta s) E for the Euler derivation
+theta, the reciprocal of a unit solves u v = 1, and the logarithm of a
+one-variable unit solves a L' = a'.  Each costs about one series product,
+and each coefficient is the same exact rational a power sum would give.
 """
 
 import math
@@ -23,7 +30,6 @@ from fractions import Fraction
 from . import _linalg
 from .cache import cached_two_point
 from .geoms import Insertion, geometry, parse_insertion
-from .parts import ordered_partitions
 from .polys import frac_from_str, frac_to_str
 from .vsc import vsc_recursive
 
@@ -187,16 +193,18 @@ class GradedSeries:
         return GradedSeries(_NO_AFFINE, self.const * other.const, terms, D)
 
     def exp_of_pure_q(self):
+        """exp(self) by the total-degree Euler recurrence.
+
+        With theta the derivation that multiplies the degree-dd term by
+        |dd| = da + db, E = exp(s) satisfies theta E = (theta s) E, so
+        n E_dd = sum_m |m| s_m E_{dd-m} with n = |dd|: one pass over
+        the degrees, no series products.
+        """
         if self.affine != _NO_AFFINE or self.const != 0:
             raise InvalidExp("exponential needs a vanishing affine part")
-        out = GradedSeries(_NO_AFFINE, 1, None, self.trunc)
-        power = out
-        for m in range(1, self.trunc + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            out = out + power.scale(Fraction(1, math.factorial(m)))
-        return out
+        weighted = [(m, (m[0] + m[1]) * c) for m, c in self.terms.items()]
+        return _graded_recurrence(weighted, Fraction(1), self.trunc,
+                                  lambda n: Fraction(1, n))
 
     def shifted(self, dd):
         """Multiplication by e^{da*x_1 + db*x_2}; affine part must vanish."""
@@ -216,7 +224,12 @@ class GradedSeries:
         return GradedSeries(_NO_AFFINE, 0, terms, self.trunc)
 
     def div_unit(self, den):
-        """Divide by a series with a non-zero constant term."""
+        """Divide by a series with a non-zero constant term.
+
+        The inverse v of the unit u comes from u_0 v_0 = 1 and
+        u_0 v_dd = -sum_{m != 0} u_m v_{dd-m}, degree by degree; the
+        quotient is then one product.
+        """
         if not isinstance(den, GradedSeries):
             raise TypeError("denominator must be a series")
         self._same_trunc(den)
@@ -224,15 +237,38 @@ class GradedSeries:
             raise ValueError("division with affine parts leaves the ring")
         if den.const == 0:
             raise ZeroDivisionError("denominator has no constant term")
-        tail = den.quantum_part().scale(Fraction(1) / den.const)
-        inv = GradedSeries(_NO_AFFINE, 1, None, self.trunc)
-        power = inv
-        for m in range(1, self.trunc + 1):
-            power = power * tail
-            if power.is_zero():
-                break
-            inv = inv + power.scale((-1) ** m)
-        return (self * inv).scale(Fraction(1) / den.const)
+        step = -1 / den.const
+        inv = _graded_recurrence(list(den.terms.items()), 1 / den.const,
+                                 self.trunc, lambda n: step)
+        return self * inv
+
+
+def _graded_recurrence(weighted, head, D, factor):
+    """The pure-q series E with E_0 = head and, for 1 <= |dd| <= D,
+
+        E_dd = factor(|dd|) * sum_m weighted[m] * E_{dd-m}.
+
+    Each sum runs over the pairs (m, e) with |m| + |e| = |dd|, so only
+    degrees the support can reach are visited.
+    """
+    E = {(0, 0): head}
+    levels = [[(0, 0)]] + [[] for _ in range(D)]
+    for n in range(1, D + 1):
+        acc = {}
+        for (ma, mb), w in weighted:
+            k = n - ma - mb
+            if k < 0:
+                continue
+            for ea, eb in levels[k]:
+                dd = (ma + ea, mb + eb)
+                acc[dd] = acc.get(dd, _F0) + w * E[(ea, eb)]
+        f = factor(n)
+        for dd, v in acc.items():
+            if v:
+                E[dd] = v * f
+                levels[n].append(dd)
+    del E[(0, 0)]
+    return GradedSeries(_NO_AFFINE, head, E, D)
 
 
 def series_to_json(s):
@@ -364,12 +400,28 @@ def mirror_map(g, D):
 
 
 def _compose_q(f, shifts):
-    """f with x_j replaced by t_j + shifts[j]; f and shifts are pure q."""
-    out = GradedSeries(_NO_AFFINE, 0, None, f.trunc)
-    for (da, db), c in sorted(f.terms.items()):
-        arg = shifts[0].scale(da) + shifts[1].scale(db)
-        out = out + arg.exp_of_pure_q().shifted((da, db)).scale(c)
-    return out
+    """f with x_j replaced by t_j + shifts[j]; f and shifts are pure q.
+
+    Each term c e^{dd.x} becomes c e^{dd.t} exp(da shifts[0] + db shifts[1]),
+    and the shift by dd keeps only the exponential's degrees up to
+    D - |dd|, so that is where it is cut.
+    """
+    D = f.trunc
+    out = {}
+    for (da, db), c in f.terms.items():
+        cut = D - da - db
+        arg = {}
+        for shift, k in ((shifts[0], da), (shifts[1], db)):
+            if k:
+                for (a1, b1), v in shift.terms.items():
+                    if a1 + b1 <= cut:
+                        arg[(a1, b1)] = arg.get((a1, b1), _F0) + k * v
+        e = GradedSeries(_NO_AFFINE, 0, arg, cut).exp_of_pure_q()
+        out[(da, db)] = out.get((da, db), _F0) + c
+        for (a1, b1), v in e.terms.items():
+            key = (a1 + da, b1 + db)
+            out[key] = out.get(key, _F0) + c * v
+    return GradedSeries(_NO_AFFINE, 0, out, D)
 
 
 def invert_mirror_map(m):
@@ -549,27 +601,31 @@ def _ps_inv(a, D):
 
 
 def _ps_log_unit(a, D):
-    s = [_F0] + list(a[1:D + 1])
+    """log(a) for a[0] == 1: from a L' = a', n L_n = n a_n - sum_{m<n} m L_m a_{n-m}."""
     out = [_F0] * (D + 1)
-    power = [Fraction(1)] + [_F0] * D
-    for m in range(1, D + 1):
-        power = _ps_mul(power, s, D)
-        c = Fraction((-1) ** (m + 1), m)
-        for i, v in enumerate(power):
-            out[i] += c * v
+    for n in range(1, D + 1):
+        s = n * a[n]
+        for m in range(1, n):
+            s -= m * out[m] * a[n - m]
+        out[n] = s / n
     return out
 
 
 def reversion_weights(js):
-    """Recover the w_d from the j_d via the logarithmic reversion identity."""
+    """Recover the w_d from the j_d via the logarithmic reversion identity.
+
+    The weights peel off log(1 + sum_d j_d q^d) as sum_d w_d q^d A^{-d},
+    lowest degree first.  Step d reads the d-th power of A^{-1} only up to
+    q^{D-d}, so each power is cut there.
+    """
     D = len(js)
     A = [Fraction(1)] + [Fraction(v) for v in js]
     target = _ps_log_unit(A, D)
     Ainv = _ps_inv(A, D)
-    power = [Fraction(1)] + [_F0] * D
+    power = [Fraction(1)]
     out = []
     for d in range(1, D + 1):
-        power = _ps_mul(power, Ainv, D)
+        power = _ps_mul(power, Ainv, D - d)
         wd = target[d]
         out.append(wd)
         for i in range(0, D + 1 - d):
@@ -577,12 +633,31 @@ def reversion_weights(js):
     return out
 
 
+def _j_from_weights(w):
+    """The j_d from the weights w_d, read off powers of one series.
+
+    The sum over ordered partitions of d groups by the number l of parts:
+    j_d = sum_l (-(d-1))^(l-1) / l! [q^d] W^l with W = sum_d w_d q^d.
+    """
+    D = len(w)
+    W = [_F0] + [Fraction(v) for v in w]
+    js = [_F0] * D
+    power = W
+    for l in range(1, D + 1):
+        if l > 1:
+            power = _ps_mul(power, W, D)
+        for d in range(l, D + 1):
+            js[d - 1] += Fraction((1 - d) ** (l - 1), math.factorial(l)) * power[d]
+    return js
+
+
 def j_coefficients(dmax):
     """Expansion coefficients through q^{dmax-1} from the degree-6 surface.
 
     Each weight w_d is half the (1, z) two-point number at degree d; the
-    coefficient j_d sums the weights over ordered partitions.  The
-    reversion identity is re-solved as a cross-check before returning.
+    coefficient j_d sums the weights over ordered partitions
+    (`_j_from_weights`).  The reversion identity is re-solved as a
+    cross-check before returning.
     """
     if not 1 <= dmax <= 6:
         raise ValueError("dmax must be in 1..6: the desk-scale expansion "
@@ -590,16 +665,7 @@ def j_coefficients(dmax):
     g = geometry("wp2")
     one, zc = Insertion(0), Insertion(1)
     w = [cached_two_point(g, d, one, zc) / 2 for d in range(1, dmax + 1)]
-    js = []
-    for d in range(1, dmax + 1):
-        tot = _F0
-        for sigma in ordered_partitions(d):
-            l = len(sigma)
-            prod = Fraction((-(d - 1)) ** (l - 1), math.factorial(l))
-            for dj in sigma:
-                prod *= w[dj - 1]
-            tot += prod
-        js.append(tot)
+    js = _j_from_weights(w)
     if reversion_weights(js) != w:
         raise ArithmeticError("reversion failed to recover the weights")
     if js[0] != 744:

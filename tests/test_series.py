@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,15 @@ from hypothesis import strategies as st
 
 from resmirror.cache import activate
 from resmirror.geoms import InvalidInsertion, geometry
+from resmirror.parts import ordered_partitions
 from resmirror.refdata import check_conjecture2
 from resmirror.series import (
     GradedSeries,
     InvalidExp,
     MirrorMap,
+    _compose_q,
+    _j_from_weights,
+    _ps_log_unit,
     build_generating_function,
     gmt_upto3,
     invert_mirror_map,
@@ -120,6 +125,123 @@ def test_mul_distributes(t1, t2, t3):
 def test_json_round_trip(t1):
     s = GradedSeries((F(2, 3), -1), F(7, 2), t1, 3)
     assert series_from_json(series_to_json(s)) == s
+
+
+# -- the power-sum loops the recurrences replace, kept as oracles ----------
+
+
+def exp_oracle(s):
+    """exp(s) as the sum of s^m / m! over truncated powers."""
+    out = GradedSeries((0, 0), 1, None, s.trunc)
+    power = out
+    for m in range(1, s.trunc + 1):
+        power = power * s
+        if power.is_zero():
+            break
+        out = out + power.scale(F(1, math.factorial(m)))
+    return out
+
+
+def div_unit_oracle(num, den):
+    """num / den with 1/den summed as the geometric series of its tail."""
+    tail = den.quantum_part().scale(F(1) / den.const)
+    inv = GradedSeries((0, 0), 1, None, num.trunc)
+    power = inv
+    for m in range(1, num.trunc + 1):
+        power = power * tail
+        if power.is_zero():
+            break
+        inv = inv + power.scale((-1) ** m)
+    return (num * inv).scale(F(1) / den.const)
+
+
+def log_unit_oracle(a, D):
+    """log(a) for a[0] == 1 as the sum of (-1)^(m+1) s^m / m, s = a - 1."""
+    s = [F(0)] + list(a[1:D + 1])
+    out = [F(0)] * (D + 1)
+    power = [F(1)] + [F(0)] * D
+    for m in range(1, D + 1):
+        nxt = [F(0)] * (D + 1)
+        for i, pi in enumerate(power):
+            for j in range(0, D + 1 - i):
+                nxt[i + j] += pi * s[j]
+        power = nxt
+        for i, v in enumerate(power):
+            out[i] += F((-1) ** (m + 1), m) * v
+    return out
+
+
+def compose_oracle(f, shifts):
+    """f(x + shifts), one full-length exponential and one shift per term."""
+    out = GradedSeries((0, 0), 0, None, f.trunc)
+    for (da, db), c in sorted(f.terms.items()):
+        arg = shifts[0].scale(da) + shifts[1].scale(db)
+        out = out + exp_oracle(arg).shifted((da, db)).scale(c)
+    return out
+
+
+def same_series(got, want):
+    assert got.terms == want.terms and got.const == want.const
+    assert got.affine == want.affine and got.trunc == want.trunc
+    assert all(got.terms.values())
+
+
+@st.composite
+def trunc_and_pure(draw, count=1, const=False):
+    """A truncation in 1..6 and `count` two-variable pure-q series at it."""
+    D = draw(st.integers(1, 6))
+    terms = st.dictionaries(
+        st.tuples(st.integers(0, D), st.integers(0, D)).filter(
+            lambda t: 0 < sum(t) <= D),
+        st.fractions(min_value=-40, max_value=40, max_denominator=8),
+        max_size=5)
+    out = [q_series(draw(terms), D) for _ in range(count)]
+    if const:
+        c = draw((st.integers(-9, 9) | st.fractions(min_value=-9, max_value=9,
+                                                    max_denominator=6)).filter(bool))
+        out.append(GradedSeries((0, 0), c, draw(terms), D))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(trunc_and_pure())
+def test_exp_matches_power_sum(series):
+    (s,) = series
+    same_series(s.exp_of_pure_q(), exp_oracle(s))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(trunc_and_pure(const=True))
+def test_div_unit_matches_power_sum(series):
+    num, den = series
+    same_series(num.div_unit(den), div_unit_oracle(num, den))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(trunc_and_pure(count=3))
+def test_compose_matches_per_term_exponentials(series):
+    f, s1, s2 = series
+    same_series(_compose_q(f, (s1, s2)), compose_oracle(f, (s1, s2)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=8),
+                min_size=1, max_size=6))
+def test_log_unit_matches_power_sum(tail):
+    a, D = [F(1)] + tail, len(tail)
+    assert _ps_log_unit(a, D) == log_unit_oracle(a, D)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=8),
+                min_size=1, max_size=7))
+def test_j_assembly_matches_partition_sum(w):
+    want = []
+    for d in range(1, len(w) + 1):
+        want.append(sum((F((1 - d) ** (len(p) - 1), math.factorial(len(p)))
+                         * math.prod(w[x - 1] for x in p)
+                         for p in ordered_partitions(d)), F(0)))
+    assert _j_from_weights(w) == want
 
 
 # -- generating functions --------------------------------------------------
@@ -238,6 +360,23 @@ def test_invert_single_exponential():
     t2 = GradedSeries((0, 1), 0, {}, 2)
     m = invert_mirror_map(MirrorMap(g, 2, (t1, t2)))
     assert m.inverse[0].terms == {(1, 0): -c, (2, 0): c * c}
+
+
+def test_deep_quintic_inversion():
+    D = 12
+    ratio = picard_fuchs_basis(5, 1, D).div_unit(picard_fuchs_basis(5, 0, D))
+    forward = (GradedSeries((1, 0), 0, ratio.terms, D),
+               GradedSeries((0, 1), 0, None, D))
+    m = invert_mirror_map(MirrorMap(geometry("cpn", N=5, k=5), D, forward))
+    for i in range(2):
+        out = transform(m.forward[i], m)
+        assert out.terms == {} and out.const == 0
+        assert out.affine == forward[i].affine
+    back = invert_mirror_map(MirrorMap(m.geom, D, m.inverse))
+    assert back.inverse == m.forward
+    low = {dd: c for dd, c in ratio.terms.items() if sum(dd) <= 3}
+    assert low == mirror_map(geometry("cpn", N=5, k=5), 3).forward[0].terms
+    assert len(ratio.terms) == D
 
 
 def test_inversion_composes_both_ways():
@@ -362,6 +501,36 @@ def test_reversion_recovers_weights():
     js = [744, 196884, 21493760, 864299970]
     assert reversion_weights(js) == [F(744), F(473652), F(451734080),
                                      F(510531007770)]
+
+
+def modular_j(count):
+    """c_0 .. c_{count-1} of E4^3 / Delta = 1/q + c_0 + c_1 q + ..., in integers."""
+    n = count
+    e4 = [1] + [240 * sum(d ** 3 for d in range(1, k + 1) if k % d == 0)
+                for k in range(1, n + 1)]
+
+    def mul(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+
+    eta24 = [1] + [0] * n                    # prod (1 - q^k)^24
+    for k in range(1, n + 1):
+        for _ in range(24):
+            for i in range(n, k - 1, -1):
+                eta24[i] -= eta24[i - k]
+    inv = [1] + [0] * n
+    for i in range(1, n + 1):
+        inv[i] = -sum(eta24[m] * inv[i - m] for m in range(1, i + 1))
+    return mul(mul(mul(e4, e4), e4), inv)[1:]
+
+
+def test_j_coefficients_match_modular_forms():
+    assert list(j_coefficients(6).j) == modular_j(6)
+
+
+def test_reversion_closes_on_forty_modular_coefficients():
+    js = modular_j(40)
+    assert js[:3] == [744, 196884, 21493760]
+    assert _j_from_weights(reversion_weights(js)) == js
 
 
 def test_j_coefficients_bounds():
