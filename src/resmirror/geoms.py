@@ -7,6 +7,15 @@ deformation/obstruction blocks and per-node smoothing factors, integrated
 by one residue per vertex, innermost vertex first.  All amplitudes are
 exact rationals.
 
+The integrand is never multiplied out whole.  It stays a list of factors,
+each tagged with the vertices whose variables it contains, and a factor
+joins the running integrand just before the residue of the first vertex it
+touches.  This is exact: a residue in one variable is linear over factors
+free of it, and such factors add no poles in it.  The identifications of
+one vertex's variable with the next vertex's change only factors that touch
+the vertex, and all of those have joined by then.  So each residue expands
+only the factors near its vertex, never the ones further down the chain.
+
 Each geometry is a short declaration of data: coordinate weights and a
 hypersurface degree for the one-form targets; section and fiber data,
 branch constant, orbifold weight and residue profiles for the two-form
@@ -207,6 +216,25 @@ def _part_poles(coords, d, p, q, base=None):
     return den
 
 
+def _absorb(f, pending, j):
+    """f times the pending chain factors that touch vertex j.
+
+    `pending` lists (vertices, factor) pairs, the vertices being those
+    whose variables the factor contains; the absorbed pairs leave it.  A
+    residue in a vertex's variable is linear over factors free of that
+    variable, and they add no poles in it, so a factor can wait until the
+    first vertex it touches without changing any value.
+    """
+    rest = []
+    for touches, g in pending:
+        if j in touches:
+            f = f * g
+        else:
+            rest.append((touches, g))
+    pending[:] = rest
+    return f
+
+
 class _OneFormGeometry(Geometry):
     """A degree-k hypersurface in weighted projective space.
 
@@ -251,6 +279,9 @@ class _OneFormGeometry(Geometry):
 
         Every vertex carries one variable with a pole of order len(weights)
         and the orbifold factor 1/prod(weights); every node carries 1/k.
+        Part i touches vertices i and i + 1, node j touches j - 1, j and
+        j + 1, an insertion or a measure its own vertex; each residue sees
+        only the factors that touch its vertex, which is exact (_absorb).
         """
         a, b = self.check_insertion(a), self.check_insertion(b)
         sigma = tuple(sigma)
@@ -259,23 +290,22 @@ class _OneFormGeometry(Geometry):
         coords = [(m, 0, self.weights.count(m)) for m in sorted(set(self.weights))]
         vs = VarSet(["z%d" % j for j in range(l + 1)])
         z = [vs.poly("z%d" % j) for j in range(l + 1)]
-        num = z[0] ** a.exps[0] * z[l] ** b.exps[0]
-        orbifold = math.prod(self.weights)
-        if orbifold != 1:
-            num = num * Fraction(1, orbifold) ** (l + 1)
-        den = [(zz, n) for zz in z]
+        one = vs.const(1)
+        measure = vs.const(Fraction(1, math.prod(self.weights)))
+        pending = [({0}, RatFunc(z[0] ** a.exps[0])), ({l}, RatFunc(z[l] ** b.exps[0]))]
+        pending += [({j}, RatFunc(measure, [(z[j], n)])) for j in range(l + 1)]
         for i, d in enumerate(sigma):
-            num = _hypersurface_roots(num, self.k, d, z[i], z[i + 1])
-            den += _part_poles(coords, d, z[i], z[i + 1])
+            num = _hypersurface_roots(one, self.k, d, z[i], z[i + 1])
+            pending.append(({i, i + 1}, RatFunc(num, _part_poles(coords, d, z[i], z[i + 1]))))
         for j in range(1, l):
             form = (z[j] - z[j - 1]) * Fraction(1, sigma[j - 1]) \
                  + (z[j] - z[j + 1]) * Fraction(1, sigma[j])
-            den += [(form, 1), (z[j], 1)]
-            num = num * Fraction(1, self.k)
-        f = RatFunc(num, den)
+            node = RatFunc(vs.const(Fraction(1, self.k)), [(form, 1), (z[j], 1)])
+            pending.append(({j - 1, j, j + 1}, node))
+        f = RatFunc(one)
         order = range(l, -1, -1) if self._DESCENDING else range(0, l + 1)
         for j in order:
-            f = residue_at(f, PoleSpec("z%d" % j, 0))
+            f = residue_at(_absorb(f, pending, j), PoleSpec("z%d" % j, 0))
         val = f.as_rational()
         for d in sigma:
             val /= d
@@ -343,7 +373,13 @@ class _TwoFormGeometry(Geometry):
         return RatFunc(num, den)
 
     def amplitude(self, sigma, a, b):
-        """One chain's contribution, including the 1/deg part prefactors."""
+        """One chain's contribution, including the 1/deg part prefactors.
+
+        Vertices are integrated in ascending order, each residue seeing only
+        the factors that touch its vertex, which is exact (_absorb).  The
+        identification w_j = w_{j+1} or z_j = z_{j+1} at vertex j changes
+        only factors that touch j, and all of those have been absorbed.
+        """
         a, b = self.check_insertion(a), self.check_insertion(b)
         sigma = tuple(tuple(p) for p in sigma)
         l = len(sigma)
@@ -354,8 +390,8 @@ class _TwoFormGeometry(Geometry):
         z = [vs.poly("z%d" % j) for j in range(l + 1)]
         w = [vs.poly("w%d" % j) for j in range(l + 1)]
 
-        f = RatFunc(z[0] ** a.exps[0] * w[0] ** a.exps[1]
-                    * z[l] ** b.exps[0] * w[l] ** b.exps[1])
+        pending = [({0}, RatFunc(z[0] ** a.exps[0] * w[0] ** a.exps[1])),
+                   ({l}, RatFunc(z[l] ** b.exps[0] * w[l] ** b.exps[1]))]
         for i, part in enumerate(sigma):
             axis = _axis(part)
             if axis == "a":
@@ -363,15 +399,18 @@ class _TwoFormGeometry(Geometry):
             else:
                 d, p, q, other = part[1], w[i], w[i + 1], z[i]
             block = self._section_block if axis in self._SECTION_AXES else self._fiber_block
-            f = f * block(d, p, q, other)
+            pending.append(({i, i + 1}, block(d, p, q, other)))
         for j in range(1, l):
             prv, nxt = sigma[j - 1], sigma[j]
             A = (z[j] - z[j - 1]) if _axis(prv) == "a" else (w[j] - w[j - 1])
             B = (z[j] - z[j + 1]) if _axis(nxt) == "a" else (w[j] - w[j + 1])
             form = A * Fraction(1, _part_deg(prv)) + B * Fraction(1, _part_deg(nxt))
-            f = f * self._node((_axis(prv), _axis(nxt)), z[j], w[j], form)
+            node = self._node((_axis(prv), _axis(nxt)), z[j], w[j], form)
+            pending.append(({j - 1, j, j + 1}, node))
 
+        f = RatFunc(vs.const(1))
         for j in range(l):
+            f = _absorb(f, pending, j)
             if _axis(sigma[j]) == "a":
                 f = f.substitute("w%d" % j, w[j + 1])
                 f = f * RatFunc(vs.const(1), [(z[j], 2)])
@@ -383,6 +422,7 @@ class _TwoFormGeometry(Geometry):
                     prof = self._RES_AB if _axis(sigma[j - 1]) == "a" else self._RES_BB
                 f = self._w_residue(f, "w%d" % j, z[j], prof)
                 f = f.substitute("z%d" % j, z[j + 1])
+        f = _absorb(f, pending, l)
         prof = self._RES_LAST_A if _axis(sigma[-1]) == "a" else self._RES_LAST_B
         f = self._w_residue(f, "w%d" % l, z[l], prof)
         f = f * RatFunc(vs.const(1), [(z[l], 2)])

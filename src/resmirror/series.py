@@ -206,23 +206,6 @@ class GradedSeries:
         return _graded_recurrence(weighted, Fraction(1), self.trunc,
                                   lambda n: Fraction(1, n))
 
-    def shifted(self, dd):
-        """Multiplication by e^{da*x_1 + db*x_2}; affine part must vanish."""
-        da, db = int(dd[0]), int(dd[1])
-        if da == 0 and db == 0:
-            return self
-        if da < 0 or db < 0:
-            raise ValueError("bad shift degree %r" % (dd,))
-        if self.affine != _NO_AFFINE:
-            raise ValueError("a shift of an affine series leaves the ring")
-        terms = {}
-        if self.const and da + db <= self.trunc:
-            terms[(da, db)] = self.const
-        for (a1, b1), c in self.terms.items():
-            if a1 + da + b1 + db <= self.trunc:
-                terms[(a1 + da, b1 + db)] = c
-        return GradedSeries(_NO_AFFINE, 0, terms, self.trunc)
-
     def div_unit(self, den):
         """Divide by a series with a non-zero constant term.
 

@@ -7,7 +7,11 @@ depend on any particular table.
 
 from fractions import Fraction as F
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resmirror import cache
 from resmirror.cache import cached_two_point
@@ -23,7 +27,10 @@ from resmirror.geoms import (
     two_point_wp2,
     two_point_wp3,
 )
+from resmirror.geoms import _axis, _hypersurface_roots, _part_deg, _part_poles
 from resmirror.parts import InvalidDegree
+from resmirror.polys import RatFunc, VarSet
+from resmirror.residues import PoleSpec, residue_at
 
 
 class TestInsertionLabels:
@@ -330,3 +337,132 @@ CHAIN_PINS = [
 def test_chain_amplitudes(name, params, dd, a, b, chains):
     g = geometry(name, **params)
     assert {tuple(sigma): g.amplitude(sigma, a, b) for sigma in g._chains(dd)} == chains
+
+
+# -- the whole-integrand amplitudes, kept as oracles ------------------------
+#
+# Both engines used to multiply a chain's whole integrand together before
+# the first residue.  The engines now bring in each factor at the first
+# vertex it touches; these copies of the old construction check that every
+# chain's value stays the same rational.
+
+
+def one_form_oracle(g, sigma, a, b):
+    a, b = g.check_insertion(a), g.check_insertion(b)
+    sigma = tuple(sigma)
+    l = len(sigma)
+    n = len(g.weights)
+    coords = [(m, 0, g.weights.count(m)) for m in sorted(set(g.weights))]
+    vs = VarSet(["z%d" % j for j in range(l + 1)])
+    z = [vs.poly("z%d" % j) for j in range(l + 1)]
+    num = z[0] ** a.exps[0] * z[l] ** b.exps[0]
+    orbifold = math.prod(g.weights)
+    if orbifold != 1:
+        num = num * F(1, orbifold) ** (l + 1)
+    den = [(zz, n) for zz in z]
+    for i, d in enumerate(sigma):
+        num = _hypersurface_roots(num, g.k, d, z[i], z[i + 1])
+        den += _part_poles(coords, d, z[i], z[i + 1])
+    for j in range(1, l):
+        form = (z[j] - z[j - 1]) * F(1, sigma[j - 1]) \
+             + (z[j] - z[j + 1]) * F(1, sigma[j])
+        den += [(form, 1), (z[j], 1)]
+        num = num * F(1, g.k)
+    f = RatFunc(num, den)
+    order = range(l, -1, -1) if g._DESCENDING else range(0, l + 1)
+    for j in order:
+        f = residue_at(f, PoleSpec("z%d" % j, 0))
+    val = f.as_rational()
+    for d in sigma:
+        val /= d
+    return val
+
+
+def two_form_oracle(g, sigma, a, b):
+    a, b = g.check_insertion(a), g.check_insertion(b)
+    sigma = tuple(tuple(p) for p in sigma)
+    l = len(sigma)
+    names = []
+    for j in range(l + 1):
+        names += ["z%d" % j, "w%d" % j]
+    vs = VarSet(names)
+    z = [vs.poly("z%d" % j) for j in range(l + 1)]
+    w = [vs.poly("w%d" % j) for j in range(l + 1)]
+
+    f = RatFunc(z[0] ** a.exps[0] * w[0] ** a.exps[1]
+                * z[l] ** b.exps[0] * w[l] ** b.exps[1])
+    for i, part in enumerate(sigma):
+        axis = _axis(part)
+        if axis == "a":
+            d, p, q, other = part[0], z[i], z[i + 1], w[i]
+        else:
+            d, p, q, other = part[1], w[i], w[i + 1], z[i]
+        block = g._section_block if axis in g._SECTION_AXES else g._fiber_block
+        f = f * block(d, p, q, other)
+    for j in range(1, l):
+        prv, nxt = sigma[j - 1], sigma[j]
+        A = (z[j] - z[j - 1]) if _axis(prv) == "a" else (w[j] - w[j - 1])
+        B = (z[j] - z[j + 1]) if _axis(nxt) == "a" else (w[j] - w[j + 1])
+        form = A * F(1, _part_deg(prv)) + B * F(1, _part_deg(nxt))
+        f = f * g._node((_axis(prv), _axis(nxt)), z[j], w[j], form)
+
+    for j in range(l):
+        if _axis(sigma[j]) == "a":
+            f = f.substitute("w%d" % j, w[j + 1])
+            f = f * RatFunc(vs.const(1), [(z[j], 2)])
+            f = residue_at(f, PoleSpec("z%d" % j, 0))
+        else:
+            if j == 0:
+                prof = g._RES_FIRST_B
+            else:
+                prof = g._RES_AB if _axis(sigma[j - 1]) == "a" else g._RES_BB
+            f = g._w_residue(f, "w%d" % j, z[j], prof)
+            f = f.substitute("z%d" % j, z[j + 1])
+    prof = g._RES_LAST_A if _axis(sigma[-1]) == "a" else g._RES_LAST_B
+    f = g._w_residue(f, "w%d" % l, z[l], prof)
+    f = f * RatFunc(vs.const(1), [(z[l], 2)])
+    f = residue_at(f, PoleSpec("z%d" % l, 0))
+
+    val = f.as_rational()
+    for part in sigma:
+        val /= _part_deg(part)
+    return val
+
+
+def _oracle_requests():
+    """(geometry, degree, insertion pairs meeting the selection rule) at
+    one-form degree <= 3 and two-form total degree <= 3."""
+    geoms = [geometry("cpn", N=N, k=k) for N in range(2, 7) for k in range(1, 8)]
+    geoms += [geometry(name) for name in ("kf0", "f3", "wp1", "wp2", "wp3")]
+    out = []
+    for g in geoms:
+        if g.n_forms == 1:
+            degrees = [1, 2, 3]
+        else:
+            degrees = [(da, t - da) for t in range(1, 4) for da in range(t + 1)]
+        for dd in degrees:
+            pairs = [(x, y) for x in g.basis() for y in g.basis()
+                     if x.degree() + y.degree() == g.selection_degree(dd)]
+            if pairs:
+                out.append((g, dd, pairs))
+    return out
+
+
+_REQUESTS = _oracle_requests()
+
+
+@st.composite
+def chain_requests(draw):
+    name = draw(st.sampled_from(["cpn", "kf0", "f3", "wp1", "wp2", "wp3"]))
+    g, dd, pairs = draw(st.sampled_from([r for r in _REQUESTS if r[0].name == name]))
+    a, b = draw(st.sampled_from(pairs))
+    return g, dd, a, b
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(chain_requests())
+def test_amplitude_matches_whole_integrand(request):
+    g, dd, a, b = request
+    oracle = one_form_oracle if g.n_forms == 1 else two_form_oracle
+    for sigma in g._chains(dd):
+        assert g.amplitude(sigma, a, b) == oracle(g, sigma, a, b)

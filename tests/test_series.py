@@ -94,11 +94,6 @@ def test_div_unit_inverts_multiplication():
     assert (a * u).div_unit(u) == a
 
 
-def test_shifted_moves_degrees():
-    s = GradedSeries((0, 0), 2, {(1, 0): 3}, 3)
-    assert s.shifted((1, 1)).terms == {(1, 1): F(2), (2, 1): F(3)}
-
-
 pure_terms = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda t: sum(t) > 0),
     st.fractions(min_value=-40, max_value=40, max_denominator=8),
@@ -171,12 +166,31 @@ def log_unit_oracle(a, D):
     return out
 
 
+def shifted(s, dd):
+    """s times e^{da*x_1 + db*x_2} for a nonzero shift; the affine part
+    of s must vanish."""
+    da, db = dd
+    assert min(dd) >= 0 and da + db > 0 and s.affine == (0, 0)
+    terms = {}
+    if s.const and da + db <= s.trunc:
+        terms[(da, db)] = s.const
+    for (a1, b1), c in s.terms.items():
+        if a1 + da + b1 + db <= s.trunc:
+            terms[(a1 + da, b1 + db)] = c
+    return GradedSeries((0, 0), 0, terms, s.trunc)
+
+
+def test_shifted_moves_degrees():
+    s = GradedSeries((0, 0), 2, {(1, 0): 3}, 3)
+    assert shifted(s, (1, 1)).terms == {(1, 1): F(2), (2, 1): F(3)}
+
+
 def compose_oracle(f, shifts):
     """f(x + shifts), one full-length exponential and one shift per term."""
     out = GradedSeries((0, 0), 0, None, f.trunc)
     for (da, db), c in sorted(f.terms.items()):
         arg = shifts[0].scale(da) + shifts[1].scale(db)
-        out = out + exp_oracle(arg).shifted((da, db)).scale(c)
+        out = out + shifted(exp_oracle(arg), (da, db)).scale(c)
     return out
 
 
@@ -389,13 +403,20 @@ def test_inversion_composes_both_ways():
 # -- transforms ------------------------------------------------------------
 
 
+# d^2 * sum_{k | d} n_{d/k} / k^3 from the quintic's instanton numbers
+# n_1 .. n_5 = 2875, 609250, 317206375, 242467530000, 229305888887625
+# (Candelas, de la Ossa, Green and Parkes, 1991)
+QUINTIC_ZZ = {(1, 0): F(2875), (2, 0): F(4876875, 2), (3, 0): F(8564575000, 3),
+              (4, 0): F(15517926796875, 4), (5, 0): F(5732647222191200)}
+
+
 def test_quintic_transform():
     g = geometry("cpn", N=5, k=5)
-    m = mirror_map(g, 3)
-    out = transform(build_generating_function(g, 1, 1, 3), m)
-    assert out.affine == (F(5), F(0))
-    assert out.terms == {(1, 0): F(2875), (2, 0): F(4876875, 2),
-                         (3, 0): F(8564575000, 3)}
+    for D in (3, 5):
+        m = mirror_map(g, D)
+        out = transform(build_generating_function(g, 1, 1, D), m)
+        assert out.affine == (F(5), F(0))
+        assert out.terms == {dd: c for dd, c in QUINTIC_ZZ.items() if dd[0] <= D}
 
 
 def test_transform_round_trip_is_affine():
@@ -525,6 +546,13 @@ def modular_j(count):
 
 def test_j_coefficients_match_modular_forms():
     assert list(j_coefficients(6).j) == modular_j(6)
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_deep_wp2_numbers_match_modular_weights(d):
+    # past the j --dmax cap: the residue engine against E4^3 / Delta alone
+    weights = reversion_weights(modular_j(d))
+    assert geometry("wp2").two_point(d, "1", "z") / 2 == weights[d - 1]
 
 
 def test_reversion_closes_on_forty_modular_coefficients():
