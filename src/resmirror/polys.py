@@ -8,32 +8,20 @@ mapping exponent tuples to coefficients, indexed against a fixed ordered
 is by trial division of the numerator by denominator factors only, which is
 all the residue calculus downstream needs.
 
-Most trial divisions fail, so :meth:`MultiPoly.exact_div` first looks for a
-cheap proof of failure: a point P on the divisor's zero set modulo the
-prime p = 2^61 - 1 at which the numerator does not vanish.  A quotient,
-were there one, would have p-integral coefficients whenever the inputs do
-and the divisor's leading coefficient is a unit mod p, and it would make
-the numerator vanish at P; so a nonzero value there is a proof, and None
-stays exact.  The point comes from a fixed sequence, so runs repeat
-exactly.  When no proof is found, long division in lex order decides,
-taking the leading remainder term from a heap.
-
 The two hot kernels run on integers.  A product brings each factor to
 integer numerators over the lcm of its denominators, convolves in Python
-ints and divides by the common denominator once per output term.  Long
-division scales the numerator to integers and the divisor to its primitive
-integer multiple F; by Gauss's lemma a quotient by F, if there is one, has
-integer coefficients, so every step is an exact integer division by F's
-leading coefficient and a nonzero remainder there proves that F does not
-divide.  Results keep the usual coefficients: an int where the value is
-integral, a reduced Fraction elsewhere.
+ints and divides by the common denominator once per output term.  Exact
+division is heap-ordered long division over Z by the divisor's primitive
+part (Monagan and Pearce, "Sparse polynomial division using a heap", JSC 46
+(2011)); see :meth:`MultiPoly.exact_div`.  Results keep the usual
+coefficients: an int where the value is integral, a reduced Fraction
+elsewhere.
 """
 
-import functools
 import heapq
 from fractions import Fraction
-from math import gcd, lcm, prod
-from operator import add, getitem, sub
+from math import gcd, lcm
+from operator import add, sub
 
 
 class IdenticallySingular(ArithmeticError):
@@ -273,7 +261,6 @@ class MultiPoly:
             value = self.vars.const(value)
         self._check(value)
         parts = self.split_by(name)
-        out = self.vars.zero()
         # Horner over descending powers keeps the number of multiplies at
         # max-exponent even for sparse splits.
         degs = sorted(parts, reverse=True)
@@ -284,7 +271,7 @@ class MultiPoly:
                 acc = acc * value
             if j in parts:
                 acc = acc + parts[j]
-        return acc if degs else out
+        return acc
 
     def evaluate(self, assignment):
         """Full evaluation; `assignment` maps every used variable name to a rational."""
@@ -303,34 +290,21 @@ class MultiPoly:
     def exact_div(self, divisor):
         """Exact polynomial quotient self/divisor, or None if it does not divide.
 
-        First a modular certificate (:func:`_off_zero_set`): a point P on
-        divisor = 0 mod p = 2^61 - 1 where self does not vanish proves that
-        the divisor does not divide, and None is returned at once.  The
-        certificate is only used when every coefficient is p-integral and
-        the divisor's lex-leading coefficient is a unit mod p: then a quotient,
-        if there were one, would be p-integral too (long division only ever
-        divides by that leading coefficient), so self(P) = divisor(P) q(P)
-        would vanish mod p.  Otherwise, or when self(P) vanishes, single-
-        divisor long division in lexicographic term order decides; it takes
-        only exact leading-term steps, so its None is a proof as well.
+        Long division over Z in lexicographic term order, taking the leading
+        remainder term from a heap.  self * dn and divisor * df have integer
+        coefficients, and F = divisor * df / g, with g the gcd of the
+        latter, is primitive.  By Gauss's lemma a quotient of an integer
+        polynomial by a primitive one over Q has integer coefficients, and
+        long division only ever emits terms of that quotient; so each step
+        divides exactly by F's leading coefficient, and a step whose leading
+        monomial F's does not divide, or that leaves a remainder, proves
+        that F does not divide.  The quotient is scaled back once at the end.
         """
         self._check(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        if _off_zero_set(self, divisor):
-            return None
-        return self._long_div(divisor)
-
-    def _long_div(self, divisor):
-        # Over Z: self * dn and divisor * df have integer coefficients, and
-        # F = divisor * df / g, with g the gcd of the latter, is primitive.
-        # By Gauss's lemma a quotient of an integer polynomial by a primitive
-        # one over Q has integer coefficients, and long division only ever
-        # emits terms of that quotient; so each step divides exactly by F's
-        # leading coefficient, and a step that leaves a remainder proves that
-        # F does not divide.  The quotient is scaled back once at the end.
         # Exponents are kept negated, so the min-heap of remainder keys pops
         # the lex-largest term; keys cancelled meanwhile are skipped lazily.
         num, dn = _integral(self.terms)
@@ -390,76 +364,6 @@ def _over(vars_, nums, den):
     p = object.__new__(MultiPoly)
     p.vars, p.terms = vars_, nums
     return p
-
-
-_P = (1 << 61) - 1
-_M64 = (1 << 64) - 1
-
-
-@functools.cache
-def _point(n):
-    """A fixed point with n coordinates mod p: the splitmix64 sequence, whose
-    bit mixing leaves no low-degree relation among the coordinates (powers
-    or multiples of one number would satisfy the binomial forms that the
-    chains divide by)."""
-    out = []
-    for k in range(1, n + 1):
-        x = k * 0x9E3779B97F4A7C15 & _M64
-        x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 & _M64
-        x = (x ^ x >> 27) * 0x94D049BB133111EB & _M64
-        out.append((x ^ x >> 31) % _P)
-    return tuple(out)
-
-
-def _value(poly, pt):
-    """poly(pt) mod p, or None if a coefficient's denominator is divisible
-    by p.  Every power of every coordinate is computed once."""
-    pows = []
-    for x, top in zip(pt, map(max, zip(*poly.terms))):
-        row = [1]
-        for _ in range(top):
-            row.append(row[-1] * x % _P)
-        pows.append(row)
-    inverses = {}
-    total = 0
-    for e, c in poly.terms.items():
-        if not isinstance(c, int):
-            d = c.denominator
-            inv = inverses.get(d)
-            if inv is None:
-                if not d % _P:
-                    return None
-                inv = inverses[d] = pow(d, -1, _P)
-            c = c.numerator * inv
-        total += c * prod(map(getitem, pows, e)) % _P
-    return total % _P
-
-
-def _off_zero_set(num, f):
-    """True only if num(P) != 0 mod p at a point P with f(P) = 0 mod p,
-    which proves that f does not divide num (see MultiPoly.exact_div).
-
-    P takes the other coordinates from a fixed sequence and solves
-    f = a x_i + b for the first variable x_i of degree exactly one in f.
-    False means no proof: no such variable, a coefficient that is not
-    p-integral, a leading coefficient of f divisible by p, a(P) = 0 mod p,
-    or num(P) = 0.
-    """
-    tops = list(map(max, zip(*f.terms)))
-    if 1 not in tops or not f.leading()[1].numerator % _P:
-        return False
-    i = tops.index(1)
-    pt = list(_point(len(tops)))
-    pt[i] = 0
-    b = _value(f, pt)
-    if b is None:
-        return False
-    pt[i] = 1
-    a = (_value(f, pt) - b) % _P
-    if not a:
-        return False
-    pt[i] = -b * pow(a, -1, _P) % _P
-    return bool(_value(num, pt))
 
 
 def _monic(f):

@@ -319,10 +319,15 @@ class Theorem1Report:
 
 
 def check_theorem1(N, k, d):
-    """Compare vsc_recursive and vsc_residue on every n both routes cover."""
+    """Compare vsc_recursive and vsc_residue on every n both routes cover;
+    a ValueError when they cover none."""
     N, k, d = _check_domain(N, k, d)
     lo = max(0, 1 - (N - k) * d)
     hi = min(N - 2, N - 1 - (N - k) * d)
+    if lo > hi:
+        raise ValueError("theorem1 N=%d k=%d d=%d compares nothing: the range "
+                         "max(0, 1-(N-k)d) <= n <= min(N-2, N-1-(N-k)d) is "
+                         "%d <= n <= %d" % (N, k, d, lo, hi))
     rows = [(n, vsc_recursive(N, k, d, n), vsc_residue(N, k, d, n))
             for n in range(lo, hi + 1)]
     return Theorem1Report(N, k, d, rows)

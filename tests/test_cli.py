@@ -136,6 +136,8 @@ def test_validation_failures_exit_2(capsys):
         ("vsc", "--N", "5", "--k", "0", "--d", "1", "--n", "0", "--route", "contour"),
         ("vsc", "--N", "5", "--k", "0", "--d", "1", "--n", "0", "--route", "residue"),
         ("check", "theorem1", "--N", "1", "--k", "1", "--d", "1"),
+        ("check", "theorem1", "--N", "3", "--k", "5", "--d", "1"),
+        ("check", "theorem1", "--N", "2", "--k", "2", "--d", "1"),
         ("gw", "--N", "4", "--k", "5", "--a", "z", "--b", "z5"),
         ("gw", "--N", "8", "--k", "9", "--dmax", "0"),
         ("gw", "--N", "5", "--k", "5", "--a", "z", "--b", "z", "--dmax", "0"),
@@ -152,6 +154,8 @@ def test_validation_failures_exit_2(capsys):
     rc, _, err = run(capsys, "vsc", "--N", "5", "--k", "5", "--d", "1", "--n", "4",
                      "--route", "residue")
     assert "1 <= n <= 3" in err
+    rc, _, err = run(capsys, "check", "theorem1", "--N", "3", "--k", "5", "--d", "1")
+    assert "3 <= n <= 1" in err
     rc, _, err = run(capsys, "gw", "--N", "8", "--k", "9", "--a", "z")
     assert "--a" in err and "--b" in err
 

@@ -1,16 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resmirror import polys as polys_module
+from resmirror.geoms import geometry
 from resmirror.polys import (
     IdenticallySingular,
     MultiPoly,
     RatFunc,
     VarSet,
-    _off_zero_set,
     frac_from_str,
     frac_to_str,
 )
@@ -231,16 +230,9 @@ def scaled_polys(draw):
     return draw(sparse_polys(min_terms=1)) * draw(scales)
 
 
-@pytest.fixture
-def no_certificate(monkeypatch):
-    monkeypatch.setattr(polys_module, "_off_zero_set", lambda num, f: False)
-
-
-# the patch is the same for every example, so sharing the fixture is sound
-@settings(max_examples=80, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(p=sparse_polys(), q=scaled_polys(), r=sparse_polys(min_terms=1))
-def test_integer_long_division_matches_oracle(no_certificate, p, q, r):
+def test_integer_long_division_matches_oracle(p, q, r):
     if q.is_zero():
         return
     assert_same_division(p * q, q)
@@ -248,7 +240,7 @@ def test_integer_long_division_matches_oracle(no_certificate, p, q, r):
         assert_same_division(p * q + r, q)
 
 
-def test_integer_long_division_pinned_cases(no_certificate):
+def test_integer_long_division_pinned_cases():
     x, y, z = (XYZ.poly(n) for n in XYZ.names)
     f = 6 * x + 4 * y
     q = Fraction(1, 3) * x + Fraction(1, 2)
@@ -258,37 +250,53 @@ def test_integer_long_division_pinned_cases(no_certificate):
     # the first step already leaves 1 mod 2, the leading coefficient of 2x + 1
     assert (x ** 2 + 1).exact_div(2 * x + 1) is None
     assert_same_division(x ** 2 + 1, 2 * x + 1)
-
-
-def test_exact_div_skips_certificate_without_a_proof():
-    x, y, z = (XYZ.poly(n) for n in XYZ.names)
     cases = [
-        # a coefficient whose denominator is p, in the numerator or the divisor
+        # a large prime denominator, in the numerator or the divisor
         (Fraction(1, P61) * x + y, x + 1),
         (x * y + 1, x + Fraction(1, P61) * y),
-        # no variable of degree one in the divisor
+        # a divisor with no variable of degree one
         (x ** 2 + y ** 2 + 1, x ** 2 + y ** 2),
-        # a lex-leading coefficient divisible by p
+        # a large prime as the divisor's leading coefficient
         (y + 1, P61 * x * y + x + 1),
-        # the coefficient of the degree-one variable y vanishes mod p
+        # a large prime as the coefficient of its only degree-one variable
         (x + 1, x ** 2 + P61 * y),
     ]
     for num, f in cases:
-        assert not _off_zero_set(num, f), (num, f)
         assert_same_division(num, f)
         assert_same_division(num * f, f)
-
-
-def test_exact_div_certificate_returns_none_before_long_division(monkeypatch):
-    x, y, z = (XYZ.poly(n) for n in XYZ.names)
     num, f = x ** 3 * y + z ** 2 - 2 * x * z, x - y + 3 * z
     assert long_div_oracle(num, f) is None
+    assert_same_division(num, f)
 
-    def no_long_division(self, divisor):
-        raise AssertionError("the certificate should have decided")
 
-    monkeypatch.setattr(MultiPoly, "_long_div", no_long_division)
-    assert num.exact_div(f) is None
+# Two-point numbers whose residues divide by the engine's own factors: the
+# binomial node forms over 2(l + 1) variables, which sparse_polys never draws.
+ENGINE_CASES = [
+    ("f3", {}, (2, 1), "z", "z"),
+    ("kf0", {}, (2, 1), "z", "z"),
+    ("wp1", {}, (1, 1), "z", "w"),
+    ("wp3", {}, (1, 1), "z", "w"),
+    ("cpn", {"N": 5, "k": 5}, 3, "1", "z"),
+    ("wp2", {}, 3, "1", "z"),
+]
+
+
+def test_exact_div_matches_oracle_on_engine_divisions(monkeypatch):
+    seen = []
+    divide = MultiPoly.exact_div
+
+    def recording(self, divisor):
+        seen.append((self, divisor))
+        return divide(self, divisor)
+
+    monkeypatch.setattr(MultiPoly, "exact_div", recording)
+    for name, params, dd, a, b in ENGINE_CASES:
+        geometry(name, **params).two_point(dd, a, b)
+    monkeypatch.undo()
+    failing = sum(long_div_oracle(num, f) is None for num, f in seen)
+    assert failing and len(seen) - failing, (len(seen), failing)
+    for num, f in seen:
+        assert_same_division(num, f)
 
 
 # -- rational functions ----------------------------------------------------
