@@ -204,6 +204,9 @@ def _cmd_check(args, cfg):
                 raise UsageError("check theorem1 needs --N, --k and --d")
         report = check_theorem1(args.N, args.k, args.d)
     else:
+        for p in ("N", "k", "d"):
+            if getattr(args, p) is not None:
+                raise UsageError("--%s does not apply to check conjecture2" % p)
         report = check_conjecture2()
     _emit(args, report.lines(), {"ok": report.ok, "lines": report.lines()})
     return 0 if report.ok else 1

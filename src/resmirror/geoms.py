@@ -451,22 +451,24 @@ class _TwoFormGeometry(Geometry):
     def classical_triple(self, a, b, c):
         """The degree-zero pairing: the last fiber residue profile, then z.
 
-        A fiber hypersurface contributes its class _FIBER_DEGREE * w at the
-        orbifold weight of a fiber residue.
+        The integrand is scale z^(s-2) w^(t-p) / (w - c z), with p the w
+        power of that profile and c the branch constant.  Its residues at
+        w = 0 and w = c z sum to (c z)^(t-p) when t >= p; below p they
+        cancel, because the residue at infinity vanishes.  The z residue
+        then keeps only s + t - p = 1.  A fiber hypersurface contributes
+        its class _FIBER_DEGREE * w at the orbifold weight of a fiber
+        residue.
         """
         a, b, c = (self.check_insertion(x) for x in (a, b, c))
-        vs = VarSet(["z", "w"])
-        zz, ww = vs.poly("z"), vs.poly("w")
         s = a.exps[0] + b.exps[0] + c.exps[0]
         t = a.exps[1] + b.exps[1] + c.exps[1]
         scale = 1
         if self._FIBER_DEGREE:
             scale, t = self._FIBER_DEGREE * self._W_SCALE, t + 1
-        power = self._RES_LAST_B[0]
-        f = RatFunc(scale * zz ** s * ww ** t,
-                    [(ww, power), (ww - self._BRANCH * zz, 1), (zz, 2)])
-        g = residue_sum(f, [PoleSpec("w", 0), PoleSpec("w", self._BRANCH * zz)])
-        return residue_at(g, PoleSpec("z", 0)).as_rational()
+        p = self._RES_LAST_B[0]
+        if t < p or s + t - p != 1:
+            return Fraction(0)
+        return Fraction(scale * self._BRANCH ** (t - p))
 
 
 class CpnGeometry(_OneFormGeometry):

@@ -4,9 +4,12 @@ Every coefficient is an exact rational (a Python int or a
 :class:`fractions.Fraction`); no floats ever enter.  A polynomial is a dict
 mapping exponent tuples to coefficients, indexed against a fixed ordered
 :class:`VarSet`.  A rational function keeps its denominator as a list of
-(polynomial factor, multiplicity) pairs and never expands it; cancellation
-is by trial division of the numerator by denominator factors only, which is
-all the residue calculus downstream needs.
+(polynomial factor, multiplicity) pairs and never expands it.  Rational
+functions are added, multiplied and substituted into, never inverted: a
+residue divides only by polynomial factors, which join the denominator as
+they are.  Cancellation is by trial division of the numerator by
+denominator factors only, which is all the residue calculus downstream
+needs.
 
 The two hot kernels run on integers.  A product brings each factor to
 integer numerators over the lcm of its denominators, convolves in Python
@@ -487,14 +490,6 @@ class RatFunc:
 
     def __rsub__(self, other):
         return (-self) + other
-
-    def inv(self):
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverting the zero function")
-        num = self.vars.const(1)
-        for f, m in self.den:
-            num = num * f ** m
-        return RatFunc(num, ((self.num, 1),))
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -6,8 +6,8 @@ polynomial in the *other* variables (a movable pole such as 3z or
 work directly: iterated residues are successive calls, innermost variable
 first.  Pole orders are read off the factored denominator, never guessed:
 expanding about v = loc, each factor splits as eps^j * (unit), and the
-unit parts are inverted as formal power series in eps with exact
-rational-function coefficients.
+numerator is divided by the product of the units as a power series in eps,
+one coefficient at a time, up to the eps^-1 term the residue reads.
 """
 
 from fractions import Fraction
@@ -46,48 +46,20 @@ class PoleSpec:
         return "PoleSpec(%s = %r)" % (self.var, self.location)
 
 
-def _series_mul(a, b, top):
-    """Truncated product of coefficient lists (index = power, len top+1)."""
-    out = [None] * (top + 1)
-    for i, x in enumerate(a):
-        if x is None or x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if i + j > top:
-                break
-            if y is None or y.is_zero():
-                continue
-            t = x * y
-            out[i + j] = t if out[i + j] is None else out[i + j] + t
-    return out
-
-
-def _series_inv_unit(parts, top, zero):
-    """Inverse series of U = sum_{h>=0} eps^h A_h, with A_0 != 0.
-
-    Uses B_0 = 1/A_0 and B_n = -B_0 * sum_{h=1..n} A_h B_{n-h}; every
-    coefficient is reduced so denominators stay powers of A_0.
-    """
-    a = [parts.get(h) for h in range(top + 1)]
-    b0 = RatFunc(a[0]).inv()
-    out = [b0]
-    for n in range(1, top + 1):
-        acc = None
-        for h in range(1, n + 1):
-            if a[h] is None:
-                continue
-            t = RatFunc(a[h]) * out[n - h]
-            acc = t if acc is None else acc + t
-        out.append(zero if acc is None else (-(b0 * acc)).reduce())
-    return out
-
-
 def _expand(r, spec):
-    """The principal part of r about spec: coefficients up to eps^-1.
+    """The eps^-1 coefficient of r about spec, by one division recurrence.
 
-    Returns (order P >= 0, coeffs, spectators) where coeffs[i] is the
-    coefficient of eps^(i - P) for i = 0 .. P - 1, and spectators are
-    denominator factors free of the expansion variable, to be reattached.
+    With v = location + eps, every denominator factor that vanishes at the
+    pole splits as eps^j * u(eps) with u(0) != 0, so r = eps^-P * N / W with
+    W = prod u_i^m_i.  The coefficients of N / W solve
+    c_n = (N_n - sum_{h=1..n} W_h c_{n-h}) / W_0 (Brent and Kung, JACM 25
+    (1978)); W is a truncated series of polynomials, and 1/W_0 stays
+    factored as prod u_i(0)^-m_i, so each c_n is reduced by trial division
+    by those factors alone.
+
+    Returns (c_{P-1}, spectators): c_{P-1} is the eps^-1 coefficient (None
+    when P = 0), and spectators are the denominator factors free of the
+    expansion variable, to be reattached.
     """
     v = spec.var
     loc = spec.loc_poly(r.vars)
@@ -95,7 +67,7 @@ def _expand(r, spec):
     shift = (lambda p: p) if loc.is_zero() else (lambda p: p.subs(v, vv + loc))
 
     spectators = []
-    units = []          # (parts dict with a nonzero constant part, mult)
+    units = []          # (eps-coefficients with a nonzero constant term, mult)
     pole_order = 0
     for f, m in r.den:
         g = shift(f)
@@ -109,30 +81,32 @@ def _expand(r, spec):
         pole_order += j0 * m
         units.append(({j - j0: a for j, a in parts.items()}, m))
 
+    if pole_order == 0:
+        return None, spectators
     top = pole_order - 1
-    if top < 0:
-        return pole_order, [], spectators
-
-    num = shift(r.num)
-    zero = RatFunc(r.vars.zero())
-    series = [None] * (top + 1)
-    for j, a in num.split_by(v).items():
-        if j <= top:
-            series[j] = RatFunc(a)
+    zero = r.vars.zero()
+    w = [r.vars.const(1)] + [zero] * top
     for parts, m in units:
-        inv = _series_inv_unit(parts, top, zero)
         for _ in range(m):
-            series = _series_mul(series, inv, top)
-    coeffs = [zero if c is None else c for c in series]
-    return pole_order, coeffs, spectators
+            w = [sum((a * w[n - h] for h, a in parts.items() if h <= n), zero)
+                 for n in range(top + 1)]
+    b0 = RatFunc(r.vars.const(1), [(parts[0], m) for parts, m in units])
+    num = shift(r.num).split_by(v)
+    c = []
+    for n in range(top + 1):
+        acc = RatFunc(num.get(n, zero))
+        for h in range(1, n + 1):
+            if w[h] and not c[n - h].is_zero():
+                acc = acc - w[h] * c[n - h]
+        c.append(acc if acc.is_zero() else (acc * b0).reduce())
+    return c[top], spectators
 
 
 def residue_at(r, spec):
     """The coefficient of 1/(v - location) in the expansion of r."""
-    order, coeffs, spect = _expand(r, spec)
-    if order == 0:
+    c, spect = _expand(r, spec)
+    if c is None:
         return RatFunc(r.vars.zero())
-    c = coeffs[order - 1]
     return RatFunc(c.num, c.den + tuple(spect)).reduce()
 
 

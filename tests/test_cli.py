@@ -145,6 +145,9 @@ def test_validation_failures_exit_2(capsys):
         ("vsc", "--N", "5", "--k", "5", "--d", "1", "--n", "4", "--route", "residue"),
         ("gw", "--N", "8", "--k", "9", "--a", "z"),
         ("gw", "--N", "8", "--k", "9", "--b", "z"),
+        ("check", "conjecture2", "--N", "5"),
+        ("check", "conjecture2", "--k", "5"),
+        ("check", "conjecture2", "--d", "1"),
     ]
     for argv in bad:
         rc, _, err = run(capsys, *argv)

@@ -30,7 +30,7 @@ from resmirror.geoms import (
 from resmirror.geoms import _axis, _hypersurface_roots, _part_deg, _part_poles
 from resmirror.parts import InvalidDegree
 from resmirror.polys import RatFunc, VarSet
-from resmirror.residues import PoleSpec, residue_at
+from resmirror.residues import PoleSpec, residue_at, residue_sum
 
 
 class TestInsertionLabels:
@@ -466,3 +466,35 @@ def test_amplitude_matches_whole_integrand(request):
     oracle = one_form_oracle if g.n_forms == 1 else two_form_oracle
     for sigma in g._chains(dd):
         assert g.amplitude(sigma, a, b) == oracle(g, sigma, a, b)
+
+
+def classical_triple_oracle(g, a, b, c):
+    """The two-form classical triple as the residue sum over w at 0 and at
+    the branch point c z, then the residue at z = 0."""
+    a, b, c = (g.check_insertion(x) for x in (a, b, c))
+    vs = VarSet(["z", "w"])
+    zz, ww = vs.poly("z"), vs.poly("w")
+    s = a.exps[0] + b.exps[0] + c.exps[0]
+    t = a.exps[1] + b.exps[1] + c.exps[1]
+    scale = 1
+    if g._FIBER_DEGREE:
+        scale, t = g._FIBER_DEGREE * g._W_SCALE, t + 1
+    power = g._RES_LAST_B[0]
+    f = RatFunc(scale * zz ** s * ww ** t,
+                [(ww, power), (ww - g._BRANCH * zz, 1), (zz, 2)])
+    h = residue_sum(f, [PoleSpec("w", 0), PoleSpec("w", g._BRANCH * zz)])
+    return residue_at(h, PoleSpec("z", 0)).as_rational()
+
+
+@pytest.mark.parametrize("name", ["f3", "wp1", "wp3"])
+def test_classical_triple_matches_residue_oracle(name):
+    g = geometry(name)
+    basis = g.basis()
+    nonzero = 0
+    for a in basis:
+        for b in basis:
+            for c in basis:
+                want = classical_triple_oracle(g, a, b, c)
+                assert g.classical_triple(a, b, c) == want, (a, b, c)
+                nonzero += want != 0
+    assert nonzero

@@ -315,7 +315,6 @@ def test_ratfunc_add_inv():
     one_over_y = RatFunc(XY.const(1), [(Y, 1)])
     s = one_over_x + one_over_y
     assert s == RatFunc(X + Y, [(X, 1), (Y, 1)])
-    assert s.inv() == RatFunc(X * Y, [(X + Y, 1)])
     assert -one_over_x == RatFunc(XY.const(-1), [(X, 1)])
     assert one_over_x * one_over_y == RatFunc(XY.const(1), [(X, 1), (Y, 1)])
 
@@ -330,8 +329,6 @@ def test_ratfunc_of_a_ratfunc_takes_no_denominator():
 def test_ratfunc_zero_denominator_factor():
     with pytest.raises(ZeroDivisionError):
         RatFunc(X, [(XY.zero(), 1)])
-    with pytest.raises(ZeroDivisionError):
-        RatFunc(XY.zero()).inv()
 
 
 def test_ratfunc_substitute_polynomial():

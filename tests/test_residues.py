@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resmirror import geoms, residues, vsc
+from resmirror.geoms import geometry
 from resmirror.polys import IdenticallySingular, RatFunc, VarSet
 from resmirror.residues import DuplicatePole, PoleSpec, residue_at, residue_sum
+from test_polys import ENGINE_CASES
 
 ZA = VarSet(["z", "a"])
 Z = ZA.poly("z")
@@ -115,7 +118,7 @@ def test_linearity():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.dictionaries(st.integers(-5, 5), st.integers(1, 2), min_size=2, max_size=4),
+@given(st.dictionaries(st.integers(-5, 5), st.integers(1, 4), min_size=2, max_size=4),
        st.integers(0, 1))
 def test_sum_of_all_residues_vanishes(mults, numdeg):
     # deg(num) <= deg(den) - 2 makes the residue sum over every pole vanish
@@ -124,3 +127,128 @@ def test_sum_of_all_residues_vanishes(mults, numdeg):
     r = RatFunc(Z ** min(numdeg, total - 2), den)
     s = residue_sum(r, [PoleSpec("z", loc) for loc in mults])
     assert s.is_zero()
+
+
+# -- the division recurrence against per-factor inverse series ---------------
+
+
+def _series_mul(a, b, top):
+    """Truncated product of coefficient lists (index = power, len top+1)."""
+    out = [None] * (top + 1)
+    for i, x in enumerate(a):
+        if x is None or x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            if i + j > top:
+                break
+            if y is None or y.is_zero():
+                continue
+            t = x * y
+            out[i + j] = t if out[i + j] is None else out[i + j] + t
+    return out
+
+
+def _series_inv_unit(parts, top, zero):
+    """Inverse series of U = sum_{h>=0} eps^h A_h, with A_0 != 0, by
+    B_0 = 1/A_0 and B_n = -B_0 * sum_{h=1..n} A_h B_{n-h}."""
+    a = [parts.get(h) for h in range(top + 1)]
+    b0 = RatFunc(a[0].vars.const(1), [(a[0], 1)])
+    out = [b0]
+    for n in range(1, top + 1):
+        acc = None
+        for h in range(1, n + 1):
+            if a[h] is None:
+                continue
+            t = RatFunc(a[h]) * out[n - h]
+            acc = t if acc is None else acc + t
+        out.append(zero if acc is None else (-(b0 * acc)).reduce())
+    return out
+
+
+def residue_oracle(r, spec):
+    """The residue of r at spec from the whole principal part: the numerator
+    series times each unit's inverse series, once per multiplicity."""
+    v = spec.var
+    loc = spec.loc_poly(r.vars)
+    shifted = r.vars.poly(v) + loc
+    spectators, units, order = [], [], 0
+    for f, m in r.den:
+        g = f.subs(v, shifted)
+        if g.max_exp(v) == 0:
+            spectators.append((g, m))
+            continue
+        parts = g.split_by(v)
+        j0 = min(j for j, a in parts.items() if not a.is_zero())
+        order += j0 * m
+        units.append(({j - j0: a for j, a in parts.items()}, m))
+    zero = RatFunc(r.vars.zero())
+    if order == 0:
+        return zero
+    top = order - 1
+    series = [None] * (top + 1)
+    for j, a in r.num.subs(v, shifted).split_by(v).items():
+        if j <= top:
+            series[j] = RatFunc(a)
+    for parts, m in units:
+        inv = _series_inv_unit(parts, top, zero)
+        for _ in range(m):
+            series = _series_mul(series, inv, top)
+    c = zero if series[top] is None else series[top]
+    return RatFunc(c.num, c.den + tuple(spectators)).reduce()
+
+
+coeff = st.integers(-3, 3)
+
+
+@st.composite
+def factored_residues(draw):
+    """A function with up to three denominator factors (z - loc)^j * L,
+    L linear, each of multiplicity 1-4, and a pole at 0 or at a movable
+    linear location loc in the other variables.  The first factor has
+    j >= 1 and the numerator is nonzero, so there is a pole."""
+    vs = VarSet(["z", "a", "b"][:draw(st.integers(2, 3))])
+    z, rest = vs.poly("z"), [vs.poly(n) for n in vs.names[1:]]
+    loc = vs.zero()
+    if draw(st.booleans()):
+        loc = sum((draw(coeff) * x for x in rest), vs.const(draw(coeff)))
+    den = []
+    for i in range(draw(st.integers(1, 3))):
+        unit = sum((draw(coeff) * x for x in [z] + rest), vs.const(draw(coeff)))
+        if unit.is_zero():
+            unit = vs.const(1)
+        j = draw(st.integers(0 if i else 1, 2))
+        den.append(((z - loc) ** j * unit, draw(st.integers(1, 4))))
+    num = vs.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        exps = [draw(st.integers(0, 2)) for _ in vs.names]
+        num = num + vs.monomial(exps, draw(coeff))
+    if num.is_zero():
+        num = vs.const(1)
+    return RatFunc(num, den), PoleSpec("z", loc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(factored_residues())
+def test_residue_matches_inverse_series_oracle(case):
+    r, spec = case
+    assert residue_at(r, spec) == residue_oracle(r, spec)
+
+
+def test_engine_residues_match_inverse_series_oracle(monkeypatch):
+    seen = []
+    take = residues.residue_at
+
+    def recording(r, spec):
+        out = take(r, spec)
+        seen.append((r, spec, out))
+        return out
+
+    for mod in (residues, geoms, vsc):
+        monkeypatch.setattr(mod, "residue_at", recording)
+    for name, params, dd, a, b in ENGINE_CASES:
+        geometry(name, **params).two_point(dd, a, b)
+    monkeypatch.undo()
+    assert any(not out.is_zero() for _, _, out in seen)
+    assert any(not spec.loc_poly(r.vars).is_zero() for r, spec, _ in seen)
+    for r, spec, out in seen:
+        assert out == residue_oracle(r, spec)
