@@ -171,10 +171,13 @@ class Geometry:
 
     def two_point(self, dd, a, b):
         """Sum of chain amplitudes at degree dd with the two insertions,
-        computed on every call; cache.cached_two_point memoizes it."""
+        computed on every call; cache.cached_two_point memoizes it.  A pair
+        whose total degree breaks the selection rule is 0 without a chain."""
         a, b = self.check_insertion(a), self.check_insertion(b)
         dd = self._check_degree(dd)
         total = Fraction(0)
+        if a.degree() + b.degree() != self.selection_degree(dd):
+            return total
         for sigma in self._chains(dd):
             total += self.amplitude(sigma, a, b)
         return total
@@ -341,7 +344,12 @@ class _TwoFormGeometry(Geometry):
     def _check_degree(self, dd):
         if not (isinstance(dd, tuple) and len(dd) == 2):
             raise InvalidDegree("bi-degree required, got %r" % (dd,))
-        return (int(dd[0]), int(dd[1]))
+        da, db = int(dd[0]), int(dd[1])
+        if da < 0 or db < 0:
+            raise InvalidDegree("bi-degree must be a pair of non-negative integers")
+        if da == 0 and db == 0:
+            raise InvalidDegree("bi-degree (0, 0) has no chains")
+        return (da, db)
 
     def _chains(self, dd):
         return ordered_bipartitions(*dd)

@@ -30,7 +30,7 @@ from fractions import Fraction
 from . import _linalg
 from .cache import cached_two_point
 from .geoms import Insertion, geometry, parse_insertion
-from .polys import frac_from_str, frac_to_str
+from .polys import _as_coeff, _integral, frac_from_str, frac_to_str
 from .vsc import vsc_recursive
 
 _F0 = Fraction(0)
@@ -45,6 +45,11 @@ class SingularMetric(ArithmeticError):
     """The pairing block needed for a mirror map is not invertible."""
 
 
+def _exact(c):
+    """c as a Fraction; a float is refused, as polys._as_coeff does."""
+    return c if type(c) is Fraction else Fraction(_as_coeff(c))
+
+
 class GradedSeries:
     """One element of the truncated ring described in the module docstring.
 
@@ -56,8 +61,8 @@ class GradedSeries:
     __slots__ = ("affine", "const", "terms", "trunc")
 
     def __init__(self, affine=(0, 0), const=0, terms=None, trunc=0):
-        self.affine = (Fraction(affine[0]), Fraction(affine[1]))
-        self.const = Fraction(const)
+        self.affine = (_exact(affine[0]), _exact(affine[1]))
+        self.const = _exact(const)
         self.trunc = int(trunc)
         if self.trunc < 0:
             raise ValueError("truncation bound must be non-negative")
@@ -67,7 +72,7 @@ class GradedSeries:
                 da, db = int(dd[0]), int(dd[1])
                 if da < 0 or db < 0 or (da == 0 and db == 0):
                     raise ValueError("bad exponential degree %r" % (dd,))
-                c = Fraction(c)
+                c = _exact(c)
                 if c and da + db <= self.trunc:
                     clean[(da, db)] = c
         self.terms = clean
@@ -157,7 +162,7 @@ class GradedSeries:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         return GradedSeries((self.affine[0] * c, self.affine[1] * c),
                             self.const * c,
                             {dd: v * c for dd, v in self.terms.items()},
@@ -291,10 +296,6 @@ def _degree_list(g, D):
             for da in range(tot, -1, -1) for db in (tot - da,)]
 
 
-def _geom_degree(g, dd):
-    return dd[0] if g.n_forms == 1 else dd
-
-
 def build_generating_function(g, a, b, D):
     """Affine classical part plus all quantum terms through total degree D.
 
@@ -313,7 +314,7 @@ def build_generating_function(g, a, b, D):
     if pa in basis and pb in basis:
         want = pa.degree() + pb.degree()
         for dd in _degree_list(g, D):
-            gd = _geom_degree(g, dd)
+            gd = dd[0] if g.n_forms == 1 else dd
             if g.selection_degree(gd) != want:
                 continue
             val = cached_two_point(g, gd, pa, pb)
@@ -410,9 +411,10 @@ def _compose_q(f, shifts):
 def invert_mirror_map(m):
     """Fill in x_i(t) by fixed-point substitution.
 
-    The forward components are tangent to the identity, so each pass
-    fixes one more total degree and the truncation bound many passes
-    close the composition identity exactly.
+    The forward components are tangent to the identity and their quantum
+    terms have degree >= 1, so an error of degree >= p in the shifts moves
+    f(t + shifts) only at degree >= p + 1: pass p fixes total degree p and
+    needs f only cut at p, and D passes close the identity exactly.
     """
     D = m.trunc
     fs = []
@@ -422,8 +424,9 @@ def invert_mirror_map(m):
                              % (i, i + 1))
         fs.append(t.quantum_part())
     shifts = (GradedSeries(_NO_AFFINE, 0, None, D),) * 2
-    for _ in range(D):
-        shifts = tuple(-_compose_q(fs[i], shifts) for i in range(2))
+    for p in range(1, D + 1):
+        shifts = tuple(-_compose_q(GradedSeries(_NO_AFFINE, 0, f.terms, p), shifts)
+                       for f in fs)
     for i in range(2):
         if not (shifts[i] + _compose_q(fs[i], shifts)).is_zero():
             raise ArithmeticError("fixed point failed to close at trunc %d" % D)
@@ -513,32 +516,27 @@ def gmt_upto3(N, k):
 # -- solution basis of the level-k operator --------------------------------
 
 
-def _dual_mul(u, v):
-    return (u[0] * v[0], u[0] * v[1] + u[1] * v[0])
-
-
 def picard_fuchs_basis(k, j, D):
     """Coefficient series of the j-th solution at the large-volume point.
 
-    j = 0 is the holomorphic solution.  For j = 1 the log-free component
-    is returned: the full solution is x times the j = 0 series plus this
-    one, and their unit ratio minus x is the mirror map of the level-k
-    geometry.  Derivatives are taken with a nilpotent auxiliary, so every
-    coefficient stays an exact rational.
+    j = 0 is the holomorphic solution, lead_d = (k d)! / (d!)^k.  For
+    j = 1 the log-free component is returned: the full solution is x times
+    the j = 0 series plus this one, and their unit ratio minus x is the
+    mirror map of the level-k geometry.  Its coefficients, the derivative
+    in the exponent shift, are lead_d * k * (H(k d) - H(d)) with the
+    harmonic numbers H accumulated across d.
     """
     if j not in (0, 1):
         raise ValueError("solution index must be 0 or 1")
     if D < 0:
         raise ValueError("need a non-negative truncation")
     terms = {}
+    h_kd = h_d = _F0
     for d in range(1, D + 1):
         lead = Fraction(math.factorial(k * d), math.factorial(d) ** k)
-        val = (lead, _F0)
-        for m in range(1, k * d + 1):
-            val = _dual_mul(val, (1, Fraction(k, m)))
-        for m in range(1, d + 1):
-            val = _dual_mul(val, (1, Fraction(-k, m)))
-        c = val[j]
+        h_kd += sum(Fraction(1, m) for m in range(k * (d - 1) + 1, k * d + 1))
+        h_d += Fraction(1, d)
+        c = lead if j == 0 else lead * k * (h_kd - h_d)
         if c:
             terms[(d, 0)] = c
     return GradedSeries(_NO_AFFINE, 1 if j == 0 else 0, terms, D)
@@ -562,14 +560,16 @@ class JExpansion:
 
 
 def _ps_mul(a, b, D):
-    out = [_F0] * (D + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for jj in range(0, D + 1 - i):
-            if b[jj]:
-                out[i + jj] += ai * b[jj]
-    return out
+    """a * b cut at q^D: integer numerators over one common denominator
+    per operand (polys._integral), divided once per output coefficient."""
+    a, da = _integral(dict(enumerate(a[:D + 1])))
+    b, db = _integral(dict(enumerate(b[:D + 1])))
+    out = [0] * (D + 1)
+    for i, x in a:
+        if x:
+            for jj, y in b[:D + 1 - i]:
+                out[i + jj] += x * y
+    return [Fraction(c, da * db) for c in out]
 
 
 def _ps_inv(a, D):
@@ -602,7 +602,7 @@ def reversion_weights(js):
     q^{D-d}, so each power is cut there.
     """
     D = len(js)
-    A = [Fraction(1)] + [Fraction(v) for v in js]
+    A = [Fraction(1)] + [_exact(v) for v in js]
     target = _ps_log_unit(A, D)
     Ainv = _ps_inv(A, D)
     power = [Fraction(1)]

@@ -53,6 +53,19 @@ def test_two_point_table_and_json(capsys):
     assert payload["value"] == "3" and payload["degree"] == [0, 1]
 
 
+def test_two_point_off_selection_rule_is_zero_without_chains(capsys, monkeypatch):
+    from resmirror import cache, geoms
+
+    def refuse(self, sigma, a, b):
+        raise AssertionError("chain evaluated off the selection rule")
+
+    monkeypatch.setattr(cache, "_MEMO", {})
+    monkeypatch.setattr(geoms.F3Geometry, "amplitude", refuse)
+    rc, out, err = run(capsys, "two-point", "--geometry", "f3",
+                       "--d", "4,3", "--a", "z", "--b", "z")
+    assert (rc, out, err) == (0, "0\n", "")
+
+
 def test_series_json_round_trips(capsys):
     rc, out, _ = run(capsys, "series", "--geometry", "cpn", "--N", "5", "--k", "5",
                      "--a", "z", "--b", "z", "--trunc", "2", "--format", "json")

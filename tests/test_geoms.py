@@ -6,6 +6,7 @@ depend on any particular table.
 """
 
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import math
 
@@ -295,6 +296,38 @@ class TestStructuralProperties:
     def test_unknown_geometry(self):
         with pytest.raises(ValueError):
             geometry("nosuch")
+
+    RULE_SAMPLE = [("cpn", dict(N=5, k=5)), ("cpn", dict(N=4, k=3)), ("wp2", dict()),
+                   ("kf0", dict()), ("f3", dict()), ("wp1", dict()), ("wp3", dict())]
+
+    @pytest.mark.parametrize("name,params", RULE_SAMPLE)
+    def test_selection_rule_holds_chain_by_chain(self, name, params):
+        # two_point returns 0 off the rule without a chain; here the chain
+        # sum itself is taken, so the rule is checked, not assumed
+        g = geometry(name, **params)
+        if g.n_forms == 1:
+            degrees = [1, 2]
+        else:
+            degrees = [(da, n - da) for n in (1, 2) for da in range(n + 1)]
+        off = 0
+        for dd in degrees:
+            for a, b in combinations_with_replacement(g.basis(), 2):
+                if a.degree() + b.degree() != g.selection_degree(dd):
+                    off += 1
+                    assert sum(g.amplitude(s, a, b) for s in g._chains(dd)) == 0, \
+                        (dd, a, b)
+        assert off
+
+    def test_off_rule_pair_evaluates_no_chain(self, monkeypatch):
+        def refuse(self, sigma, a, b):
+            raise AssertionError("chain evaluated off the selection rule")
+
+        g = geometry("f3")
+        monkeypatch.setattr(type(g), "amplitude", refuse)
+        assert g.two_point((4, 3), "z", "z") == 0
+        assert g.two_point((0, 1), "z", "w") == 0
+        with pytest.raises(AssertionError):
+            g.two_point((0, 1), "w", "w2")
 
 
 # Every chain's amplitude at low degree, one insertion pair per degree that

@@ -17,6 +17,7 @@ from resmirror.series import (
     _compose_q,
     _j_from_weights,
     _ps_log_unit,
+    _ps_mul,
     build_generating_function,
     gmt_upto3,
     invert_mirror_map,
@@ -120,6 +121,21 @@ def test_mul_distributes(t1, t2, t3):
 def test_json_round_trip(t1):
     s = GradedSeries((F(2, 3), -1), F(7, 2), t1, 3)
     assert series_from_json(series_to_json(s)) == s
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        GradedSeries((0.5, 0), 0, {}, 3)
+    with pytest.raises(TypeError):
+        GradedSeries((0, 0), 0.1, {}, 3)
+    with pytest.raises(TypeError):
+        GradedSeries((0, 0), 0, {(1, 0): 0.1}, 3)
+    with pytest.raises(TypeError):
+        q_series({(1, 0): 1}, 3).scale(0.5)
+    with pytest.raises(TypeError):
+        reversion_weights([744.0, 196884])
+    s = GradedSeries((True, F(1, 2)), 2, {(1, 0): F(3)}, 3)
+    assert s.affine == (F(1), F(1, 2)) and s.const == 2
 
 
 # -- the power-sum loops the recurrences replace, kept as oracles ----------
@@ -246,6 +262,29 @@ def test_log_unit_matches_power_sum(tail):
     assert _ps_log_unit(a, D) == log_unit_oracle(a, D)
 
 
+def ps_mul_oracle(a, b, D):
+    """a * b cut at q^D, one Fraction product per pair of coefficients."""
+    out = [F(0)] * (D + 1)
+    for i, ai in enumerate(a[:D + 1]):
+        for j, bj in enumerate(b[:D + 1 - i]):
+            out[i + j] += F(ai) * F(bj)
+    return out
+
+
+mixed = (st.integers(-10 ** 6, 10 ** 6)
+         | st.fractions(min_value=-40, max_value=40, max_denominator=12))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(mixed, min_size=1, max_size=9), st.lists(mixed, min_size=1, max_size=9),
+       st.data())
+def test_list_product_matches_fraction_loop(a, b, data):
+    D = data.draw(st.integers(0, min(len(a), len(b)) - 1))
+    got = _ps_mul(a, b, D)
+    assert got == ps_mul_oracle(a, b, D)
+    assert len(got) == D + 1 and all(type(c) is F for c in got)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=8),
                 min_size=1, max_size=7))
@@ -326,6 +365,29 @@ def test_local_surface_map_is_parameter_free():
     assert m1.forward == m7.forward
 
 
+def local_f0_periods(D):
+    """Quantum terms of both mirror-map components of local P1 x P1 from its
+    B-model periods (Chiang, Klemm, Yau and Zaslow, hep-th/9903053):
+    t_i = x_i + sum 2 (2n + 2m - 1)! / (n! m!)^2 e^{n x_1 + m x_2}."""
+    return {(n, m): F(2 * math.factorial(2 * n + 2 * m - 1),
+                      (math.factorial(n) * math.factorial(m)) ** 2)
+            for n in range(D + 1) for m in range(D + 1 - n) if n + m}
+
+
+def test_local_surface_map_matches_b_model_periods():
+    D = 4
+    m = mirror_map(geometry("kf0"), D)
+    want = local_f0_periods(D)
+    for i, axis in enumerate(((1, 0), (0, 1))):
+        assert m.forward[i].affine == axis and m.forward[i].const == 0
+        assert m.forward[i].terms == want
+    m = invert_mirror_map(m)
+    for i in range(2):
+        out = transform(m.forward[i], m)
+        assert out.terms == {} and out.const == 0
+        assert out.affine == m.forward[i].affine
+
+
 def test_local_surface_map_computes_only_at_its_own_parameter(tmp_path):
     store = activate(str(tmp_path / "memo.jsonl"))
     try:
@@ -377,7 +439,7 @@ def test_invert_single_exponential():
 
 
 def test_deep_quintic_inversion():
-    D = 12
+    D = 24
     ratio = picard_fuchs_basis(5, 1, D).div_unit(picard_fuchs_basis(5, 0, D))
     forward = (GradedSeries((1, 0), 0, ratio.terms, D),
                GradedSeries((0, 1), 0, None, D))
@@ -391,6 +453,27 @@ def test_deep_quintic_inversion():
     low = {dd: c for dd, c in ratio.terms.items() if sum(dd) <= 3}
     assert low == mirror_map(geometry("cpn", N=5, k=5), 3).forward[0].terms
     assert len(ratio.terms) == D
+
+
+def invert_oracle(forward, D):
+    """x_i(t) by D fixed-point passes, each composed at the full truncation."""
+    fs = [t.quantum_part() for t in forward]
+    shifts = (q_series({}, D),) * 2
+    for _ in range(D):
+        shifts = tuple(-_compose_q(f, shifts) for f in fs)
+    return tuple(GradedSeries(t.affine, 0, s.terms, D)
+                 for t, s in zip(forward, shifts))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(trunc_and_pure(count=2))
+def test_inversion_matches_full_precision_passes(series):
+    D = series[0].trunc
+    forward = (GradedSeries((1, 0), 0, series[0].terms, D),
+               GradedSeries((0, 1), 0, series[1].terms, D))
+    m = invert_mirror_map(MirrorMap(geometry("kf0"), D, forward))
+    for got, want in zip(m.inverse, invert_oracle(forward, D)):
+        same_series(got, want)
 
 
 def test_inversion_composes_both_ways():
@@ -502,6 +585,31 @@ def test_solution_ratio_is_the_mirror_map():
     assert v1.const == 0
     ratio = v1.div_unit(u0)
     assert ratio.terms == mirror_map(geometry("cpn", N=5, k=5), 3).forward[0].terms
+
+
+def picard_fuchs_oracle(k, j, D):
+    """The basis coefficients as the value and the first derivative of
+    (k d + e)! / (d + e)!^k at e = 0, by products of dual numbers."""
+    def mul(u, v):
+        return (u[0] * v[0], u[0] * v[1] + u[1] * v[0])
+
+    terms = {}
+    for d in range(1, D + 1):
+        val = (F(math.factorial(k * d), math.factorial(d) ** k), F(0))
+        for m in range(1, k * d + 1):
+            val = mul(val, (1, F(k, m)))
+        for m in range(1, d + 1):
+            val = mul(val, (1, F(-k, m)))
+        if val[j]:
+            terms[(d, 0)] = val[j]
+    return GradedSeries((0, 0), 1 if j == 0 else 0, terms, D)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("j", [0, 1])
+def test_solution_basis_matches_dual_numbers(k, j):
+    for D in (0, 1, 4, 10):
+        same_series(picard_fuchs_basis(k, j, D), picard_fuchs_oracle(k, j, D))
 
 
 def test_solution_index_is_checked():
