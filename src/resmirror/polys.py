@@ -3,13 +3,13 @@
 Every coefficient is an exact rational (a Python int or a
 :class:`fractions.Fraction`); no floats ever enter.  A polynomial is a dict
 mapping exponent tuples to coefficients, indexed against a fixed ordered
-:class:`VarSet`.  A rational function keeps its denominator as a list of
-(polynomial factor, multiplicity) pairs and never expands it.  Rational
-functions are added, multiplied and substituted into, never inverted: a
-residue divides only by polynomial factors, which join the denominator as
-they are.  Cancellation is by trial division of the numerator by
-denominator factors only, which is all the residue calculus downstream
-needs.
+:class:`VarSet`.  A rational function keeps its denominator as (factor,
+multiplicity) pairs, each factor a primitive integer polynomial, and never
+expands it.  Rational functions are added, multiplied and substituted
+into, never inverted: a residue divides only by polynomial factors, which
+join the denominator with their contents moved into the numerator.
+Cancellation is by trial division of the numerator by denominator factors
+only, which is all the residue calculus downstream needs.
 
 The two hot kernels run on integers.  A product brings each factor to
 integer numerators over the lcm of its denominators, convolves in Python
@@ -197,14 +197,13 @@ class MultiPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        out = self.vars.const(1)
-        base = self
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             base = base * base if n > 1 else base
             n >>= 1
-        return out
+        return self.vars.const(1) if out is None else out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -369,20 +368,46 @@ def _over(vars_, nums, den):
     return p
 
 
-def _monic(f):
-    """Normalize a factor to leading (lex) coefficient 1; returns (monic, lead)."""
-    e, c = f.leading()
-    if c == 1:
+def _primitive(f):
+    """(p, s) with f = s * p, p a primitive integer polynomial whose
+    lex-leading coefficient is positive."""
+    items, den = _integral(f.terms)
+    g = gcd(*(c for _, c in items))
+    g = g if f.leading()[1] > 0 else -g
+    if g == 1 and all(type(c) is int for c in f.terms.values()):
         return f, 1
-    return f * (Fraction(1) / Fraction(c)), c
+    return _over(f.vars, {e: c // g for e, c in items}, 1), Fraction(g, den)
+
+
+def _normal(num, den):
+    """num / prod f^m over (f, m) pairs already primitive and distinct."""
+    r = object.__new__(RatFunc)
+    r.vars, r.num, r.den = num.vars, num, tuple(den) if num.terms else ()
+    return r
+
+
+def _cancel(num, den, factors):
+    """num / (den * factors), each (f, m) in factors cancelled against num as
+    often as f divides it exactly; den is a dict of factors that stay."""
+    for f, m in factors:
+        while m and num.terms:
+            q = num.exact_div(f)
+            if q is None:
+                break
+            num, m = q, m - 1
+        if m:
+            den[f] = den.get(f, 0) + m
+    return _normal(num, den.items())
 
 
 class RatFunc:
     """num / prod(factor_i ^ mult_i), all over one VarSet.
 
-    Denominator factors are kept monic (lex-leading coefficient 1) with the
-    constants folded into the numerator, so equal factors merge reliably.
-    The denominator is never expanded.
+    Denominator factors are distinct primitive integer polynomials with a
+    positive lex-leading coefficient; the constructor moves their contents
+    and any constant factor into the numerator.  Products, sums and reduce
+    only merge factors already in this form.  The denominator is never
+    expanded.
     """
 
     __slots__ = ("vars", "num", "den")
@@ -394,7 +419,7 @@ class RatFunc:
             self.vars, self.num, self.den = num.vars, num.num, num.den
             return
         self.vars = num.vars
-        merged = []
+        merged = {}
         scale = Fraction(1)
         for f, m in den:
             if m == 0:
@@ -406,21 +431,14 @@ class RatFunc:
             if f.is_constant():
                 scale *= Fraction(f.constant_value()) ** m
                 continue
-            f, lead = _monic(f)
-            if lead != 1:
-                scale *= Fraction(lead) ** m
-            for i, (g, mg) in enumerate(merged):
-                if g == f:
-                    merged[i] = (g, mg + m)
-                    break
-            else:
-                merged.append((f, m))
+            f, s = _primitive(f)
+            if s != 1:
+                scale *= s ** m
+            merged[f] = merged.get(f, 0) + m
         if scale != 1:
             num = num * (1 / scale)
-        if num.is_zero():
-            merged = []
         self.num = num
-        self.den = tuple(merged)
+        self.den = tuple(merged.items()) if num.terms else ()
 
     def is_zero(self):
         return self.num.is_zero()
@@ -451,12 +469,15 @@ class RatFunc:
         if o is None:
             return NotImplemented
         self._check(o)
-        return RatFunc(self.num * o.num, self.den + o.den)
+        den = dict(self.den)
+        for f, m in o.den:
+            den[f] = den.get(f, 0) + m
+        return _normal(self.num * o.num, den.items())
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _normal(-self.num, self.den)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -478,7 +499,7 @@ class RatFunc:
             need = m - theirs.get(f, 0)
             if need:
                 b = b * f ** need
-        return RatFunc(a + b, tuple(factors.items()))
+        return _normal(a + b, factors.items())
 
     __radd__ = __add__
 
@@ -523,17 +544,7 @@ class RatFunc:
 
     def reduce(self):
         """Cancel denominator factors that divide the numerator exactly."""
-        num = self.num
-        den = []
-        for f, m in self.den:
-            while m and not num.is_zero():
-                q = num.exact_div(f)
-                if q is None:
-                    break
-                num, m = q, m - 1
-            if m:
-                den.append((f, m))
-        return RatFunc(num, den)
+        return _cancel(self.num, {}, self.den)
 
     def evaluate(self, assignment):
         v = self.num.evaluate(assignment)

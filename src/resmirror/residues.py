@@ -12,7 +12,7 @@ one coefficient at a time, up to the eps^-1 term the residue reads.
 
 from fractions import Fraction
 
-from .polys import IdenticallySingular, RatFunc
+from .polys import RatFunc, _cancel
 
 
 class DuplicatePole(ValueError):
@@ -46,6 +46,29 @@ class PoleSpec:
         return "PoleSpec(%s = %r)" % (self.var, self.location)
 
 
+def _trunc_mul(a, b, top):
+    """The product of two eps-series (polynomial lists, a[0] != 0) to eps^top."""
+    out = [a[0].vars.zero()] * (top + 1)
+    for i, x in enumerate(a):
+        if x:
+            for j in range(top + 1 - i):
+                if b[j]:
+                    out[i + j] = out[i + j] + x * b[j]
+    return out
+
+
+def _trunc_pow(s, m, top):
+    """s^m for m >= 1 by binary powering of the series cut after eps^top."""
+    p = None
+    while True:
+        if m & 1:
+            p = s if p is None else _trunc_mul(p, s, top)
+        m >>= 1
+        if not m:
+            return p
+        s = _trunc_mul(s, s, top)
+
+
 def _expand(r, spec):
     """The eps^-1 coefficient of r about spec, by one division recurrence.
 
@@ -53,7 +76,9 @@ def _expand(r, spec):
     pole splits as eps^j * u(eps) with u(0) != 0, so r = eps^-P * N / W with
     W = prod u_i^m_i.  The coefficients of N / W solve
     c_n = (N_n - sum_{h=1..n} W_h c_{n-h}) / W_0 (Brent and Kung, JACM 25
-    (1978)); W is a truncated series of polynomials, and 1/W_0 stays
+    (1978)).  W, a truncated series of polynomials, is built only for P >= 2:
+    each unit is raised to its multiplicity by binary powering and multiplied
+    in once, and a unit 1 (a factor v - location) is skipped.  1/W_0 stays
     factored as prod u_i(0)^-m_i, so each c_n is reduced by trial division
     by those factors alone.
 
@@ -70,14 +95,11 @@ def _expand(r, spec):
     units = []          # (eps-coefficients with a nonzero constant term, mult)
     pole_order = 0
     for f, m in r.den:
-        g = shift(f)
-        if g.is_zero():
-            raise IdenticallySingular("factor %r vanishes identically at %s" % (f, v))
-        if g.max_exp(v) == 0:
-            spectators.append((g, m))
+        if f.max_exp(v) == 0:
+            spectators.append((f, m))
             continue
-        parts = g.split_by(v)
-        j0 = min(j for j, a in parts.items() if not a.is_zero())
+        parts = shift(f).split_by(v)
+        j0 = min(parts)
         pole_order += j0 * m
         units.append(({j - j0: a for j, a in parts.items()}, m))
 
@@ -85,29 +107,35 @@ def _expand(r, spec):
         return None, spectators
     top = pole_order - 1
     zero = r.vars.zero()
-    w = [r.vars.const(1)] + [zero] * top
-    for parts, m in units:
-        for _ in range(m):
-            w = [sum((a * w[n - h] for h, a in parts.items() if h <= n), zero)
-                 for n in range(top + 1)]
-    b0 = RatFunc(r.vars.const(1), [(parts[0], m) for parts, m in units])
+    w = None
+    if top:
+        for u, m in units:
+            if len(u) > 1 or u[0] != 1:
+                p = _trunc_pow([u.get(h, zero) for h in range(top + 1)], m, top)
+                w = p if w is None else _trunc_mul(w, p, top)
+    b0 = RatFunc(r.vars.const(1), [(u[0], m) for u, m in units])
     num = shift(r.num).split_by(v)
     c = []
     for n in range(top + 1):
         acc = RatFunc(num.get(n, zero))
-        for h in range(1, n + 1):
-            if w[h] and not c[n - h].is_zero():
-                acc = acc - w[h] * c[n - h]
+        if w:
+            for h in range(1, n + 1):
+                if w[h] and not c[n - h].is_zero():
+                    acc = acc - w[h] * c[n - h]
         c.append(acc if acc.is_zero() else (acc * b0).reduce())
     return c[top], spectators
 
 
 def residue_at(r, spec):
-    """The coefficient of 1/(v - location) in the expansion of r."""
+    """The coefficient of 1/(v - location) in the expansion of r.
+
+    c_{P-1} is reduced against its own factors, and a factor that does not
+    divide a numerator does not divide its quotient: only spectators cancel.
+    """
     c, spect = _expand(r, spec)
     if c is None:
         return RatFunc(r.vars.zero())
-    return RatFunc(c.num, c.den + tuple(spect)).reduce()
+    return _cancel(c.num, dict(c.den), spect)
 
 
 def residue_sum(r, specs):

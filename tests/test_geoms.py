@@ -300,15 +300,14 @@ class TestStructuralProperties:
     RULE_SAMPLE = [("cpn", dict(N=5, k=5)), ("cpn", dict(N=4, k=3)), ("wp2", dict()),
                    ("kf0", dict()), ("f3", dict()), ("wp1", dict()), ("wp3", dict())]
 
-    @pytest.mark.parametrize("name,params", RULE_SAMPLE)
-    def test_selection_rule_holds_chain_by_chain(self, name, params):
-        # two_point returns 0 off the rule without a chain; here the chain
-        # sum itself is taken, so the rule is checked, not assumed
-        g = geometry(name, **params)
+    @staticmethod
+    def off_rule_chain_sums(g, totals):
+        """Assert that every off-rule pair's chain sum vanishes at each total
+        degree in totals; returns the number of such pairs."""
         if g.n_forms == 1:
-            degrees = [1, 2]
+            degrees = list(totals)
         else:
-            degrees = [(da, n - da) for n in (1, 2) for da in range(n + 1)]
+            degrees = [(da, n - da) for n in totals for da in range(n + 1)]
         off = 0
         for dd in degrees:
             for a, b in combinations_with_replacement(g.basis(), 2):
@@ -316,7 +315,21 @@ class TestStructuralProperties:
                     off += 1
                     assert sum(g.amplitude(s, a, b) for s in g._chains(dd)) == 0, \
                         (dd, a, b)
-        assert off
+        return off
+
+    @pytest.mark.parametrize("name,params", RULE_SAMPLE)
+    def test_selection_rule_holds_chain_by_chain(self, name, params):
+        # two_point returns 0 off the rule without a chain; here the chain
+        # sum itself is taken, so the rule is checked, not assumed
+        assert self.off_rule_chain_sums(geometry(name, **params), (1, 2))
+
+    @pytest.mark.parametrize("name,params,totals,pairs", [
+        ("cpn", dict(N=8, k=4), (1, 2), 26 + 28), ("cpn", dict(N=5, k=5), (3,), 8),
+        ("wp2", dict(), (3,), 9), ("kf0", dict(), (3,), 24), ("f3", dict(), (3,), 37)])
+    def test_selection_rule_holds_chain_by_chain_deeper(self, name, params, totals, pairs):
+        # these sums vanish only by cancellation across chains, which a
+        # wrong scale on one denominator factor would break
+        assert self.off_rule_chain_sums(geometry(name, **params), totals) == pairs
 
     def test_off_rule_pair_evaluates_no_chain(self, monkeypatch):
         def refuse(self, sigma, a, b):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -388,6 +389,94 @@ def test_ratfunc_field_ops_agree_with_evaluation(p, q, r):
     assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
     assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
     assert (a - b).evaluate(pt) == a.evaluate(pt) - b.evaluate(pt)
+
+
+# -- the primitive normal form of denominator factors ------------------------
+
+
+def monic_ratfunc(num, den):
+    """num / prod f^m in the monic normal form, kept as an oracle: every
+    factor scaled to lex-leading coefficient 1, equal factors merged by a
+    linear scan, constants and scales moved into the numerator."""
+    merged, scale = [], Fraction(1)
+    for f, m in den:
+        if f.is_constant():
+            scale *= f.constant_value() ** m
+            continue
+        lead = Fraction(f.leading()[1])
+        f, scale = f * (1 / lead), scale * lead ** m
+        for i, (g, mg) in enumerate(merged):
+            if g == f:
+                merged[i] = (g, mg + m)
+                break
+        else:
+            merged.append((f, m))
+    r = object.__new__(RatFunc)     # bypasses the primitive normalisation
+    r.vars, r.num = num.vars, num * (1 / scale)
+    r.den = tuple(merged) if r.num else ()
+    return r
+
+
+def assert_canonical(r):
+    """Every factor primitive over Z with a positive lex-leading coefficient,
+    not constant, of positive multiplicity, and no two factors equal."""
+    for f, m in r.den:
+        assert m > 0 and not f.is_constant()
+        assert all(type(c) is int for c in f.terms.values()), f
+        assert math.gcd(*f.terms.values()) == 1 and f.leading()[1] > 0, f
+    assert len({f for f, _ in r.den}) == len(r.den)
+    assert r.den == () or not r.num.is_zero()
+
+
+def assert_same(r, s):
+    """The same numerator and the same factor multiset."""
+    assert r.num == s.num and dict(r.den) == dict(s.den)
+
+
+@st.composite
+def factored(draw):
+    """A function over XYZ whose factors repeat up to rational scales of
+    either sign, with constant factors among them; the numerator is a
+    multiple of one of the factors about half the time."""
+    base = [draw(sparse_polys(min_terms=1).filter(bool))
+            for _ in range(draw(st.integers(1, 3)))]
+    den = []
+    for _ in range(draw(st.integers(0, 4))):
+        scale = draw(coeffs.filter(bool))
+        den.append((draw(st.sampled_from(base)) * scale, draw(st.integers(1, 3))))
+    num = draw(sparse_polys())
+    if draw(st.booleans()):
+        num = num * draw(st.sampled_from(base)) ** draw(st.integers(1, 2))
+    return num, den
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(factored())
+def test_constructor_matches_the_monic_normal_form(case):
+    num, den = case
+    r, oracle = RatFunc(num, den), monic_ratfunc(num, den)
+    assert_canonical(r)
+    assert r == oracle
+    assert len(r.den) == len(oracle.den)
+    for f, m in r.den:
+        lead = f.leading()[1]
+        assert (f * Fraction(1, lead), m) in oracle.den
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(factored(), factored())
+def test_operations_keep_the_normal_form_without_renormalising(p, q):
+    a, b = RatFunc(*p), RatFunc(*q)
+    prod = a * b
+    assert_canonical(prod)
+    assert_same(prod, RatFunc(a.num * b.num, a.den + b.den))
+    for out in (a + b, a - b, -a, a.reduce(), prod.reduce()):
+        assert_canonical(out)
+        assert_same(out, RatFunc(out.num, out.den))
+    red = prod.reduce()
+    assert red == prod
+    for f, _ in red.den:
+        assert red.num.exact_div(f) is None
 
 
 # -- serialization ---------------------------------------------------------

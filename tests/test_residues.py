@@ -8,7 +8,7 @@ from resmirror import geoms, residues, vsc
 from resmirror.geoms import geometry
 from resmirror.polys import IdenticallySingular, RatFunc, VarSet
 from resmirror.residues import DuplicatePole, PoleSpec, residue_at, residue_sum
-from test_polys import ENGINE_CASES
+from test_polys import ENGINE_CASES, monic_ratfunc
 
 ZA = VarSet(["z", "a"])
 Z = ZA.poly("z")
@@ -197,6 +197,43 @@ def residue_oracle(r, spec):
     return RatFunc(c.num, c.den + tuple(spectators)).reduce()
 
 
+def recurrence_oracle(r, spec):
+    """The residue by the division recurrence with the unit product W built
+    one multiplicity at a time for every pole order, 1/W_0 and the result in
+    the monic normal form, and the result reduced against all its factors."""
+    v = spec.var
+    shifted = r.vars.poly(v) + spec.loc_poly(r.vars)
+    spectators, units, order = [], [], 0
+    for f, m in r.den:
+        g = f.subs(v, shifted)
+        if g.max_exp(v) == 0:
+            spectators.append((g, m))
+            continue
+        parts = g.split_by(v)
+        j0 = min(parts)
+        order += j0 * m
+        units.append(({j - j0: a for j, a in parts.items()}, m))
+    if order == 0:
+        return RatFunc(r.vars.zero())
+    top = order - 1
+    zero = r.vars.zero()
+    w = [r.vars.const(1)] + [zero] * top
+    for parts, m in units:
+        for _ in range(m):
+            w = [sum((a * w[n - h] for h, a in parts.items() if h <= n), zero)
+                 for n in range(top + 1)]
+    b0 = monic_ratfunc(r.vars.const(1), [(parts[0], m) for parts, m in units])
+    num = r.num.subs(v, shifted).split_by(v)
+    c = []
+    for n in range(top + 1):
+        acc = RatFunc(num.get(n, zero))
+        for h in range(1, n + 1):
+            if w[h] and not c[n - h].is_zero():
+                acc = acc - w[h] * c[n - h]
+        c.append(acc if acc.is_zero() else (acc * b0).reduce())
+    return monic_ratfunc(c[top].num, c[top].den + tuple(spectators)).reduce()
+
+
 coeff = st.integers(-3, 3)
 
 
@@ -252,3 +289,58 @@ def test_engine_residues_match_inverse_series_oracle(monkeypatch):
     assert any(not spec.loc_poly(r.vars).is_zero() for r, spec, _ in seen)
     for r, spec, out in seen:
         assert out == residue_oracle(r, spec)
+        assert_same_residue(r, spec, out)
+
+
+POLE_CASES = [("simple", None), ("variable", None), ("movable", None),
+              ("quadratic", None)] + [("multiplicity", m) for m in range(1, 6)]
+
+
+@st.composite
+def pole_cases(draw, kind, mult):
+    """A function with a pole at z = loc and one or two units
+    c0 + c1 e (+ c2 e^2 for "quadratic"), e = z - loc, c_i linear in a, b,
+    c0 != 0, of multiplicity 1-5 (the first one mult, with c1 != 0, if
+    given), and a spectator factor that divides the numerator up to twice.
+    "simple" is a pole of order 1, where W is never read; every other kind
+    has the factor e itself, a unit 1, to a power 2-5; "movable" puts the
+    pole at a location linear in a and b."""
+    vs = VarSet(["z", "a", "b"])
+    z, a, b = (vs.poly(n) for n in vs.names)
+
+    def lin():
+        return draw(coeff) * a + draw(coeff) * b + draw(coeff)
+
+    loc = lin() if kind == "movable" else vs.zero()
+    e = z - loc
+    den = [(e, 1 if kind == "simple" else draw(st.integers(2, 5)))]
+    for i in range(draw(st.integers(1, 2))):
+        pinned = i == 0 and mult
+        unit = (lin() or vs.const(1)) + (lin() or vs.const(1 if pinned else 0)) * e
+        if kind == "quadratic":
+            unit = unit + lin() * e ** 2
+        den.append((unit, mult if pinned else draw(st.integers(1, 5))))
+    spectator = draw(st.integers(1, 3)) * a + draw(coeff) * b + draw(coeff)
+    den.append((spectator, draw(st.integers(1, 2))))
+    num = vs.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        num = num + vs.monomial([draw(st.integers(0, 2)) for _ in vs.names], draw(coeff))
+    num = (num or vs.const(1)) * spectator ** draw(st.integers(0, 2))
+    return RatFunc(num, den), PoleSpec("z", loc)
+
+
+def assert_same_residue(r, spec, out):
+    """Equal values, and the same reduced form: the oracle reduces against
+    every factor, residue_at only against the spectators."""
+    want = recurrence_oracle(r, spec)
+    assert out == want
+    want = RatFunc(want.num, want.den)
+    assert out.num == want.num and dict(out.den) == dict(want.den)
+
+
+@pytest.mark.parametrize("kind, mult", POLE_CASES)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_residue_matches_recurrence_oracle(kind, mult, data):
+    r, spec = data.draw(pole_cases(kind, mult))
+    assert_same_residue(r, spec, residue_at(r, spec))

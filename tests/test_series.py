@@ -388,6 +388,64 @@ def test_local_surface_map_matches_b_model_periods():
         assert out.affine == m.forward[i].affine
 
 
+def harmonic(n):
+    return sum((F(1, j) for j in range(1, n + 1)), F(0))
+
+
+def fibered_periods(D, ratio, lead):
+    """GKZ mirror-map components t_1, t_2 of a two-parameter degree-8 or
+    degree-12 hypersurface (Candelas, de la Ossa, Font, Katz and Morrison,
+    hep-th/9308083; Candelas, Font, Katz and Morrison, hep-th/9403187), as
+    {(n, m): coefficient of x_1^n x_2^m} up to total degree D, from the
+    periods w = sum c(n + r1, m + r2) x^(n + r): t_i = d_{r_i} w / w_0 less
+    log x_i, with c(n, m) = ratio(n) / (m!^2 (n - 2m)!) and
+    d_{r1} log c = lead(n) - H(n - 2m), d_{r2} log c = 2H(n - 2m) - 2H(m).
+    For n < 2m, c vanishes and 1/Gamma(-k + e) = (-1)^k k! e + O(e^2),
+    k = 2m - n - 1, gives the derivatives."""
+    fact = math.factorial
+    w0, s1, s2 = {}, {}, {}
+    for n in range(D + 1):
+        for m in range(D + 1 - n):
+            head = F(ratio(n), fact(m) ** 2)
+            if n >= 2 * m:
+                w0[n, m] = c = head / fact(n - 2 * m)
+                s1[n, m] = c * (lead(n) - harmonic(n - 2 * m))
+                s2[n, m] = 2 * c * (harmonic(n - 2 * m) - harmonic(m))
+            else:
+                k = 2 * m - n - 1
+                s1[n, m] = head * (-1) ** k * fact(k)
+                s2[n, m] = -2 * s1[n, m]
+
+    def over_w0(s):
+        q = {}
+        for n, m in sorted(s, key=sum):
+            q[n, m] = s[n, m] - sum(c * q[n - a, m - b] for (a, b), c in w0.items()
+                                    if (a, b) != (0, 0) and a <= n and b <= m)
+        return {k: v for k, v in q.items() if v}
+
+    return over_w0(s1), over_w0(s2)
+
+
+FIBERED_PERIODS = {
+    "wp1": (lambda n: F(math.factorial(4 * n), math.factorial(n) ** 3),
+            lambda n: 4 * harmonic(4 * n) - 3 * harmonic(n)),
+    "wp3": (lambda n: F(math.factorial(6 * n), math.factorial(n) ** 2 * math.factorial(3 * n)),
+            lambda n: 6 * harmonic(6 * n) - 2 * harmonic(n) - 3 * harmonic(3 * n)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIBERED_PERIODS))
+def test_fibered_map_matches_b_model_periods(name):
+    # the engine's degree (da, db) is GKZ (m, n), and its t_1, t_2 are
+    # GKZ t_2, t_1
+    D = 3
+    m = mirror_map(geometry(name), D)
+    t1, t2 = fibered_periods(D, *FIBERED_PERIODS[name])
+    for i, t in enumerate((t2, t1)):
+        assert m.forward[i].affine == ((1, 0), (0, 1))[i] and m.forward[i].const == 0
+        assert m.forward[i].terms == {(b, a): v for (a, b), v in t.items()}
+
+
 def test_local_surface_map_computes_only_at_its_own_parameter(tmp_path):
     store = activate(str(tmp_path / "memo.jsonl"))
     try:
