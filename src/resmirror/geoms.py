@@ -16,10 +16,14 @@ one vertex's variable with the next vertex's change only factors that touch
 the vertex, and all of those have joined by then.  So each residue expands
 only the factors near its vertex, never the ones further down the chain.
 
-Each geometry is a short declaration of data: coordinate weights and a
-hypersurface degree for the one-form targets; section and fiber data,
-branch constant, orbifold weight and residue profiles for the two-form
-targets.  One amplitude engine per number of forms consumes it.
+Every geometry is a short declaration of data, and one amplitude engine,
+on Geometry, consumes all of it.  A chain's parts run along the section
+axis (z) or the fiber axis (w).  A two-form target declares section and
+fiber data, a branch constant, an orbifold weight and one residue profile
+per axis of the previous part.  A one-form target is the same data with
+fiber parts only: its coordinate weights at twist 0 over its degree-k
+equation.  It has no section variable, so its one variable per vertex is
+named z.
 
 Supported geometries and their string names:
 
@@ -132,11 +136,33 @@ def _part_deg(part):
 
 
 class Geometry:
-    """Base for all targets; subclasses fill in blocks and residue rules."""
+    """Base for all targets: the chain engine, fed by each geometry's data.
+
+    A part along an axis in _SECTION_AXES is a section-direction block: the
+    roots (-i p - (S d - i) q)/d + shift * other for 0 < i < S d over a
+    doubled P1 denominator, where S is _SPAN.  A part along any other axis
+    is a fiber-direction block: the _FIBER coordinate groups, and the roots
+    of the degree-_FIBER_DEGREE fiber equation when there is one.  A
+    hypersurface also puts its equation's degree, times w, in front of each
+    section block, and 1/(_FIBER_DEGREE w) on each node.  Each fiber residue
+    carries the orbifold weight _W_SCALE.
+    """
 
     name = None
     n_forms = None
     dim = None
+
+    _SECTION_AXES = "a"
+    _SPAN = _SHIFT = None
+    _FIBER_DEGREE = None    # degree of the fiber hypersurface, if any
+    _FIBER = ()             # (weight, twist, multiplicity) per coordinate group
+    # fiber residue profile by the axis of the previous part, the chain
+    # start counting as "b": (w power in the measure, measure carries the
+    # branch factor (w - c z), contour also encircles w = c z)
+    _RES = None
+    _BRANCH = None          # c in the movable zero w = c z, if any
+    _W_SCALE = Fraction(1)  # orbifold weight per w residue
+    _DESCENDING = False     # residues in descending vertex order
 
     def params(self):
         return ()
@@ -183,7 +209,109 @@ class Geometry:
         return total
 
     def amplitude(self, sigma, a, b):
-        raise NotImplementedError
+        """One chain's contribution, including the 1/deg part prefactors.
+
+        Part i touches vertices i and i + 1, node j touches j - 1, j and
+        j + 1, an insertion its own vertex; each residue sees only the
+        factors that touch its vertex, which is exact (_absorb).  A vertex
+        that starts a section part identifies w_j = w_{j+1}; any other
+        vertex takes the w residue, which on a one-form target is the
+        residue in its one variable z_j.  A two-form vertex then takes the z
+        residue if it starts a section part or ends the chain, and
+        identifies z_j = z_{j+1} otherwise.  Each identification changes
+        only factors that touch j, and all of those have been absorbed.
+        """
+        a, b = self.check_insertion(a), self.check_insertion(b)
+        if self.n_forms == 1:
+            sigma = tuple((0, d) for d in sigma)
+        else:
+            sigma = tuple(tuple(p) for p in sigma)
+        l = len(sigma)
+        letters = "zw"[:self.n_forms]
+        vs = VarSet(["%s%d" % (c, j) for j in range(l + 1) for c in letters])
+        x = [[vs.poly("%s%d" % (c, j)) for c in letters] for j in range(l + 1)]
+        z, w = [v[0] for v in x], [v[-1] for v in x]
+
+        # vertex 0's variables come first in vs, vertex l's last
+        zeros = (0,) * (len(letters) * l)
+        pending = [({0}, RatFunc(vs.monomial(a.exps + zeros))),
+                   ({l}, RatFunc(vs.monomial(zeros + b.exps)))]
+        for i, part in enumerate(sigma):
+            axis = _axis(part)
+            if axis == "a":
+                d, p, q, other = part[0], z[i], z[i + 1], w[i]
+            else:
+                d, p, q, other = part[1], w[i], w[i + 1], z[i]
+            block = self._section_block if axis in self._SECTION_AXES else self._fiber_block
+            pending.append(({i, i + 1}, block(d, p, q, other)))
+        for j in range(1, l):
+            prv, nxt = sigma[j - 1], sigma[j]
+            A = (z[j] - z[j - 1]) if _axis(prv) == "a" else (w[j] - w[j - 1])
+            B = (z[j] - z[j + 1]) if _axis(nxt) == "a" else (w[j] - w[j + 1])
+            form = A * Fraction(1, _part_deg(prv)) + B * Fraction(1, _part_deg(nxt))
+            node = self._node((_axis(prv), _axis(nxt)), z[j], w[j], form)
+            pending.append(({j - 1, j, j + 1}, node))
+
+        f = RatFunc(vs.const(1))
+        for j in range(l, -1, -1) if self._DESCENDING else range(l + 1):
+            f = _absorb(f, pending, j)
+            section = j < l and _axis(sigma[j]) == "a"
+            wname = "%s%d" % (letters[-1], j)
+            if section:
+                f = f.substitute(wname, w[j + 1])
+            else:
+                prev = _axis(sigma[j - 1]) if j else "b"
+                f = self._w_residue(f, wname, z[j], self._RES[prev])
+            if self.n_forms == 1:
+                continue
+            if section or j == l:
+                f = f * RatFunc(vs.const(1), [(z[j], 2)])
+                f = residue_at(f, PoleSpec("z%d" % j, 0))
+            else:
+                f = f.substitute("z%d" % j, z[j + 1])
+
+        val = f.as_rational()
+        for part in sigma:
+            val /= _part_deg(part)
+        return val
+
+    def _section_block(self, d, p, q, other):
+        num = p.vars.const(1)
+        if self._FIBER_DEGREE:
+            num = self._FIBER_DEGREE * other
+        for i in range(1, self._SPAN * d):
+            num = num * ((-i * p - (self._SPAN * d - i) * q) * Fraction(1, d)
+                         + self._SHIFT * other)
+        return RatFunc(num, _part_poles([(1, 0, 2)], d, p, q))
+
+    def _fiber_block(self, d, p, q, other):
+        num = p.vars.const(1)
+        if self._FIBER_DEGREE:
+            num = _hypersurface_roots(num, self._FIBER_DEGREE, d, p, q)
+        return RatFunc(num, _part_poles(self._FIBER, d, p, q, other))
+
+    def _node(self, axes, zj, wj, form):
+        # a node between two section blocks carries their root at the node
+        num = zj.vars.const(1)
+        if all(axis in self._SECTION_AXES for axis in axes):
+            num = self._SHIFT * wj - self._SPAN * zj
+        den = [(form, 1)]
+        if self._FIBER_DEGREE:
+            num = num * Fraction(1, self._FIBER_DEGREE)
+            den.append((wj, 1))
+        return RatFunc(num, den)
+
+    def _w_residue(self, f, wname, zj, prof):
+        power, with_factor, with_branch_pole = prof
+        wj = f.vars.poly(wname)
+        den = [(wj, power)]
+        specs = [PoleSpec(wname, 0)]
+        if with_factor:
+            den.append((wj - self._BRANCH * zj, 1))
+        if with_factor or with_branch_pole:
+            specs.append(PoleSpec(wname, self._BRANCH * zj))
+        f = f * RatFunc(f.vars.const(self._W_SCALE), den)
+        return residue_sum(f, specs)
 
     def classical_triple(self, a, b, c):
         raise NotImplementedError
@@ -241,15 +369,22 @@ def _absorb(f, pending, j):
 class _OneFormGeometry(Geometry):
     """A degree-k hypersurface in weighted projective space.
 
-    Subclasses declare the coordinate weights, the degree k and the order
-    in which the vertex residues are taken; the integrand of a chain is
-    built from those alone.
+    Every part is a fiber part: the coordinate groups of `weights` at twist
+    0 over the roots of the degree-k equation.  With no section variable,
+    each vertex takes one residue, with a pole of order len(weights) and the
+    orbifold weight 1/prod(weights), and each node carries 1/k.  Subclasses
+    declare the weights, k and the order in which the vertex residues are
+    taken.
     """
 
     n_forms = 1
-    weights = None
-    k = None
-    _DESCENDING = False     # residues in descending vertex order
+
+    def __init__(self, weights, k):
+        self.weights, self.k = weights, k
+        self._FIBER_DEGREE = k
+        self._FIBER = tuple((m, 0, weights.count(m)) for m in sorted(set(weights)))
+        self._W_SCALE = Fraction(1, math.prod(weights))
+        self._RES = {"b": (len(weights), False, False)}
 
     @property
     def dim(self):
@@ -277,66 +412,16 @@ class _OneFormGeometry(Geometry):
             return Fraction(0)
         return Fraction(self.k, math.prod(self.weights))
 
-    def amplitude(self, sigma, a, b):
-        """One chain's contribution, including the 1/deg part prefactors.
-
-        Every vertex carries one variable with a pole of order len(weights)
-        and the orbifold factor 1/prod(weights); every node carries 1/k.
-        Part i touches vertices i and i + 1, node j touches j - 1, j and
-        j + 1, an insertion or a measure its own vertex; each residue sees
-        only the factors that touch its vertex, which is exact (_absorb).
-        """
-        a, b = self.check_insertion(a), self.check_insertion(b)
-        sigma = tuple(sigma)
-        l = len(sigma)
-        n = len(self.weights)
-        coords = [(m, 0, self.weights.count(m)) for m in sorted(set(self.weights))]
-        vs = VarSet(["z%d" % j for j in range(l + 1)])
-        z = [vs.poly("z%d" % j) for j in range(l + 1)]
-        one = vs.const(1)
-        measure = vs.const(Fraction(1, math.prod(self.weights)))
-        pending = [({0}, RatFunc(z[0] ** a.exps[0])), ({l}, RatFunc(z[l] ** b.exps[0]))]
-        pending += [({j}, RatFunc(measure, [(z[j], n)])) for j in range(l + 1)]
-        for i, d in enumerate(sigma):
-            num = _hypersurface_roots(one, self.k, d, z[i], z[i + 1])
-            pending.append(({i, i + 1}, RatFunc(num, _part_poles(coords, d, z[i], z[i + 1]))))
-        for j in range(1, l):
-            form = (z[j] - z[j - 1]) * Fraction(1, sigma[j - 1]) \
-                 + (z[j] - z[j + 1]) * Fraction(1, sigma[j])
-            node = RatFunc(vs.const(Fraction(1, self.k)), [(form, 1), (z[j], 1)])
-            pending.append(({j - 1, j, j + 1}, node))
-        f = RatFunc(one)
-        order = range(l, -1, -1) if self._DESCENDING else range(0, l + 1)
-        for j in order:
-            f = residue_at(_absorb(f, pending, j), PoleSpec("z%d" % j, 0))
-        val = f.as_rational()
-        for d in sigma:
-            val /= d
-        return val
-
 
 class _TwoFormGeometry(Geometry):
     """A surface or a threefold with two Kahler forms, z and w.
 
-    A part along an axis in _SECTION_AXES is a section-direction block:
-    the roots (-i p - (S d - i) q)/d + shift * other for 0 < i < S d over
-    a doubled P1 denominator, where S is _SPAN.  A part along any other
-    axis is a fiber-direction block: the _FIBER coordinate groups, and the
-    roots of the degree-_FIBER_DEGREE fiber equation when there is one.
-    A hypersurface also puts its equation's degree, times w, in front of
-    each section block, and 1/(_FIBER_DEGREE w) on each node.
+    Subclasses declare the section and fiber data, the branch constant, the
+    orbifold weight and the residue profiles that Geometry.amplitude reads;
+    each vertex carries the two variables z_j and w_j.
     """
 
     n_forms = 2
-    _SECTION_AXES = "a"
-    _SPAN = _SHIFT = None
-    _FIBER_DEGREE = None    # degree of the fiber hypersurface, if any
-    _FIBER = ()             # (weight, twist, multiplicity) per coordinate group
-    # residue-step profiles: (w power in the measure, measure carries the
-    # branch factor (w - c z), contour also encircles w = c z)
-    _RES_FIRST_B = _RES_AB = _RES_BB = _RES_LAST_A = _RES_LAST_B = None
-    _BRANCH = None          # c in the movable zero w = c z, if any
-    _W_SCALE = Fraction(1)  # orbifold weight per w residue
 
     def kahler_classes(self):
         return [Insertion(1, 0), Insertion(0, 1)]
@@ -353,108 +438,6 @@ class _TwoFormGeometry(Geometry):
 
     def _chains(self, dd):
         return ordered_bipartitions(*dd)
-
-    def _section_block(self, d, p, q, other):
-        num = p.vars.const(1)
-        if self._FIBER_DEGREE:
-            num = self._FIBER_DEGREE * other
-        for i in range(1, self._SPAN * d):
-            num = num * ((-i * p - (self._SPAN * d - i) * q) * Fraction(1, d)
-                         + self._SHIFT * other)
-        return RatFunc(num, _part_poles([(1, 0, 2)], d, p, q))
-
-    def _fiber_block(self, d, p, q, other):
-        num = p.vars.const(1)
-        if self._FIBER_DEGREE:
-            num = _hypersurface_roots(num, self._FIBER_DEGREE, d, p, q)
-        return RatFunc(num, _part_poles(self._FIBER, d, p, q, other))
-
-    def _node(self, axes, zj, wj, form):
-        # a node between two section blocks carries their root at the node
-        num = zj.vars.const(1)
-        if all(axis in self._SECTION_AXES for axis in axes):
-            num = self._SHIFT * wj - self._SPAN * zj
-        den = [(form, 1)]
-        if self._FIBER_DEGREE:
-            num = num * Fraction(1, self._FIBER_DEGREE)
-            den.append((wj, 1))
-        return RatFunc(num, den)
-
-    def amplitude(self, sigma, a, b):
-        """One chain's contribution, including the 1/deg part prefactors.
-
-        Vertices are integrated in ascending order, each residue seeing only
-        the factors that touch its vertex, which is exact (_absorb).  The
-        identification w_j = w_{j+1} or z_j = z_{j+1} at vertex j changes
-        only factors that touch j, and all of those have been absorbed.
-        """
-        a, b = self.check_insertion(a), self.check_insertion(b)
-        sigma = tuple(tuple(p) for p in sigma)
-        l = len(sigma)
-        names = []
-        for j in range(l + 1):
-            names += ["z%d" % j, "w%d" % j]
-        vs = VarSet(names)
-        z = [vs.poly("z%d" % j) for j in range(l + 1)]
-        w = [vs.poly("w%d" % j) for j in range(l + 1)]
-
-        pending = [({0}, RatFunc(z[0] ** a.exps[0] * w[0] ** a.exps[1])),
-                   ({l}, RatFunc(z[l] ** b.exps[0] * w[l] ** b.exps[1]))]
-        for i, part in enumerate(sigma):
-            axis = _axis(part)
-            if axis == "a":
-                d, p, q, other = part[0], z[i], z[i + 1], w[i]
-            else:
-                d, p, q, other = part[1], w[i], w[i + 1], z[i]
-            block = self._section_block if axis in self._SECTION_AXES else self._fiber_block
-            pending.append(({i, i + 1}, block(d, p, q, other)))
-        for j in range(1, l):
-            prv, nxt = sigma[j - 1], sigma[j]
-            A = (z[j] - z[j - 1]) if _axis(prv) == "a" else (w[j] - w[j - 1])
-            B = (z[j] - z[j + 1]) if _axis(nxt) == "a" else (w[j] - w[j + 1])
-            form = A * Fraction(1, _part_deg(prv)) + B * Fraction(1, _part_deg(nxt))
-            node = self._node((_axis(prv), _axis(nxt)), z[j], w[j], form)
-            pending.append(({j - 1, j, j + 1}, node))
-
-        f = RatFunc(vs.const(1))
-        for j in range(l):
-            f = _absorb(f, pending, j)
-            if _axis(sigma[j]) == "a":
-                f = f.substitute("w%d" % j, w[j + 1])
-                f = f * RatFunc(vs.const(1), [(z[j], 2)])
-                f = residue_at(f, PoleSpec("z%d" % j, 0))
-            else:
-                if j == 0:
-                    prof = self._RES_FIRST_B
-                else:
-                    prof = self._RES_AB if _axis(sigma[j - 1]) == "a" else self._RES_BB
-                f = self._w_residue(f, "w%d" % j, z[j], prof)
-                f = f.substitute("z%d" % j, z[j + 1])
-        f = _absorb(f, pending, l)
-        prof = self._RES_LAST_A if _axis(sigma[-1]) == "a" else self._RES_LAST_B
-        f = self._w_residue(f, "w%d" % l, z[l], prof)
-        f = f * RatFunc(vs.const(1), [(z[l], 2)])
-        f = residue_at(f, PoleSpec("z%d" % l, 0))
-
-        val = f.as_rational()
-        for part in sigma:
-            val /= _part_deg(part)
-        return val
-
-    def _w_residue(self, f, wname, zj, prof):
-        power, with_factor, with_branch_pole = prof
-        wj = f.vars.poly(wname)
-        den = [(wj, power)]
-        specs = [PoleSpec(wname, 0)]
-        if with_factor:
-            den.append((wj - self._BRANCH * zj, 1))
-        if with_factor or with_branch_pole:
-            specs.append(PoleSpec(wname, self._BRANCH * zj))
-        f = f * RatFunc(f.vars.const(1), den)
-        out = residue_sum(f, specs)
-        if self._W_SCALE != 1:
-            out = out * self._W_SCALE
-        return out
 
     def classical_triple(self, a, b, c):
         """The degree-zero pairing: the last fiber residue profile, then z.
@@ -473,7 +456,7 @@ class _TwoFormGeometry(Geometry):
         scale = 1
         if self._FIBER_DEGREE:
             scale, t = self._FIBER_DEGREE * self._W_SCALE, t + 1
-        p = self._RES_LAST_B[0]
+        p = self._RES["b"][0]
         if t < p or s + t - p != 1:
             return Fraction(0)
         return Fraction(scale * self._BRANCH ** (t - p))
@@ -494,8 +477,7 @@ class CpnGeometry(_OneFormGeometry):
         if N < 2 or k < 1:
             raise ValueError("need N >= 2 and k >= 1")
         self.N = int(N)
-        self.k = int(k)
-        self.weights = (1,) * self.N
+        super().__init__((1,) * self.N, int(k))
 
     def params(self):
         return (("N", self.N), ("k", self.k))
@@ -512,8 +494,9 @@ class Wp2Geometry(_OneFormGeometry):
     """
 
     name = "wp2"
-    weights = (1, 1, 1, 3)
-    k = 6
+
+    def __init__(self):
+        super().__init__((1, 1, 1, 3), 6)
 
     def basis(self):
         return [Insertion(i) for i in range(4)]
@@ -533,8 +516,7 @@ class Kf0Geometry(_TwoFormGeometry):
 
     _SECTION_AXES = "ab"
     _SPAN, _SHIFT = 2, -2
-    _RES_FIRST_B = _RES_AB = _RES_BB = (2, False, False)
-    _RES_LAST_A = _RES_LAST_B = (2, False, False)
+    _RES = {"a": (2, False, False), "b": (2, False, False)}
 
     def __init__(self, k=1):
         self.k = int(k)
@@ -582,9 +564,7 @@ class F3Geometry(_TwoFormGeometry):
     _SPAN, _SHIFT = 3, 1
     _FIBER = ((1, 3, 1), (1, 0, 1))
     _BRANCH = 3
-    _RES_FIRST_B = _RES_BB = _RES_LAST_B = (1, True, True)
-    _RES_AB = (1, False, False)
-    _RES_LAST_A = (1, False, False)
+    _RES = {"a": (1, False, False), "b": (1, True, True)}
 
     def basis(self):
         return [Insertion(0, 0), Insertion(1, 0), Insertion(0, 1), Insertion(0, 2)]
@@ -602,9 +582,7 @@ class _WeightedFibration(_TwoFormGeometry):
 
     _SPAN, _SHIFT = 2, 1
     _BRANCH = 2
-    _RES_FIRST_B = _RES_BB = _RES_LAST_B = (3, True, True)
-    _RES_AB = (3, False, True)
-    _RES_LAST_A = (3, False, True)
+    _RES = {"a": (3, False, True), "b": (3, True, True)}
 
     def basis(self):
         return [Insertion(s, t) for t in range(4) for s in range(2)]

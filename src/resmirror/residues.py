@@ -142,7 +142,8 @@ def residue_sum(r, specs):
     """Sum of residues over a list of pole specs in one variable.
 
     The locations must be pairwise distinct as polynomials; coinciding
-    specs raise DuplicatePole rather than silently double counting.
+    specs raise DuplicatePole rather than silently double counting.  One
+    spec gives its residue_at as it is, already reduced.
     """
     specs = list(specs)
     if not specs:
@@ -157,7 +158,9 @@ def residue_sum(r, specs):
         for j in range(i + 1, len(locs)):
             if locs[i] == locs[j]:
                 raise DuplicatePole("pole at %r listed twice" % (locs[i],))
-    total = RatFunc(r.vars.zero())
-    for s in specs:
+    total = residue_at(r, specs[0])
+    if len(specs) == 1:
+        return total
+    for s in specs[1:]:
         total = total + residue_at(r, s)
     return total.reduce()

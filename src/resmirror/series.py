@@ -20,8 +20,10 @@ Transcendental operations are first-order recurrences over the total
 degree, never sums of truncated powers (Brent and Kung, JACM 25 (1978)):
 the exponential solves theta E = (theta s) E for the Euler derivation
 theta, the reciprocal of a unit solves u v = 1, and the logarithm of a
-one-variable unit solves a L' = a'.  Each costs about one series product,
-and each coefficient is the same exact rational a power sum would give.
+one-variable unit a is the q-integral of (theta a) / a.  Each costs about
+one series product, and each coefficient is the same exact rational a power
+sum would give.  Every product multiplies integer numerators over one
+common denominator per operand.
 """
 
 import math
@@ -175,27 +177,23 @@ class GradedSeries:
         if self.affine != _NO_AFFINE or other.affine != _NO_AFFINE:
             raise ValueError("a product with an affine factor leaves the ring")
         D = self.trunc
-        terms = {}
-
-        def put(dd, c):
-            s = terms.get(dd, _F0) + c
-            if s:
-                terms[dd] = s
-            else:
-                terms.pop(dd, None)
-
-        if other.const:
-            for dd, c in self.terms.items():
-                put(dd, c * other.const)
-        if self.const:
-            for dd, c in other.terms.items():
-                put(dd, c * self.const)
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                da, db = a1 + a2, b1 + b2
-                if da + db <= D:
-                    put((da, db), c1 * c2)
-        return GradedSeries(_NO_AFFINE, self.const * other.const, terms, D)
+        a, da = _integral({(0, 0): self.const, **self.terms})
+        b, db = _integral({(0, 0): other.const, **other.terms})
+        b.sort(key=lambda t: t[0][0] + t[0][1])
+        out = {}
+        for (a1, b1), x in a:
+            if not x:
+                continue
+            room = D - a1 - b1
+            for (a2, b2), y in b:
+                if a2 + b2 > room:
+                    break
+                dd = (a1 + a2, b1 + b2)
+                out[dd] = out.get(dd, 0) + x * y
+        den = da * db
+        const = Fraction(out.pop((0, 0), 0), den)
+        return GradedSeries(_NO_AFFINE, const,
+                            {dd: Fraction(c, den) for dd, c in out.items()}, D)
 
     def exp_of_pure_q(self):
         """exp(self) by the total-degree Euler recurrence.
@@ -559,60 +557,30 @@ class JExpansion:
         return "<j-expansion through degree %d>" % self.dmax
 
 
-def _ps_mul(a, b, D):
-    """a * b cut at q^D: integer numerators over one common denominator
-    per operand (polys._integral), divided once per output coefficient."""
-    a, da = _integral(dict(enumerate(a[:D + 1])))
-    b, db = _integral(dict(enumerate(b[:D + 1])))
-    out = [0] * (D + 1)
-    for i, x in a:
-        if x:
-            for jj, y in b[:D + 1 - i]:
-                out[i + jj] += x * y
-    return [Fraction(c, da * db) for c in out]
-
-
-def _ps_inv(a, D):
-    out = [_F0] * (D + 1)
-    out[0] = 1 / a[0]
-    for n in range(1, D + 1):
-        s = _F0
-        for m in range(1, n + 1):
-            s += a[m] * out[n - m]
-        out[n] = -s / a[0]
-    return out
-
-
-def _ps_log_unit(a, D):
-    """log(a) for a[0] == 1: from a L' = a', n L_n = n a_n - sum_{m<n} m L_m a_{n-m}."""
-    out = [_F0] * (D + 1)
-    for n in range(1, D + 1):
-        s = n * a[n]
-        for m in range(1, n):
-            s -= m * out[m] * a[n - m]
-        out[n] = s / n
-    return out
-
-
 def reversion_weights(js):
     """Recover the w_d from the j_d via the logarithmic reversion identity.
 
-    The weights peel off log(1 + sum_d j_d q^d) as sum_d w_d q^d A^{-d},
-    lowest degree first.  Step d reads the d-th power of A^{-1} only up to
-    q^{D-d}, so each power is cut there.
+    The weights peel off log A, A = 1 + sum_d j_d q^d, as
+    sum_d w_d q^d A^{-d}, lowest degree first.  log A is the q-integral of
+    theta A / A, theta the Euler derivation.  Step d reads the d-th power
+    of A^{-1} only up to q^{D-d}, so each power is cut there.
     """
     D = len(js)
-    A = [Fraction(1)] + [_exact(v) for v in js]
-    target = _ps_log_unit(A, D)
-    Ainv = _ps_inv(A, D)
-    power = [Fraction(1)]
+    A = GradedSeries(_NO_AFFINE, 1, {(d, 0): v for d, v in enumerate(js, 1)}, D)
+    Ainv = GradedSeries(_NO_AFFINE, 1, None, D).div_unit(A)
+    theta = GradedSeries(_NO_AFFINE, 0, {dd: dd[0] * c for dd, c in A.terms.items()}, D)
+    target = [_F0] * (D + 1)
+    for (d, _), c in (theta * Ainv).terms.items():
+        target[d] = c / d
+    power = GradedSeries(_NO_AFFINE, 1, None, D)
     out = []
     for d in range(1, D + 1):
-        power = _ps_mul(power, Ainv, D - d)
+        power = (GradedSeries(_NO_AFFINE, 1, power.terms, D - d)
+                 * GradedSeries(_NO_AFFINE, 1, Ainv.terms, D - d))
         wd = target[d]
         out.append(wd)
-        for i in range(0, D + 1 - d):
-            target[i + d] -= wd * power[i]
+        for (i, _), c in power.terms.items():
+            target[i + d] -= wd * c
     return out
 
 
@@ -623,14 +591,14 @@ def _j_from_weights(w):
     j_d = sum_l (-(d-1))^(l-1) / l! [q^d] W^l with W = sum_d w_d q^d.
     """
     D = len(w)
-    W = [_F0] + [Fraction(v) for v in w]
+    W = GradedSeries(_NO_AFFINE, 0, {(d, 0): v for d, v in enumerate(w, 1)}, D)
     js = [_F0] * D
     power = W
     for l in range(1, D + 1):
         if l > 1:
-            power = _ps_mul(power, W, D)
-        for d in range(l, D + 1):
-            js[d - 1] += Fraction((1 - d) ** (l - 1), math.factorial(l)) * power[d]
+            power = power * W
+        for (d, _), c in power.terms.items():
+            js[d - 1] += Fraction((1 - d) ** (l - 1), math.factorial(l)) * c
     return js
 
 

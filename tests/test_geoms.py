@@ -458,14 +458,10 @@ def two_form_oracle(g, sigma, a, b):
             f = f * RatFunc(vs.const(1), [(z[j], 2)])
             f = residue_at(f, PoleSpec("z%d" % j, 0))
         else:
-            if j == 0:
-                prof = g._RES_FIRST_B
-            else:
-                prof = g._RES_AB if _axis(sigma[j - 1]) == "a" else g._RES_BB
+            prof = g._RES[_axis(sigma[j - 1]) if j else "b"]
             f = g._w_residue(f, "w%d" % j, z[j], prof)
             f = f.substitute("z%d" % j, z[j + 1])
-    prof = g._RES_LAST_A if _axis(sigma[-1]) == "a" else g._RES_LAST_B
-    f = g._w_residue(f, "w%d" % l, z[l], prof)
+    f = g._w_residue(f, "w%d" % l, z[l], g._RES[_axis(sigma[-1])])
     f = f * RatFunc(vs.const(1), [(z[l], 2)])
     f = residue_at(f, PoleSpec("z%d" % l, 0))
 
@@ -525,7 +521,7 @@ def classical_triple_oracle(g, a, b, c):
     scale = 1
     if g._FIBER_DEGREE:
         scale, t = g._FIBER_DEGREE * g._W_SCALE, t + 1
-    power = g._RES_LAST_B[0]
+    power = g._RES["b"][0]
     f = RatFunc(scale * zz ** s * ww ** t,
                 [(ww, power), (ww - g._BRANCH * zz, 1), (zz, 2)])
     h = residue_sum(f, [PoleSpec("w", 0), PoleSpec("w", g._BRANCH * zz)])

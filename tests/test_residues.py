@@ -271,6 +271,14 @@ def test_residue_matches_inverse_series_oracle(case):
     assert residue_at(r, spec) == residue_oracle(r, spec)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(factored_residues())
+def test_one_spec_sum_is_its_residue(case):
+    r, spec = case
+    got, want = residue_sum(r, [spec]), residue_at(r, spec)
+    assert got.num == want.num and got.den == want.den
+
+
 def test_engine_residues_match_inverse_series_oracle(monkeypatch):
     seen = []
     take = residues.residue_at

@@ -16,8 +16,6 @@ from resmirror.series import (
     MirrorMap,
     _compose_q,
     _j_from_weights,
-    _ps_log_unit,
-    _ps_mul,
     build_generating_function,
     gmt_upto3,
     invert_mirror_map,
@@ -254,12 +252,43 @@ def test_compose_matches_per_term_exponentials(series):
     same_series(_compose_q(f, (s1, s2)), compose_oracle(f, (s1, s2)))
 
 
+def mul_oracle(s, t):
+    """s * t, one Fraction product per pair of coefficients, the constants
+    carried as degree (0, 0)."""
+    a, b = {(0, 0): s.const, **s.terms}, {(0, 0): t.const, **t.terms}
+    out = {}
+    for (a1, b1), x in a.items():
+        for (a2, b2), y in b.items():
+            if a1 + a2 + b1 + b2 <= s.trunc:
+                dd = (a1 + a2, b1 + b2)
+                out[dd] = out.get(dd, F(0)) + F(x) * F(y)
+    const = out.pop((0, 0))
+    return GradedSeries((0, 0), const, out, s.trunc)
+
+
+mixed = (st.integers(-10 ** 6, 10 ** 6)
+         | st.fractions(min_value=-40, max_value=40, max_denominator=12))
+
+
+@st.composite
+def mixed_pair(draw):
+    """Two two-variable series with constant terms at one truncation in
+    1..6, coefficients ints up to 10^6 or fractions."""
+    D = draw(st.integers(1, 6))
+    terms = st.dictionaries(
+        st.tuples(st.integers(0, D), st.integers(0, D)).filter(
+            lambda t: 0 < sum(t) <= D),
+        mixed, max_size=8)
+    return [GradedSeries((0, 0), draw(mixed), draw(terms), D) for _ in range(2)]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(st.fractions(min_value=-40, max_value=40, max_denominator=8),
-                min_size=1, max_size=6))
-def test_log_unit_matches_power_sum(tail):
-    a, D = [F(1)] + tail, len(tail)
-    assert _ps_log_unit(a, D) == log_unit_oracle(a, D)
+@given(mixed_pair())
+def test_series_product_matches_fraction_loop(pair):
+    s, t = pair
+    got = s * t
+    same_series(got, mul_oracle(s, t))
+    assert type(got.const) is F and all(type(c) is F for c in got.terms.values())
 
 
 def ps_mul_oracle(a, b, D):
@@ -271,18 +300,40 @@ def ps_mul_oracle(a, b, D):
     return out
 
 
-mixed = (st.integers(-10 ** 6, 10 ** 6)
-         | st.fractions(min_value=-40, max_value=40, max_denominator=12))
+def list_inv(a, D):
+    out = [F(0)] * (D + 1)
+    out[0] = 1 / a[0]
+    for n in range(1, D + 1):
+        s = F(0)
+        for m in range(1, n + 1):
+            s += a[m] * out[n - m]
+        out[n] = -s / a[0]
+    return out
+
+
+def reversion_oracle(js):
+    """The list implementation reversion_weights replaced: A^-1 by the
+    unit recurrence, powers by list products cut at D - d, and log A as the
+    power sum of log_unit_oracle."""
+    D = len(js)
+    A = [F(1)] + [F(v) for v in js]
+    target = log_unit_oracle(A, D)
+    Ainv = list_inv(A, D)
+    power = [F(1)]
+    out = []
+    for d in range(1, D + 1):
+        power = ps_mul_oracle(power, Ainv, D - d)
+        wd = target[d]
+        out.append(wd)
+        for i in range(0, D + 1 - d):
+            target[i + d] -= wd * power[i]
+    return out
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(mixed, min_size=1, max_size=9), st.lists(mixed, min_size=1, max_size=9),
-       st.data())
-def test_list_product_matches_fraction_loop(a, b, data):
-    D = data.draw(st.integers(0, min(len(a), len(b)) - 1))
-    got = _ps_mul(a, b, D)
-    assert got == ps_mul_oracle(a, b, D)
-    assert len(got) == D + 1 and all(type(c) is F for c in got)
+@given(st.lists(mixed, min_size=1, max_size=8))
+def test_reversion_matches_list_oracle(js):
+    assert reversion_weights(js) == reversion_oracle(js)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
