@@ -2,7 +2,9 @@
 
 One subcommand per operation family; every value printed is an exact
 rational.  Exit status: 0 on success, 2 when the request itself is
-invalid, 1 when a computation or cache consistency step fails.
+invalid, 1 when a computation or cache consistency step fails.  Each
+handler imports the modules of its own route, so a command loads (and,
+without cached bytecode, compiles) only the code it runs.
 """
 
 import argparse
@@ -12,20 +14,8 @@ import sys
 
 from . import cache as cache_mod
 from .cache import CacheCorruption, cached_two_point
-from .geoms import InvalidInsertion, geometry, parse_insertion
-from .parts import InvalidDegree
+from .geoms import geometry, parse_insertion
 from .polys import frac_to_str
-from .refdata import check_conjecture2
-from .series import (
-    build_generating_function,
-    gmt_upto3,
-    invert_mirror_map,
-    j_coefficients,
-    mirror_map,
-    series_to_json,
-    transform,
-)
-from .vsc import InvalidComb, check_theorem1, vsc_merged_contour, vsc_recursive, vsc_residue
 
 _GEOMETRY_PARAMS = {"cpn": ("N", "k"), "kf0": ("k",)}
 
@@ -104,6 +94,8 @@ def _emit(args, table_lines, payload):
 
 
 def _cmd_vsc(args, cfg):
+    from .vsc import vsc_merged_contour, vsc_recursive, vsc_residue
+
     route = {"recursive": vsc_recursive, "residue": vsc_residue,
              "contour": vsc_merged_contour}[args.route]
     val = route(args.N, args.k, args.d, args.n)
@@ -126,6 +118,8 @@ def _cmd_two_point(args, cfg):
 
 
 def _cmd_series(args, cfg):
+    from .series import build_generating_function, series_to_json
+
     g = _build_geometry(args)
     D = args.trunc if args.trunc is not None else _default_trunc(cfg, g.name)
     s = build_generating_function(g, args.a, args.b, D)
@@ -138,6 +132,8 @@ def _cmd_series(args, cfg):
 
 
 def _cmd_mirror_map(args, cfg):
+    from .series import invert_mirror_map, mirror_map, series_to_json
+
     g = _build_geometry(args)
     D = args.trunc if args.trunc is not None else _default_trunc(cfg, g.name)
     m = mirror_map(g, D)
@@ -164,6 +160,8 @@ def _cmd_gw(args, cfg):
         if (args.a is None) != (args.b is None):
             raise UsageError("the closed-form route takes both --a and --b, "
                              "or neither")
+        from .vsc import gmt_upto3
+
         table = gmt_upto3(args.N, args.k)
         rows = [(d, a, b, v) for (d, (a, b)), v in table.items() if d <= dmax]
         if args.a is not None:
@@ -173,6 +171,8 @@ def _cmd_gw(args, cfg):
     else:
         if args.a is None or args.b is None:
             raise UsageError("the transform route needs --a and --b")
+        from .series import build_generating_function, mirror_map, transform
+
         g = geometry("cpn", N=args.N, k=args.k)
         a, b = parse_insertion(g, args.a), parse_insertion(g, args.b)
         out = transform(build_generating_function(g, a, b, dmax),
@@ -189,6 +189,8 @@ def _cmd_gw(args, cfg):
 
 
 def _cmd_j(args, cfg):
+    from .series import j_coefficients
+
     je = j_coefficients(args.dmax)
     lines = ["j_%d = %s" % (d, frac_to_str(v)) for d, v in enumerate(je.j, 1)]
     _emit(args, lines,
@@ -202,11 +204,15 @@ def _cmd_check(args, cfg):
         for p in ("N", "k", "d"):
             if getattr(args, p) is None:
                 raise UsageError("check theorem1 needs --N, --k and --d")
+        from .vsc import check_theorem1
+
         report = check_theorem1(args.N, args.k, args.d)
     else:
         for p in ("N", "k", "d"):
             if getattr(args, p) is not None:
                 raise UsageError("--%s does not apply to check conjecture2" % p)
+        from .refdata import check_conjecture2
+
         report = check_conjecture2()
     _emit(args, report.lines(), {"ok": report.ok, "lines": report.lines()})
     return 0 if report.ok else 1
@@ -294,9 +300,6 @@ def main(argv=None):
             return args.func(args, cfg)
         finally:
             cache_mod.activate(None)
-    except (UsageError, InvalidInsertion, InvalidDegree, InvalidComb) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
     except ValueError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

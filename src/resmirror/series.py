@@ -11,7 +11,8 @@ the quantum numbers degree by degree.  Contracting the unit-insertion
 generating functions with the inverse pairing block yields the mirror
 map; inverting it by fixed-point substitution and composing gives the
 transformed series whose coefficients are the invariants on the other
-side of the correspondence.
+side of the correspondence (the closed-form transform through degree
+three, built from the structure constants, is vsc.gmt_upto3).
 
 One-form geometries use the same representation with the second slot
 pinned to zero, so every routine below is written once for both shapes.
@@ -33,7 +34,6 @@ from . import _linalg
 from .cache import cached_two_point
 from .geoms import Insertion, geometry, parse_insertion
 from .polys import _as_coeff, _integral, frac_from_str, frac_to_str
-from .vsc import vsc_recursive
 
 _F0 = Fraction(0)
 _NO_AFFINE = (_F0, _F0)
@@ -451,66 +451,6 @@ def transform(F, m):
     return out + _compose_q(F.quantum_part(), shifts)
 
 
-# -- the degree <= 3 transform in closed form ------------------------------
-
-
-def gmt_upto3(N, k):
-    """Invariants through degree three from the structure constants.
-
-    Valid on the side N < k where the closed-form transform is known.
-    Returns a map (d, (a, b)) -> value over all insertion pairs allowed
-    at each degree.  The structure constants come from the level
-    recursion.
-    """
-    if N >= k:
-        raise ValueError("closed-form transform needs N < k")
-
-    def L(d, n):
-        return vsc_recursive(N, k, d, n)
-
-    e = k - N
-
-    def s_range(f, lo, hi):
-        return sum(f(j) for j in range(lo, hi + 1))
-
-    out = {}
-    for d in (1, 2, 3):
-        for n in range(1 + e * d, N - 1):
-            pair = (N - 2 - n, n - 1 - e * d)
-            if d == 1:
-                val = L(1, n) - L(1, 1 + e)
-            elif d == 2:
-                val = (L(2, n) - L(2, 1 + 2 * e)) / 2 \
-                    - L(1, 1 + e) * s_range(
-                        lambda j: L(1, n - j) - L(1, 1 + 2 * e - j), 0, e)
-            else:
-                def A(j):
-                    return Fraction(j + 1 if j <= e else 1 + 2 * e - j)
-
-                def B(nn):
-                    tot = _F0
-                    full = s_range(lambda m: L(1, nn - m), 0, 2 * e)
-                    for j in range(0, e):
-                        tot += s_range(lambda m: L(1, nn - m)
-                                       * L(1, nn - 2 * e + j - m), 0, j)
-                        tot -= L(1, e + 2 + j) * full
-                        tot += L(1, 1 + e) * s_range(
-                            lambda m: L(1, nn - m), j + 1, 2 * e - j - 1)
-                    return tot
-
-                val = (L(3, n) - L(3, 1 + 3 * e)) / 3 \
-                    - L(1, 1 + e) * (s_range(
-                        lambda j: L(2, n - j) - L(2, 1 + 3 * e - j), 0, e)
-                        + B(n) - B(1 + 3 * e)) \
-                    - Fraction(1, 2) * L(2, 1 + 2 * e) * s_range(
-                        lambda j: L(1, n - j) - L(1, 1 + 3 * e - j), 0, 2 * e) \
-                    + Fraction(3, 2) * L(1, 1 + e) ** 2 * s_range(
-                        lambda j: A(j) * (L(1, n - j) - L(1, 1 + 3 * e - j)),
-                        0, 2 * e)
-            out[(d, pair)] = k * val
-    return out
-
-
 # -- solution basis of the level-k operator --------------------------------
 
 
@@ -557,6 +497,15 @@ class JExpansion:
         return "<j-expansion through degree %d>" % self.dmax
 
 
+def _cut(s, D):
+    """s cut at total degree D <= s.trunc.  Its terms are valid already, so
+    they are filtered, not re-checked as the constructor would."""
+    out = GradedSeries.__new__(GradedSeries)
+    out.affine, out.const, out.trunc = s.affine, s.const, D
+    out.terms = {dd: c for dd, c in s.terms.items() if dd[0] + dd[1] <= D}
+    return out
+
+
 def reversion_weights(js):
     """Recover the w_d from the j_d via the logarithmic reversion identity.
 
@@ -575,8 +524,7 @@ def reversion_weights(js):
     power = GradedSeries(_NO_AFFINE, 1, None, D)
     out = []
     for d in range(1, D + 1):
-        power = (GradedSeries(_NO_AFFINE, 1, power.terms, D - d)
-                 * GradedSeries(_NO_AFFINE, 1, Ainv.terms, D - d))
+        power = _cut(power, D - d) * _cut(Ainv, D - d)
         wd = target[d]
         out.append(wd)
         for (i, _), c in power.terms.items():

@@ -12,6 +12,8 @@ The agreement of the two routes is a checkable statement, wired up in
 :func:`check_theorem1`.  A third route, :func:`vsc_merged_contour`, fuses
 the chain sum into one contour integral with movable poles; it must agree
 with both and is exercised by the test suite at low degree.
+:func:`gmt_upto3` turns the recursive constants into invariants through
+degree three on the side N < k.
 
 The universal polynomials rest on one combinatorial fact: the product
 z_1 ... z_{d-1} decomposes uniquely over products of the node forms
@@ -244,6 +246,63 @@ def vsc_recursive(N, k, d, n):
                     break
             val += term
     return val
+
+
+def gmt_upto3(N, k):
+    """Invariants through degree three from the structure constants.
+
+    Valid on the side N < k where the closed-form transform is known.
+    Returns a map (d, (a, b)) -> value over all insertion pairs allowed
+    at each degree.  The structure constants come from the level
+    recursion.
+    """
+    if N >= k:
+        raise ValueError("closed-form transform needs N < k")
+
+    def L(d, n):
+        return vsc_recursive(N, k, d, n)
+
+    e = k - N
+
+    def s_range(f, lo, hi):
+        return sum(f(j) for j in range(lo, hi + 1))
+
+    out = {}
+    for d in (1, 2, 3):
+        for n in range(1 + e * d, N - 1):
+            pair = (N - 2 - n, n - 1 - e * d)
+            if d == 1:
+                val = L(1, n) - L(1, 1 + e)
+            elif d == 2:
+                val = (L(2, n) - L(2, 1 + 2 * e)) / 2 \
+                    - L(1, 1 + e) * s_range(
+                        lambda j: L(1, n - j) - L(1, 1 + 2 * e - j), 0, e)
+            else:
+                def A(j):
+                    return Fraction(j + 1 if j <= e else 1 + 2 * e - j)
+
+                def B(nn):
+                    tot = Fraction(0)
+                    full = s_range(lambda m: L(1, nn - m), 0, 2 * e)
+                    for j in range(0, e):
+                        tot += s_range(lambda m: L(1, nn - m)
+                                       * L(1, nn - 2 * e + j - m), 0, j)
+                        tot -= L(1, e + 2 + j) * full
+                        tot += L(1, 1 + e) * s_range(
+                            lambda m: L(1, nn - m), j + 1, 2 * e - j - 1)
+                    return tot
+
+                val = (L(3, n) - L(3, 1 + 3 * e)) / 3 \
+                    - L(1, 1 + e) * (s_range(
+                        lambda j: L(2, n - j) - L(2, 1 + 3 * e - j), 0, e)
+                        + B(n) - B(1 + 3 * e)) \
+                    - Fraction(1, 2) * L(2, 1 + 2 * e) * s_range(
+                        lambda j: L(1, n - j) - L(1, 1 + 3 * e - j), 0, 2 * e) \
+                    + Fraction(3, 2) * L(1, 1 + e) ** 2 * s_range(
+                        lambda j: A(j) * (L(1, n - j) - L(1, 1 + 3 * e - j)),
+                        0, 2 * e)
+            out[(d, pair)] = k * val
+    return out
 
 
 def vsc_residue(N, k, d, n):

@@ -14,14 +14,13 @@ from resmirror.parts import ordered_bipartitions, ordered_partitions
 from resmirror.refdata import check_conjecture2
 from resmirror.series import (
     build_generating_function,
-    gmt_upto3,
     invert_mirror_map,
     j_coefficients,
     mirror_map,
     reversion_weights,
     transform,
 )
-from resmirror.vsc import check_theorem1, vsc_merged_contour, vsc_recursive
+from resmirror.vsc import check_theorem1, gmt_upto3, vsc_merged_contour, vsc_recursive
 
 F = Fraction
 

@@ -17,7 +17,6 @@ from resmirror.series import (
     _compose_q,
     _j_from_weights,
     build_generating_function,
-    gmt_upto3,
     invert_mirror_map,
     j_coefficients,
     mirror_map,
@@ -27,6 +26,7 @@ from resmirror.series import (
     series_to_json,
     transform,
 )
+from resmirror.vsc import gmt_upto3
 
 F = Fraction
 
