@@ -1,30 +1,36 @@
 """Sparse multivariate polynomials and rational functions over the rationals.
 
-Every coefficient is an exact rational (a Python int or a
-:class:`fractions.Fraction`); no floats ever enter.  A polynomial is a dict
-mapping exponent tuples to coefficients, indexed against a fixed ordered
-:class:`VarSet`.  A rational function keeps its denominator as (factor,
-multiplicity) pairs, each factor a primitive integer polynomial, and never
-expands it.  Rational functions are added, multiplied and substituted
-into, never inverted: a residue divides only by polynomial factors, which
-join the denominator with their contents moved into the numerator.
-Cancellation is by trial division of the numerator by denominator factors
-only, which is all the residue calculus downstream needs.
+Every coefficient is an exact rational; no floats ever enter.  A polynomial
+over a fixed ordered :class:`VarSet` is a dict ``_n`` from packed monomial
+to nonzero integer numerator over one denominator ``_d > 0``, in lowest
+terms (``gcd(_d, *_n.values()) == 1``; ``_d == 1`` for zero).  A monomial
+packs into one int, a 16-bit field per variable with the first variable
+highest, so integer order is lex order and a product of monomials is a sum
+of keys.  Exponents stay below 2^15: the top bit of each field is a guard,
+and a product reaching one raises OverflowError rather than carrying
+(Monagan and Pearce, "Sparse polynomial division using a heap", JSC 46
+(2011)).  Products, sums, splits and exact division run on these ints
+alone; the tuple-keyed view ``terms`` (an int where a coefficient is
+integral, a reduced Fraction elsewhere) is built only when asked for.
 
-The two hot kernels run on integers.  A product brings each factor to
-integer numerators over the lcm of its denominators, convolves in Python
-ints and divides by the common denominator once per output term.  Exact
-division is heap-ordered long division over Z by the divisor's primitive
-part (Monagan and Pearce, "Sparse polynomial division using a heap", JSC 46
-(2011)); see :meth:`MultiPoly.exact_div`.  Results keep the usual
-coefficients: an int where the value is integral, a reduced Fraction
-elsewhere.
+A rational function keeps its denominator as (factor, multiplicity) pairs,
+each factor a primitive integer polynomial, and never expands it.
+Rational functions are added, multiplied and substituted into, never
+inverted: a residue divides only by polynomial factors, which join the
+denominator with their contents moved into the numerator.  Cancellation
+is by trial division of the numerator by denominator factors only, which
+is all the residue calculus downstream needs.
 """
 
 import heapq
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add, sub
+from operator import index, or_
+
+_FIELD = 16             # bits per variable in a packed monomial
+_LIMIT = 1 << 15        # exponent bound; bit 15 of each field is its guard
+_MASK = _LIMIT - 1
 
 
 class IdenticallySingular(ArithmeticError):
@@ -41,11 +47,12 @@ class VarSet:
     """An ordered, immutable set of variable names.
 
     Exponent tuples of every polynomial built against this set are indexed
-    by position in `names`.  Two VarSets compare equal iff their name tuples
-    are equal; mixing polynomials from different sets is an error.
+    by position in `names`, and packed into one int per monomial.  Two
+    VarSets compare equal iff their name tuples are equal; mixing
+    polynomials from different sets is an error.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_shifts", "_guard")
 
     def __init__(self, names):
         names = tuple(names)
@@ -53,6 +60,8 @@ class VarSet:
             raise ValueError("duplicate variable names: %r" % (names,))
         self.names = names
         self._index = {n: i for i, n in enumerate(names)}
+        self._shifts = tuple(_FIELD * i for i in reversed(range(len(names))))
+        self._guard = sum(_LIMIT << s for s in self._shifts)
 
     def __len__(self):
         return len(self.names)
@@ -72,125 +81,195 @@ class VarSet:
         except KeyError:
             raise KeyError("no variable %r in %r" % (name, self)) from None
 
-    def zero(self):
-        return MultiPoly(self, {})
-
-    def const(self, c):
-        c = _as_coeff(c)
-        if c == 0:
-            return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * len(self.names): c})
-
-    def poly(self, name):
-        """The variable `name` as a degree-one monomial."""
-        e = [0] * len(self.names)
-        e[self.index(name)] = 1
-        return MultiPoly(self, {tuple(e): 1})
-
-    def monomial(self, exps, c=1):
+    def _pack(self, exps):
+        """The packed key of an exponent tuple, validated."""
         exps = tuple(exps)
         if len(exps) != len(self.names):
             raise ValueError("exponent tuple %r has %d entries, %r needs %d"
                              % (exps, len(exps), self, len(self.names)))
-        if c == 0:
-            return MultiPoly(self, {})
-        return MultiPoly(self, {exps: _as_coeff(c)})
+        key = 0
+        for e in exps:
+            e = index(e)
+            if e < 0:
+                raise ValueError("negative exponent in %r" % (exps,))
+            if e >= _LIMIT:
+                raise OverflowError("exponent %d is past the field limit 2^15" % e)
+            key = key << _FIELD | e
+        return key
+
+    def _unpack(self, key):
+        return tuple(key >> s & _MASK for s in self._shifts)
+
+    def zero(self):
+        return _raw(self, {}, 1)
+
+    def const(self, c):
+        c = _as_coeff(c)
+        return _raw(self, {0: c.numerator} if c else {}, c.denominator)
+
+    def poly(self, name):
+        """The variable `name` as a degree-one monomial."""
+        return _raw(self, {1 << self._shifts[self.index(name)]: 1}, 1)
+
+    def monomial(self, exps, c=1):
+        key, c = self._pack(exps), _as_coeff(c)
+        return _raw(self, {key: c.numerator} if c else {}, c.denominator)
+
+
+def _raw(vars_, n, d):
+    """The polynomial n / d, already in lowest terms; nothing is checked."""
+    p = object.__new__(MultiPoly)
+    p.vars, p._n, p._d, p._terms, p._hash = vars_, n, d, None, None
+    return p
+
+
+def _lowest(vars_, n, d):
+    """The polynomial n / d (nonzero int numerators, d > 0) in lowest terms."""
+    if d != 1:
+        g = gcd(d, *n.values())
+        if g != 1:
+            n = {k: c // g for k, c in n.items()}
+            d //= g
+    return _raw(vars_, n, d)
+
+
+def _coeff(c, d):
+    q, r = divmod(c, d)
+    return Fraction(c, d) if r else q
 
 
 class MultiPoly:
-    """A sparse polynomial: {exponent tuple: nonzero rational coefficient}.
+    """A sparse polynomial: integer numerators of packed monomials over one
+    denominator (see the module docstring).
 
-    Treat instances as immutable.  Arithmetic always returns new objects and
-    never stores a zero coefficient.
+    ``MultiPoly(vars, {exponent tuple: int or Fraction})`` validates its
+    input and drops zeros.  Treat instances as immutable: arithmetic always
+    returns new objects.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_n", "_d", "_terms", "_hash")
 
     def __init__(self, vars_, terms):
-        self.vars = vars_
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        pack = vars_._pack
+        coeffs = {}
+        for e, c in terms.items():
+            key = pack(e)
+            if _as_coeff(c):
+                coeffs[key] = c
+        d = lcm(*(c.denominator for c in coeffs.values()))
+        self.vars, self._d, self._terms, self._hash = vars_, d, None, None
+        self._n = {k: c.numerator * (d // c.denominator) for k, c in coeffs.items()}
+
+    @property
+    def terms(self):
+        """A new dict {exponent tuple: coefficient}, each coefficient an int
+        where it is integral and a reduced Fraction elsewhere."""
+        t = self._terms
+        if t is None:
+            unpack, d = self.vars._unpack, self._d
+            t = self._terms = {unpack(k): _coeff(c, d) for k, c in self._n.items()}
+        return dict(t)
 
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._n
 
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        return not any(self._n)
 
     def constant_value(self):
         """The value of a constant polynomial, as a plain rational."""
-        if not self.terms:
-            return Fraction(0)
-        (e, c), = self.terms.items()
-        if any(e):
+        if not self.is_constant():
             raise ValueError("not a constant: %r" % self)
-        return Fraction(c)
+        return Fraction(self._n.get(0, 0), self._d)
 
     def max_exp(self, name):
-        i = self.vars.index(name)
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
+        s = self.vars._shifts[self.vars.index(name)]
+        return max((k >> s & _MASK for k in self._n), default=0)
 
     def leading(self):
         """(exponent tuple, coefficient) of the lexicographically largest term."""
-        e = max(self.terms)
-        return e, self.terms[e]
+        k = max(self._n)
+        return self.vars._unpack(k), _coeff(self._n[k], self._d)
 
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other):
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError("mixing distinct variable sets")
 
+    def _scaled(self, c):
+        """self * c for a rational c, in lowest terms without a gcd pass over
+        the product: only c's denominator can share a factor with self's
+        numerators, and only its numerator with self's denominator."""
+        num, den = c.numerator, c.denominator
+        if not num:
+            return self.vars.zero()
+        g, h = gcd(num, self._d), gcd(den, *self._n.values())
+        f = num // g
+        n = {k: v // h * f for k, v in self._n.items()}
+        return _raw(self.vars, n, self._d // g * (den // h))
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.vars.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
+        a, b = (self, other) if len(self._n) >= len(other._n) else (other, self)
+        d, m = a._d, 1
+        if d == b._d:
+            n = dict(a._n)
+        else:
+            g = gcd(d, b._d)
+            ma, m = b._d // g, d // g
+            n = {k: c * ma for k, c in a._n.items()}
+            d *= ma
+        get = n.get
+        for k, c in b._n.items():
+            s = get(k, 0) + c * m
             if s:
-                terms[e] = s
+                n[k] = s
             else:
-                terms.pop(e, None)
-        return MultiPoly(self.vars, terms)
+                del n[k]
+        return _lowest(self.vars, n, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _raw(self.vars, {k: -c for k, c in self._n.items()}, self._d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.vars.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.vars.zero()
-            return MultiPoly(self.vars, {e: c * other for e, c in self.terms.items()})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
+        if type(other) is not MultiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self._scaled(other)
         self._check(other)
-        a, da = _integral(self.terms)
-        b, db = _integral(other.terms)
+        a, b = self._n, other._n
         if len(a) > len(b):
             a, b = b, a
-        out = {}
-        get = out.get
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return _over(self.vars, out, da * db)
+        if len(a) == 1:
+            (k1, c1), = a.items()
+            n = {k1 + k2: c1 * c2 for k2, c2 in b.items()}
+        else:
+            n = {}
+            get = n.get
+            for k1, c1 in a.items():
+                for k2, c2 in b.items():
+                    k = k1 + k2
+                    n[k] = get(k, 0) + c1 * c2
+            if not all(n.values()):
+                n = {k: c for k, c in n.items() if c}
+        if reduce(or_, n, 0) & self.vars._guard:
+            raise OverflowError("a product exponent reaches the field limit 2^15")
+        return _lowest(self.vars, n, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -206,22 +285,27 @@ class MultiPoly:
         return self.vars.const(1) if out is None else out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not MultiPoly:
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = self.vars.const(other)
-        return isinstance(other, MultiPoly) and self.vars == other.vars and self.terms == other.terms
+        return (self.vars == other.vars
+                and self._d == other._d and self._n == other._n)
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.vars, self._d, frozenset(self._n.items())))
+        return h
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._n)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._n:
             return "0"
         bits = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e, c in sorted(self.terms.items(), reverse=True):
             mono = "*".join(
                 n if k == 1 else "%s^%d" % (n, k)
                 for n, k in zip(self.vars.names, e) if k
@@ -244,14 +328,12 @@ class MultiPoly:
 
         Each A_j lives on the same VarSet with zero exponent in `name`.
         """
-        i = self.vars.index(name)
+        s = self.vars._shifts[self.vars.index(name)]
         out = {}
-        for e, c in self.terms.items():
-            j = e[i]
-            rest = e[:i] + (0,) + e[i + 1:]
-            d = out.setdefault(j, {})
-            d[rest] = d.get(rest, 0) + c
-        return {j: MultiPoly(self.vars, d) for j, d in out.items()}
+        for k, c in self._n.items():
+            j = k >> s & _MASK
+            out.setdefault(j, {})[k - (j << s)] = c
+        return {j: _lowest(self.vars, n, self._d) for j, n in out.items()}
 
     def subs(self, name, value):
         """Substitute `value` (polynomial or rational) for the variable.
@@ -265,8 +347,7 @@ class MultiPoly:
         parts = self.split_by(name)
         # Horner over descending powers keeps the number of multiplies at
         # max-exponent even for sparse splits.
-        degs = sorted(parts, reverse=True)
-        top = degs[0] if degs else 0
+        top = max(parts, default=0)
         acc = self.vars.zero()
         for j in range(top, -1, -1):
             if j != top:
@@ -293,96 +374,79 @@ class MultiPoly:
         """Exact polynomial quotient self/divisor, or None if it does not divide.
 
         Long division over Z in lexicographic term order, taking the leading
-        remainder term from a heap.  self * dn and divisor * df have integer
-        coefficients, and F = divisor * df / g, with g the gcd of the
-        latter, is primitive.  By Gauss's lemma a quotient of an integer
-        polynomial by a primitive one over Q has integer coefficients, and
-        long division only ever emits terms of that quotient; so each step
-        divides exactly by F's leading coefficient, and a step whose leading
-        monomial F's does not divide, or that leaves a remainder, proves
-        that F does not divide.  The quotient is scaled back once at the end.
+        remainder term from a heap.  The numerators N of self are integers,
+        and F = (divisor's numerators) / g, with g their gcd, is primitive.
+        By Gauss's lemma a quotient of an integer polynomial by a primitive
+        one over Q has integer coefficients, and long division only ever
+        emits terms of that quotient; so each step divides exactly by F's
+        leading coefficient, and a step whose leading monomial F's does not
+        divide, or that leaves a remainder, proves that F does not divide.
+        An exact quotient keeps every remainder exponent below N's, so a
+        remainder term at a guard bit proves the same.  The quotient is
+        scaled back once at the end.
         """
         self._check(divisor)
-        if divisor.is_zero():
+        f = divisor._n
+        if not f:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self._n:
             return self
-        # Exponents are kept negated, so the min-heap of remainder keys pops
-        # the lex-largest term; keys cancelled meanwhile are skipped lazily.
-        num, dn = _integral(self.terms)
-        f, df = _integral(divisor.terms)
-        g = gcd(*(c for _, c in f))
-        neg = [(tuple(-x for x in e), c // g) for e, c in f]
-        nde, lead = min(neg)
-        rem = {tuple(-x for x in e): c for e, c in num}
-        heap = list(rem)
+        guard = self.vars._guard
+        g = gcd(*f.values())
+        lk = max(f)
+        lead = f[lk] // g
+        tail = [(k, -c // g) for k, c in f.items() if k != lk]
+        rem = dict(self._n)
+        # Keys are negated in the min-heap so it pops the lex-largest term;
+        # keys cancelled meanwhile are skipped lazily.
+        heap = [-k for k in rem]
         heapq.heapify(heap)
         quot = {}
         while rem:
-            ne = heapq.heappop(heap)
-            c = rem.get(ne)
+            k = -heapq.heappop(heap)
+            c = rem.pop(k, None)
             if c is None:
                 continue
-            ndiff = tuple(map(sub, ne, nde))
-            if any(x > 0 for x in ndiff):
+            if k & guard or ((k | guard) - lk) & guard != guard:
                 return None
             q, r = divmod(c, lead)
             if r:
                 return None
-            quot[tuple(-x for x in ndiff)] = q * df
-            for ne2, c2 in neg:
-                tgt = tuple(map(add, ndiff, ne2))
-                old = rem.get(tgt)
+            k -= lk
+            quot[k] = q
+            for k2, c2 in tail:
+                t = k + k2
+                old = rem.get(t)
                 if old is None:
-                    rem[tgt] = -q * c2
-                    heapq.heappush(heap, tgt)
+                    rem[t] = q * c2
+                    heapq.heappush(heap, -t)
                     continue
-                s = old - q * c2
+                s = old + q * c2
                 if s:
-                    rem[tgt] = s
+                    rem[t] = s
                 else:
-                    del rem[tgt]
-        return _over(self.vars, quot, dn * g)
-
-
-def _integral(terms):
-    """(items, den): the terms as (exponent, integer numerator) pairs over
-    den, the lcm of the coefficients' denominators."""
-    den = lcm(*{c.denominator for c in terms.values() if type(c) is not int})
-    return [(e, c * den if type(c) is int else c.numerator * (den // c.denominator))
-            for e, c in terms.items()], den
-
-
-def _over(vars_, nums, den):
-    """The polynomial with coefficients nums[e] / den: zeros dropped, an int
-    where den divides, a reduced Fraction elsewhere.  nums is taken over and
-    rewritten in place; the filtering constructor is bypassed."""
-    if not all(nums.values()):
-        nums = {e: c for e, c in nums.items() if c}
-    if den != 1:
-        for e, c in nums.items():
-            q, r = divmod(c, den)
-            nums[e] = Fraction(c, den) if r else q
-    p = object.__new__(MultiPoly)
-    p.vars, p.terms = vars_, nums
-    return p
+                    del rem[t]
+        df = divisor._d
+        if df != 1:
+            quot = {k: q * df for k, q in quot.items()}
+        return _lowest(self.vars, quot, self._d * g)
 
 
 def _primitive(f):
-    """(p, s) with f = s * p, p a primitive integer polynomial whose
-    lex-leading coefficient is positive."""
-    items, den = _integral(f.terms)
-    g = gcd(*(c for _, c in items))
-    g = g if f.leading()[1] > 0 else -g
-    if g == 1 and all(type(c) is int for c in f.terms.values()):
-        return f, 1
-    return _over(f.vars, {e: c // g for e, c in items}, 1), Fraction(g, den)
+    """(p, g, d) with f = (g / d) * p, p a primitive integer polynomial
+    whose lex-leading coefficient is positive."""
+    n = f._n
+    g = gcd(*n.values())
+    g = g if n[max(n)] > 0 else -g
+    if g == 1 and f._d == 1:
+        return f, 1, 1
+    return _raw(f.vars, {k: c // g for k, c in n.items()}, 1), g, f._d
 
 
 def _normal(num, den):
     """num / prod f^m over (f, m) pairs already primitive and distinct."""
     r = object.__new__(RatFunc)
-    r.vars, r.num, r.den = num.vars, num, tuple(den) if num.terms else ()
+    r.vars, r.num, r.den = num.vars, num, tuple(den) if num._n else ()
     return r
 
 
@@ -390,7 +454,7 @@ def _cancel(num, den, factors):
     """num / (den * factors), each (f, m) in factors cancelled against num as
     often as f divides it exactly; den is a dict of factors that stay."""
     for f, m in factors:
-        while m and num.terms:
+        while m and num._n:
             q = num.exact_div(f)
             if q is None:
                 break
@@ -420,7 +484,7 @@ class RatFunc:
             return
         self.vars = num.vars
         merged = {}
-        scale = Fraction(1)
+        sn = sd = 1             # the factors' constants: num takes sd / sn
         for f, m in den:
             if m == 0:
                 continue
@@ -428,17 +492,14 @@ class RatFunc:
                 raise ValueError("negative multiplicity in denominator")
             if f.is_zero():
                 raise ZeroDivisionError("zero factor in denominator")
-            if f.is_constant():
-                scale *= Fraction(f.constant_value()) ** m
-                continue
-            f, s = _primitive(f)
-            if s != 1:
-                scale *= s ** m
-            merged[f] = merged.get(f, 0) + m
-        if scale != 1:
-            num = num * (1 / scale)
+            f, g, d = _primitive(f)
+            sn, sd = sn * g ** m, sd * d ** m
+            if any(f._n):
+                merged[f] = merged.get(f, 0) + m
+        if sn != sd:
+            num = num * Fraction(sd, sn)
         self.num = num
-        self.den = tuple(merged.items()) if num.terms else ()
+        self.den = tuple(merged.items()) if num._n else ()
 
     def is_zero(self):
         return self.num.is_zero()
@@ -452,16 +513,16 @@ class RatFunc:
         return "(%r) / [%s]" % (self.num, ds)
 
     def _check(self, other):
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError("mixing distinct variable sets")
 
     def _coerce(self, other):
+        if type(other) is RatFunc:
+            return other
+        if type(other) is MultiPoly:
+            return RatFunc(other)
         if isinstance(other, (int, Fraction)):
             return RatFunc(self.vars.const(other))
-        if isinstance(other, MultiPoly):
-            return RatFunc(other)
-        if isinstance(other, RatFunc):
-            return other
         return None
 
     def __mul__(self, other):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from . import _linalg
 from .cache import cached_two_point
 from .geoms import Insertion, geometry, parse_insertion
-from .polys import _as_coeff, _integral, frac_from_str, frac_to_str
+from .polys import frac_from_str, frac_to_str
 
 _F0 = Fraction(0)
 _NO_AFFINE = (_F0, _F0)
@@ -48,8 +48,17 @@ class SingularMetric(ArithmeticError):
 
 
 def _exact(c):
-    """c as a Fraction; a float is refused, as polys._as_coeff does."""
-    return c if type(c) is Fraction else Fraction(_as_coeff(c))
+    """c as a Fraction; a float is refused, as a polynomial coefficient is."""
+    if isinstance(c, (int, Fraction)):
+        return c if type(c) is Fraction else Fraction(c)
+    raise TypeError("coefficient must be an int or Fraction, got %r" % (c,))
+
+
+def _integral(terms):
+    """(items, den): rational terms as (degree, integer numerator) pairs
+    over den, the lcm of their denominators."""
+    den = math.lcm(*{c.denominator for c in terms.values()})
+    return [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()], den
 
 
 class GradedSeries:

@@ -15,6 +15,7 @@ from resmirror.polys import (
     frac_to_str,
 )
 
+LIMIT = 1 << 15     # the packed exponent field holds 0 .. LIMIT - 1
 XY = VarSet(["x", "y"])
 X = XY.poly("x")
 Y = XY.poly("y")
@@ -35,6 +36,33 @@ def test_monomial_rejects_a_wrong_length_exponent():
 def test_constructor_drops_zero_terms():
     p = MultiPoly(XY, {(1, 0): 0, (0, 1): 2})
     assert list(p.terms) == [(0, 1)]
+
+
+def test_constructor_rejects_a_coefficient_that_is_not_exact():
+    for make in (lambda: MultiPoly(XY, {(1, 0): 0.5}),
+                 lambda: MultiPoly(XY, {(1, 0): "1"}),
+                 lambda: XY.monomial((1, 0), 0.5),
+                 lambda: XY.const(1.0)):
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_constructor_rejects_a_malformed_exponent_tuple():
+    for make in (lambda: MultiPoly(XY, {(1,): 1}),
+                 lambda: MultiPoly(XY, {(1, 0, 0): 1}),
+                 lambda: MultiPoly(XY, {(0, -2): 3}),
+                 lambda: XY.monomial((1, -1))):
+        with pytest.raises(ValueError):
+            make()
+
+
+def test_exponents_at_the_field_limit_overflow():
+    assert XY.monomial((LIMIT - 1, 0)).max_exp("x") == LIMIT - 1
+    for make in (lambda: MultiPoly(XY, {(LIMIT, 0): 1}),
+                 lambda: MultiPoly(XY, {(0, LIMIT + 5): 1}),
+                 lambda: XY.monomial((2, LIMIT))):
+        with pytest.raises(OverflowError):
+            make()
 
 
 def test_add_mul_basic():
@@ -489,3 +517,224 @@ def test_frac_round_trip():
     assert frac_from_str("5") == 5
     with pytest.raises(TypeError):
         frac_from_str(0.1)
+
+
+# -- the packed kernels against tuple-keyed Fraction oracles -----------------
+
+HALF = LIMIT // 2   # exponents below HALF keep every product below LIMIT
+
+
+def varset(n):
+    return VarSet(["v%d" % i for i in range(n)])
+
+
+def exponents(high):
+    """Small exponents, and exponents just below `high`."""
+    return st.one_of(st.integers(0, 3), st.integers(high - 3, high - 1))
+
+
+@st.composite
+def fraction_terms(draw, n, high, max_terms=4):
+    """A tuple-keyed dict of nonzero Fraction coefficients over n variables."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = tuple(draw(exponents(high)) for _ in range(n))
+        terms[e] = terms.get(e, 0) + Fraction(draw(coeffs))
+    return {e: c for e, c in terms.items() if c}
+
+
+@st.composite
+def operands(draw, high, count=2):
+    """A VarSet of 1 to 12 variables and `count` term dicts over it."""
+    n = draw(st.integers(1, 12))
+    return varset(n), [draw(fraction_terms(n, high)) for _ in range(count)]
+
+
+def f_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def f_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def f_split(a, i):
+    out = {}
+    for e, c in a.items():
+        out.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return out
+
+
+def f_subs(a, i, value):
+    out = {}
+    for e, c in a.items():
+        term = {e[:i] + (0,) + e[i + 1:]: c}
+        for _ in range(e[i]):
+            term = f_mul(term, value)
+        out = f_add(out, term)
+    return out
+
+
+def assert_packed(p, want):
+    """p has the oracle's terms, and its integer numerators over one
+    positive denominator are in lowest terms."""
+    assert p.terms == want
+    assert all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+    assert p._d > 0 and all(type(c) is int and c for c in p._n.values())
+    assert math.gcd(p._d, *p._n.values()) == 1
+    assert p._n or p._d == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(operands(HALF), coeffs)
+def test_packed_mul_and_add_match_the_oracle(case, c):
+    vs, (a, b) = case
+    p, q = MultiPoly(vs, a), MultiPoly(vs, b)
+    assert_packed(p * q, f_mul(a, b))
+    assert_packed(p + q, f_add(a, b))
+    assert_packed(p - q, f_add(a, {e: -v for e, v in b.items()}))
+    assert_packed(p * c, {e: v * c for e, v in a.items() if c})
+    assert_packed((p + q) * (p - q), f_mul(f_add(a, b), f_add(a, {e: -v for e, v in b.items()})))
+
+
+@settings(max_examples=100, deadline=None)
+@given(operands(LIMIT), st.data())
+def test_packed_add_and_split_match_the_oracle(case, data):
+    vs, (a, b) = case
+    p, q = MultiPoly(vs, a), MultiPoly(vs, b)
+    assert_packed(p + q, f_add(a, b))
+    i = data.draw(st.integers(0, len(vs) - 1))
+    parts = p.split_by(vs.names[i])
+    want = f_split(a, i)
+    assert sorted(parts) == sorted(want)
+    for j, part in parts.items():
+        assert_packed(part, want[j])
+    assert p.max_exp(vs.names[i]) == max(want, default=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_packed_subs_matches_the_oracle(n, data):
+    vs = varset(n)
+    i = data.draw(st.integers(0, n - 1))
+    a = data.draw(fraction_terms(n, HALF))
+    a = {e[:i] + (e[i] % 4,) + e[i + 1:]: c for e, c in a.items()}
+    value = data.draw(fraction_terms(n, 3, max_terms=3))
+    got = MultiPoly(vs, a).subs(vs.names[i], MultiPoly(vs, value))
+    assert_packed(got, f_subs(a, i, value))
+
+
+@settings(max_examples=80, deadline=None)
+@given(operands(HALF), st.data())
+def test_packed_exact_div_matches_the_oracle(case, data):
+    vs, (a, b) = case
+    p, q = MultiPoly(vs, a), MultiPoly(vs, b)
+    if q.is_zero():
+        return
+    quot = (p * q).exact_div(q)
+    assert_packed(quot, a)
+    assert_same_division(p * q, q)
+    r = MultiPoly(vs, data.draw(fraction_terms(len(vs), 4)))
+    miss = (p * q + r).exact_div(q)
+    assert_same_division(p * q + r, q)
+    if miss is not None:
+        assert_packed(miss, f_add(a, r.exact_div(q).terms))
+
+
+def test_a_product_past_the_field_limit_raises_and_does_not_wrap():
+    for n in (1, 2, 7, 12):
+        vs = varset(n)
+        for i in sorted({0, n // 2, n - 1}):
+            name, e = vs.names[i], [0] * n
+            v, first = vs.poly(name), vs.poly(vs.names[0])
+            e[i] = LIMIT - 2
+            below = vs.monomial(e)
+            e[i] = LIMIT - 1
+            assert (below * v).terms == {tuple(e): 1}
+            top = vs.monomial(e)
+            e[i] = HALF
+            half = vs.monomial(e)
+            for make in (lambda: top * v, lambda: v * top,
+                         lambda: (top + 1) * (v + first), lambda: half * half,
+                         lambda: half ** 2, lambda: (v + half) * (half - 2)):
+                with pytest.raises(OverflowError):
+                    make()
+    # long division whose remainder reaches a guard bit has no quotient;
+    # carried on, the third step would wrap y^(3 LIMIT - 3) onto x*y^(LIMIT - 3)
+    f = X + Y ** (LIMIT - 1)
+    for num in (X ** 3, X ** 3 + X * Y ** (LIMIT - 3)):
+        assert num.exact_div(f) is None
+        assert_same_division(num, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands(HALF, count=3))
+def test_equality_and_hash_agree_across_constructions(case):
+    vs, (a, b, c) = case
+    p, q, r = (MultiPoly(vs, t) for t in (a, b, c))
+    built = p * q + r
+    again = MultiPoly(vs, built.terms)
+    assert built == again and hash(built) == hash(again)
+    assert {built: 1}.get(again) == 1
+    third = p * Fraction(1, 3)
+    assert third * 3 == p and hash(third * 3) == hash(p)
+    assert p - p == vs.zero() and hash(p - p) == hash(vs.zero())
+    assert (p == q) == (a == b)
+
+
+def test_mutating_terms_leaves_the_polynomial_unchanged():
+    want = {(1, 0): Fraction(1, 2), (0, 2): 3}
+    p = MultiPoly(XY, want)
+    t = p.terms
+    t[(1, 0)] = 7
+    t[(5, 5)] = 1
+    del t[(0, 2)]
+    assert p.terms == want
+    assert p == MultiPoly(XY, want)
+    assert (p * 2).terms == {(1, 0): 1, (0, 2): 6}
+    p.terms.clear()
+    assert len(p.terms) == 2 and p.leading() == ((1, 0), Fraction(1, 2))
+
+
+# -- the boundaries the benchmark's tracer wraps ----------------------------
+
+# bench/tracer.py wraps these methods where the class dict holds them and
+# reads len(result.terms), or len(result.num.terms) for a RatFunc.  A
+# representation change that moves one of them, or that drops the terms
+# view, would break the traced benchmark run.
+TRACED = {MultiPoly: ("__mul__", "exact_div", "subs"), RatFunc: ("reduce", "__add__")}
+
+
+def test_traced_boundaries_stay_own_methods_with_sized_results(monkeypatch):
+    results = []
+    for cls, names in TRACED.items():
+        for name in names:
+            assert name in cls.__dict__, (cls.__name__, name)
+
+            def wrapper(*args, _name=name, _orig=cls.__dict__[name], **kwargs):
+                out = _orig(*args, **kwargs)
+                results.append((_name, out))
+                return out
+
+            monkeypatch.setattr(cls, name, wrapper)
+    for name, params, dd, a, b in ENGINE_CASES[:3] + ENGINE_CASES[-1:]:
+        geometry(name, **params).two_point(dd, a, b)
+    monkeypatch.undo()
+    assert {name for name, _ in results} == {n for names in TRACED.values() for n in names}
+    for name, out in results:
+        if out is None or out is NotImplemented:
+            continue
+        poly = out.num if isinstance(out, RatFunc) else out
+        assert len(poly.terms) >= 0, name
