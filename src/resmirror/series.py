@@ -30,7 +30,6 @@ common denominator per operand.
 import math
 from fractions import Fraction
 
-from . import _linalg
 from .cache import cached_two_point
 from .geoms import Insertion, geometry, parse_insertion
 from .polys import frac_from_str, frac_to_str
@@ -371,10 +370,15 @@ def mirror_map(g, D):
     if len(rows) != len(cols):
         raise SingularMetric("pairing block is not square for %s" % g.name)
     block = [[g.classical_triple(v, alpha, unit) for alpha in cols] for v in rows]
-    try:
-        inv = _linalg.invert(block)
-    except _linalg.SingularMatrix:
+    # adjugate over determinant: the block is 1x1 or 2x2
+    if len(block) == 1:
+        det, adj = block[0][0], [[1]]
+    else:
+        (a, b), (c, d) = block
+        det, adj = a * d - b * c, [[d, -b], [-c, a]]
+    if not det:
         raise SingularMetric("degree-one pairing block is singular for %s" % g.name)
+    inv = [[Fraction(x) / det for x in row] for row in adj]
     gens = [build_generating_function(g, unit, alpha, D) for alpha in cols]
     comps = []
     for i in range(len(rows)):

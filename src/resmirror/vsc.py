@@ -17,18 +17,19 @@ degree three on the side N < k.
 
 The universal polynomials rest on one combinatorial fact: the product
 z_1 ... z_{d-1} decomposes uniquely over products of the node forms
-r_i = 2z_i - z_{i-1} - z_{i+1}, with each coefficient polynomial depending
-only on the endpoints and its own indexed variables.  The coefficients are
-solved for exactly (:func:`decomposition_coefficient`); the test suite
-checks them, and :func:`poly_d`, against their contour representations,
-which it evaluates with :func:`_movable_residues`.
+r_i = 2z_i - z_{i-1} - z_{i+1}, with each coefficient polynomial f_S
+depending only on the endpoints and its own indexed variables.  Setting
+r_j = 0 for the interior j outside S keeps every f_T with T inside S and
+kills every other term, so the coefficients come out one subset at a time,
+each after its proper subsets, by exact polynomial division
+(:func:`decomposition_coefficient`).  The test suite checks them, and
+:func:`poly_d`, against their contour representations, which it evaluates
+with :func:`_movable_residues`.
 """
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
 
-from ._linalg import solve
 from .geoms import two_point_cpn
 from .polys import MultiPoly, RatFunc, VarSet
 from .residues import PoleSpec, residue_at
@@ -66,50 +67,45 @@ def _interior_subsets(d):
         yield tuple(i for i in items if mask >> (i - 1) & 1)
 
 
-def _supported_monomials(positions, deg, nvars):
-    """Exponent tuples of total degree deg using only the given positions."""
-    for pick in combinations_with_replacement(positions, deg):
-        e = [0] * nvars
-        for p in pick:
-            e[p] += 1
-        yield tuple(e)
-
-
 @cache
 def _decomposition_table(d):
     """All decomposition coefficients f_S at once, S over interior subsets.
 
-    Unknowns are the monomial coefficients of every f_S (homogeneous of
-    degree d-1-|S|, supported on z_0, z_d and the indexed variables);
-    matching all degree-(d-1) monomials of the defining identity gives a
-    square linear system, and its unique solution is the table.
+    Triangular in S.  Setting r_j = 0 for every interior j outside S is a
+    ring map: it makes z linear between consecutive points of S and the
+    endpoints, so each such z_j becomes the interpolation of its nearest
+    indexed or endpoint neighbours.  It keeps every f_T with T inside S,
+    since those involve only z_0, z_d and z_T, and kills every term that
+    carries an r_j with j outside S.  Under it the identity reads
+    f_S * prod(r_i, i in S) = z_1 ... z_{d-1} - sum(f_T * prod(r_i, i in T))
+    over the proper subsets T of S, which are solved first; dividing by
+    each restricted r_i, never zero, gives f_S exactly and uniquely.
     """
     vs = VarSet(["z%d" % j for j in range(d + 1)])
     z = [vs.poly("z%d" % j) for j in range(d + 1)]
-    slots = []
-    columns = []
-    for sub in _interior_subsets(d):
-        rprod = vs.const(1)
-        for i in sub:
-            rprod = rprod * (2 * z[i] - z[i - 1] - z[i + 1])
-        for mono in _supported_monomials((0,) + sub + (d,), d - 1 - len(sub), d + 1):
-            slots.append((sub, mono))
-            columns.append({tuple(a + b for a, b in zip(e, mono)): c
-                            for e, c in rprod.terms.items()})
-    rows = sorted({key for col in columns for key in col})
-    if len(rows) != len(slots):
-        raise ArithmeticError(
-            "decomposition system is not square: %d rows, %d unknowns"
-            % (len(rows), len(slots)))
-    target = tuple(int(1 <= j <= d - 1) for j in range(d + 1))
-    matrix = [[col.get(key, 0) for col in columns] for key in rows]
-    rhs = [int(key == target) for key in rows]
-    sol = solve(matrix, rhs)
     table = {}
-    for (sub, mono), c in zip(slots, sol):
-        table.setdefault(sub, vs.zero())
-        if c:
-            table[sub] = table[sub] + vs.monomial(mono, c)
+    # a proper subset's mask is smaller, so it is solved first
+    for sub in _interior_subsets(d):
+        zr = list(z)
+        bounds = (0,) + sub + (d,)
+        for lo, hi in zip(bounds, bounds[1:]):
+            for j in range(lo + 1, hi):
+                zr[j] = (z[lo] * (hi - j) + z[hi] * (j - lo)) * Fraction(1, hi - lo)
+        r = {i: 2 * zr[i] - zr[i - 1] - zr[i + 1] for i in sub}
+        rest = vs.const(1)
+        for j in range(1, d):
+            rest = rest * zr[j]
+        for part, f in table.items():
+            if set(part) < set(sub):
+                for i in part:
+                    f = f * r[i]
+                rest = rest - f
+        for i in sub:
+            rest = rest.exact_div(r[i])
+            if rest is None:
+                raise ArithmeticError("decomposition at d=%d: r_%d does not "
+                                      "divide the remainder for %r" % (d, i, sub))
+        table[sub] = rest
     return table
 
 

@@ -91,6 +91,20 @@ def test_mirror_map_forward_and_inverse(capsys):
     assert any(line.startswith("x1 = t1 - 744*q") for line in lines)
 
 
+@pytest.mark.parametrize("cls, triple, argv", [
+    # a 2x2 block of equal entries, and a 1x1 zero block
+    ("F3Geometry", lambda self, a, b, c: 1, ["--geometry", "f3"]),
+    ("CpnGeometry", lambda self, a, b, c: 0, ["--geometry", "cpn", "--N", "5", "--k", "5"]),
+])
+def test_mirror_map_singular_pairing_block_fails(capsys, monkeypatch, cls, triple, argv):
+    from resmirror import geoms
+
+    monkeypatch.setattr(getattr(geoms, cls), "classical_triple", triple)
+    rc, out, err = run(capsys, "mirror-map", *argv, "--trunc", "2")
+    want = "computation failed: degree-one pairing block is singular for %s\n" % argv[1]
+    assert (rc, out, err) == (1, "", want)
+
+
 def test_gw_closed_form_route(capsys):
     rc, out, _ = run(capsys, "gw", "--N", "8", "--k", "9", "--dmax", "1")
     assert rc == 0

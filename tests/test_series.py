@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resmirror.cache import activate
-from resmirror.geoms import InvalidInsertion, geometry
+from resmirror.geoms import CpnGeometry, F3Geometry, InvalidInsertion, geometry
 from resmirror.parts import ordered_partitions
 from resmirror.refdata import check_conjecture2
 from resmirror.series import (
     GradedSeries,
     InvalidExp,
     MirrorMap,
+    SingularMetric,
     _compose_q,
     _j_from_weights,
     build_generating_function,
@@ -506,6 +507,17 @@ def test_local_surface_map_computes_only_at_its_own_parameter(tmp_path):
     with open(store.path, encoding="utf-8") as fh:
         params = [json.loads(line)["params"] for line in fh]
     assert params and all(p == {"k": 1} for p in params)
+
+
+@pytest.mark.parametrize("cls, triple, g", [
+    (F3Geometry, lambda self, a, b, c: 1, geometry("f3")),
+    (CpnGeometry, lambda self, a, b, c: 0, geometry("cpn", N=5, k=5)),
+])
+def test_singular_pairing_block_raises(monkeypatch, cls, triple, g):
+    # a 2x2 block of equal entries and a 1x1 zero block have no inverse
+    monkeypatch.setattr(cls, "classical_triple", triple)
+    with pytest.raises(SingularMetric, match="pairing block is singular for %s" % g.name):
+        mirror_map(g, 2)
 
 
 def test_fibered_mirror_map():

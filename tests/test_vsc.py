@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from resmirror.polys import RatFunc, VarSet
+from resmirror.series import picard_fuchs_basis
 from resmirror.vsc import (
     InvalidComb,
     _check_indices,
@@ -111,7 +112,7 @@ def test_decomposition_d2_values():
 def test_decomposition_reproduces_interior_product():
     # the defining identity: summing f_S * prod(r_i) over all index sets
     # gives back z_1 ... z_{d-1}
-    for d in range(1, 6):
+    for d in range(1, 8):
         vs, z, forms = node_forms(d)
         total = vs.const(0)
         for sub in interior_subsets(d):
@@ -126,7 +127,7 @@ def test_decomposition_reproduces_interior_product():
 
 
 def test_decomposition_support_and_homogeneity():
-    for d in (3, 4):
+    for d in (3, 4, 5, 6):
         for sub in interior_subsets(d):
             f = decomposition_coefficient(d, sub)
             assert max(map(sum, f.terms)) == d - 1 - len(sub)
@@ -147,7 +148,7 @@ def test_decomposition_invalid_indices():
 
 
 def test_contour_route_matches_solved_route():
-    for d in range(1, 5):
+    for d in range(1, 6):
         for sub in interior_subsets(d):
             assert decomposition_by_contours(d, sub) == decomposition_coefficient(d, sub)
 
@@ -168,13 +169,13 @@ def test_poly_small():
 
 
 def test_poly_homogeneous():
-    for d in range(1, 6):
+    for d in range(1, 8):
         p = poly_d(d)
         assert all(sum(e) == d - 1 for e in p.terms)
 
 
 def test_poly_direct_oracle():
-    for d in (2, 3):
+    for d in (2, 3, 4):
         assert poly_d_direct(d) == poly_d(d)
 
 
@@ -237,7 +238,8 @@ def test_recursion_step_at_degree_two():
 
 
 def test_theorem1_grid():
-    for (N, k, d) in [(5, 5, 2), (6, 6, 2), (7, 5, 2), (8, 9, 2), (6, 4, 2)]:
+    for (N, k, d) in [(5, 5, 2), (6, 6, 2), (7, 5, 2), (8, 9, 2), (6, 4, 2),
+                      (5, 5, 5), (5, 5, 6)]:
         rep = check_theorem1(N, k, d)
         assert rep.rows and rep.ok, "\n".join(rep.lines())
 
@@ -265,3 +267,12 @@ def test_mirror_coefficient_scaling():
     # the degree-d mirror-map coefficient of the quintic is L/d
     assert vsc_residue(5, 5, 2, 1) / 2 == 717825
     assert vsc_residue(5, 5, 3, 1) / 3 == Fraction(3225308000, 3)
+    # an oracle independent of the decomposition table: the quintic's
+    # mirror map from the ratio of its Picard-Fuchs solutions, built from
+    # factorials and harmonic numbers, against the level recursion
+    D = 7
+    ratio = picard_fuchs_basis(5, 1, D).div_unit(picard_fuchs_basis(5, 0, D))
+    want = [770, 717825, Fraction(3225308000, 3), Fraction(3947314570625, 2),
+            4062154117561404, 8998533448278540400, 20983751548126743864000]
+    for d in range(1, D + 1):
+        assert vsc_recursive(5, 5, d, 1) / d == ratio.coefficient((d, 0)) == want[d - 1]
