@@ -147,9 +147,11 @@ def cached_two_point(g, dd, a, b):
     """g.two_point(dd, a, b) from the active store, else from the process
     memo, else computed; the store records what it lacks.
 
-    a and b must already be Insertion values.
+    a and b must already be Insertion values.  The key holds the degree
+    as g.check_degree returns it, so an invalid degree raises before any
+    memo can answer it.
     """
-    key = two_point_key(g, dd, a, b)
+    key = two_point_key(g, g.check_degree(dd), a, b)
     store = _ACTIVE
     hit = None if store is None else store.lookup(key)
     if hit is not None:

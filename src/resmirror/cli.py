@@ -14,10 +14,8 @@ import sys
 
 from . import cache as cache_mod
 from .cache import CacheCorruption, cached_two_point
-from .geoms import geometry, parse_insertion
+from .geoms import GEOMETRIES, geometry, parse_insertion
 from .polys import frac_to_str
-
-_GEOMETRY_PARAMS = {"cpn": ("N", "k"), "kf0": ("k",)}
 
 
 class UsageError(ValueError):
@@ -52,16 +50,16 @@ def _default_trunc(cfg, name):
 
 def _build_geometry(args):
     name = args.geometry
-    wanted = _GEOMETRY_PARAMS.get(name, ())
+    declared = GEOMETRIES[name].param_defaults if name in GEOMETRIES else {}
     params = {}
     for p in ("N", "k"):
-        val = getattr(args, p, None)
+        val = getattr(args, p)
         if val is None:
             continue
-        if p not in wanted:
+        if p not in declared:
             raise UsageError("--%s does not apply to %s" % (p, name))
         params[p] = val
-    missing = [p for p in wanted if p not in params and not (name == "kf0" and p == "k")]
+    missing = [p for p, default in declared.items() if default is None and p not in params]
     if missing:
         raise UsageError("%s needs %s" % (name, ", ".join("--" + p for p in missing)))
     try:
@@ -225,6 +223,10 @@ def _parser():
     common.add_argument("--format", choices=("table", "json"), default="table")
     common.add_argument("--cache", help="JSON-lines memo file (or RESMIRROR_CACHE)")
     common.add_argument("--config", help="JSON config with default truncations")
+    geom = argparse.ArgumentParser(add_help=False)
+    geom.add_argument("--geometry", required=True)
+    geom.add_argument("--N", type=int)
+    geom.add_argument("--k", type=int)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vsc", parents=[common],
@@ -237,30 +239,21 @@ def _parser():
                    default="recursive")
     p.set_defaults(func=_cmd_vsc)
 
-    p = sub.add_parser("two-point", parents=[common], help="one two-point number")
-    p.add_argument("--geometry", required=True)
-    p.add_argument("--N", type=int)
-    p.add_argument("--k", type=int)
+    p = sub.add_parser("two-point", parents=[common, geom], help="one two-point number")
     p.add_argument("--d", required=True, help="degree d or bi-degree da,db")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.set_defaults(func=_cmd_two_point)
 
-    p = sub.add_parser("series", parents=[common],
+    p = sub.add_parser("series", parents=[common, geom],
                        help="generating function of two-point numbers")
-    p.add_argument("--geometry", required=True)
-    p.add_argument("--N", type=int)
-    p.add_argument("--k", type=int)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--trunc", type=int)
     p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("mirror-map", parents=[common],
+    p = sub.add_parser("mirror-map", parents=[common, geom],
                        help="flat coordinates from the pairing contraction")
-    p.add_argument("--geometry", required=True)
-    p.add_argument("--N", type=int)
-    p.add_argument("--k", type=int)
     p.add_argument("--trunc", type=int)
     p.add_argument("--invert", action="store_true")
     p.set_defaults(func=_cmd_mirror_map)
@@ -306,9 +299,6 @@ def main(argv=None):
     except (ArithmeticError, CacheCorruption, RuntimeError, OSError) as e:
         print("computation failed: %s" % e, file=sys.stderr)
         return 1
-
-
-run = main
 
 
 if __name__ == "__main__":

@@ -23,7 +23,8 @@ fiber data, a branch constant, an orbifold weight and one residue profile
 per axis of the previous part.  A one-form target is the same data with
 fiber parts only: its coordinate weights at twist 0 over its degree-k
 equation.  It has no section variable, so its one variable per vertex is
-named z.
+named z.  The declared dimension and first Chern class give the selection
+rule dim - 1 + c1 . d, and the declared parameters what the CLI accepts.
 
 Supported geometries and their string names:
 
@@ -151,6 +152,8 @@ class Geometry:
     name = None
     n_forms = None
     dim = None
+    param_defaults = {}     # parameter name -> default, None when required
+    _C1 = None              # c1 paired with each degree component
 
     _SECTION_AXES = "a"
     _SPAN = _SHIFT = None
@@ -165,10 +168,7 @@ class Geometry:
     _DESCENDING = False     # residues in descending vertex order
 
     def params(self):
-        return ()
-
-    def key(self):
-        return (self.name,) + tuple(self.params())
+        return tuple((p, getattr(self, p)) for p in self.param_defaults)
 
     def __repr__(self):
         ps = ", ".join("%s=%s" % kv for kv in self.params())
@@ -184,12 +184,15 @@ class Geometry:
         return a
 
     def selection_degree(self, dd):
-        """Total insertion degree required for a nonzero number at degree dd."""
-        raise NotImplementedError
+        """Total insertion degree required for a nonzero number at degree
+        dd: the virtual dimension dim - 1 + c1 . dd."""
+        dd = (dd,) if isinstance(dd, int) else dd
+        return self.dim - 1 + sum(c * d for c, d in zip(self._C1, dd))
 
     def kahler_classes(self):
         """Degree-one generators, one per form."""
-        raise NotImplementedError
+        n = self.n_forms
+        return [Insertion(*(int(i == j) for j in range(n))) for i in range(n)]
 
     def pairing_partners(self):
         """Classes of degree dim-1 pairing against the generators."""
@@ -200,7 +203,7 @@ class Geometry:
         computed on every call; cache.cached_two_point memoizes it.  A pair
         whose total degree breaks the selection rule is 0 without a chain."""
         a, b = self.check_insertion(a), self.check_insertion(b)
-        dd = self._check_degree(dd)
+        dd = self.check_degree(dd)
         total = Fraction(0)
         if a.degree() + b.degree() != self.selection_degree(dd):
             return total
@@ -381,6 +384,7 @@ class _OneFormGeometry(Geometry):
 
     def __init__(self, weights, k):
         self.weights, self.k = weights, k
+        self._C1 = (sum(weights) - k,)
         self._FIBER_DEGREE = k
         self._FIBER = tuple((m, 0, weights.count(m)) for m in sorted(set(weights)))
         self._W_SCALE = Fraction(1, math.prod(weights))
@@ -390,8 +394,8 @@ class _OneFormGeometry(Geometry):
     def dim(self):
         return len(self.weights) - 2
 
-    def _check_degree(self, dd):
-        if isinstance(dd, tuple):
+    def check_degree(self, dd):
+        if isinstance(dd, tuple) and len(dd) == 1:
             dd, = dd
         if not isinstance(dd, int) or dd <= 0:
             raise InvalidDegree("degree must be a positive integer, got %r" % (dd,))
@@ -399,12 +403,6 @@ class _OneFormGeometry(Geometry):
 
     def _chains(self, d):
         return ordered_partitions(d)
-
-    def kahler_classes(self):
-        return [Insertion(1)]
-
-    def selection_degree(self, d):
-        return len(self.weights) - 3 + (sum(self.weights) - self.k) * d
 
     def classical_triple(self, a, b, c):
         a, b, c = (self.check_insertion(x) for x in (a, b, c))
@@ -423,13 +421,11 @@ class _TwoFormGeometry(Geometry):
 
     n_forms = 2
 
-    def kahler_classes(self):
-        return [Insertion(1, 0), Insertion(0, 1)]
-
-    def _check_degree(self, dd):
-        if not (isinstance(dd, tuple) and len(dd) == 2):
+    def check_degree(self, dd):
+        if not (isinstance(dd, tuple) and len(dd) == 2
+                and all(isinstance(x, int) for x in dd)):
             raise InvalidDegree("bi-degree required, got %r" % (dd,))
-        da, db = int(dd[0]), int(dd[1])
+        da, db = dd
         if da < 0 or db < 0:
             raise InvalidDegree("bi-degree must be a pair of non-negative integers")
         if da == 0 and db == 0:
@@ -472,15 +468,13 @@ class CpnGeometry(_OneFormGeometry):
 
     name = "cpn"
     _DESCENDING = True
+    param_defaults = {"N": None, "k": None}
 
     def __init__(self, N, k):
         if N < 2 or k < 1:
             raise ValueError("need N >= 2 and k >= 1")
         self.N = int(N)
         super().__init__((1,) * self.N, int(k))
-
-    def params(self):
-        return (("N", self.N), ("k", self.k))
 
     def basis(self):
         return [Insertion(i) for i in range(self.N - 1)]
@@ -514,15 +508,14 @@ class Kf0Geometry(_TwoFormGeometry):
     name = "kf0"
     dim = 3
 
+    _C1 = (0, 0)
+    param_defaults = {"k": 1}
     _SECTION_AXES = "ab"
     _SPAN, _SHIFT = 2, -2
     _RES = {"a": (2, False, False), "b": (2, False, False)}
 
-    def __init__(self, k=1):
+    def __init__(self, k=param_defaults["k"]):
         self.k = int(k)
-
-    def params(self):
-        return (("k", self.k),)
 
     def basis(self):
         return [Insertion(0, 0), Insertion(1, 0), Insertion(0, 1), Insertion(1, 1)]
@@ -534,9 +527,6 @@ class Kf0Geometry(_TwoFormGeometry):
     def pairing_partners(self):
         # degree-two slots of the virtual ring; the basis alone lacks z^2
         return [Insertion(2, 0), Insertion(1, 1)]
-
-    def selection_degree(self, dd):
-        return 2
 
     def classical_triple(self, a, b, c):
         table = {(3, 0): Fraction(self.k), (2, 1): Fraction(-self.k),
@@ -561,6 +551,7 @@ class F3Geometry(_TwoFormGeometry):
     name = "f3"
     dim = 2
 
+    _C1 = (-1, 2)
     _SPAN, _SHIFT = 3, 1
     _FIBER = ((1, 3, 1), (1, 0, 1))
     _BRANCH = 3
@@ -569,10 +560,6 @@ class F3Geometry(_TwoFormGeometry):
     def basis(self):
         return [Insertion(0, 0), Insertion(1, 0), Insertion(0, 1), Insertion(0, 2)]
 
-    def selection_degree(self, dd):
-        da, db = dd
-        return 1 - da + 2 * db
-
 
 class _WeightedFibration(_TwoFormGeometry):
     """A Calabi-Yau hypersurface in weighted projective space, fibered
@@ -580,15 +567,13 @@ class _WeightedFibration(_TwoFormGeometry):
 
     dim = 3
 
+    _C1 = (0, 0)
     _SPAN, _SHIFT = 2, 1
     _BRANCH = 2
     _RES = {"a": (3, False, True), "b": (3, True, True)}
 
     def basis(self):
         return [Insertion(s, t) for t in range(4) for s in range(2)]
-
-    def selection_degree(self, dd):
-        return 2
 
 
 class Wp1Geometry(_WeightedFibration):
@@ -617,7 +602,7 @@ class Wp3Geometry(_WeightedFibration):
     _W_SCALE = Fraction(1, 3)
 
 
-_GEOMETRIES = {
+GEOMETRIES = {
     "cpn": CpnGeometry,
     "kf0": Kf0Geometry,
     "f3": F3Geometry,
@@ -630,9 +615,9 @@ _GEOMETRIES = {
 def geometry(name, **params):
     """A new instance of the named geometry.  Instances hold no memo:
     cache.cached_two_point keys two-point numbers by name and parameters."""
-    if name not in _GEOMETRIES:
-        raise ValueError("unknown geometry %r (have: %s)" % (name, ", ".join(sorted(_GEOMETRIES))))
-    return _GEOMETRIES[name](**params)
+    if name not in GEOMETRIES:
+        raise ValueError("unknown geometry %r (have: %s)" % (name, ", ".join(sorted(GEOMETRIES))))
+    return GEOMETRIES[name](**params)
 
 
 def _two_point(name, dd, a, b, **params):

@@ -29,6 +29,7 @@ with :func:`_movable_residues`.
 
 from fractions import Fraction
 from functools import cache
+from math import prod
 
 from .geoms import two_point_cpn
 from .polys import MultiPoly, RatFunc, VarSet
@@ -184,6 +185,7 @@ def poly_d(d):
     return total
 
 
+@cache
 def _initial_coeffs(k):
     """Coefficient list of the grounding polynomial k * prod(j w + (k - j))."""
     poly = [1]
@@ -210,38 +212,55 @@ def _vanishes(N, k, d, n):
 
 
 @cache
+def _step_terms(d):
+    """poly_d(d) decoded once: a (coefficient, parts) pair per monomial.
+
+    x^m_0 z_i1^m_1 ... y^m_r cuts 0 < i_1 < ... < d into parts; part j is
+    the next level's constant of degree i_j - i_(j-1) at index
+    n + i_(j-1) (N - k + 1) + 1 - d + m_j + ... + m_r, kept as the triple
+    (i_(j-1), i_j - i_(j-1), 1 - d + m_j + ... + m_r).
+    """
+    p = poly_d(d)
+    pos = [p.vars.index(v) for v in ["x"] + ["z%d" % i for i in range(1, d)] + ["y"]]
+    out = []
+    for exps, coef in p.terms.items():
+        cuts = [i for i in range(d + 1) if i in (0, d) or exps[pos[i]]]
+        out.append((Fraction(coef), [(lo, hi - lo, 1 - d + sum(exps[pos[i]] for i in cuts[j:]))
+                                     for j, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1)]))
+    return out
+
+
+_LEVELS = {}    # (N, k, d, n) -> L(N, k, d, n), shared by every call
+
+
 def vsc_recursive(N, k, d, n):
     """L(N, k, d, n) by the level recursion, memoized.
 
-    Out-of-range n yields zero; the recursion grounds where N >= 2k.
+    Out-of-range n yields zero; the recursion grounds where N >= 2k.  The
+    levels are walked in loops, not by recursion: up to 2k, collecting the
+    (degree, index) pairs each level needs, then down, each from the next.
     """
     N, k, d = _check_domain(N, k, d)
-    n = int(n)
-    if _vanishes(N, k, d, n):
-        return Fraction(0)
-    if N >= 2 * k:
-        val = _initial_coeffs(k)[n] if d == 1 else Fraction(0)
-    else:
-        p = poly_d(d)
-        val = Fraction(0)
-        for exps, coef in p.terms.items():
-            points = [0]
-            ms = [exps[p.vars.index("x")]]
-            for i in range(1, d):
-                e = exps[p.vars.index("z%d" % i)]
-                if e:
-                    points.append(i)
-                    ms.append(e)
-            points.append(d)
-            ms.append(exps[p.vars.index("y")])
-            term = Fraction(coef)
-            for j in range(1, len(points)):
-                delta = points[j - 1] * (N - k + 1) + 1 - d + sum(ms[j:])
-                term *= vsc_recursive(N + 1, k, points[j] - points[j - 1], n + delta)
-                if not term:
-                    break
-            val += term
-    return val
+    needs = [{(d, int(n))}]
+    for M in range(N, 2 * k):
+        needs.append({(part, nn + lo * (M - k + 1) + off) for dd, nn in needs[-1]
+                      if (M, k, dd, nn) not in _LEVELS and not _vanishes(M, k, dd, nn)
+                      for _, parts in _step_terms(dd) for lo, part, off in parts})
+    for M in range(N + len(needs) - 1, N - 1, -1):
+        for dd, nn in needs[M - N]:
+            key = (M, k, dd, nn)
+            if key in _LEVELS:
+                continue
+            if _vanishes(M, k, dd, nn) or (M >= 2 * k and dd > 1):
+                _LEVELS[key] = Fraction(0)
+            elif M >= 2 * k:
+                _LEVELS[key] = _initial_coeffs(k)[nn]
+            else:
+                _LEVELS[key] = sum(
+                    (coef * prod(_LEVELS[M + 1, k, part, nn + lo * (M - k + 1) + off]
+                                 for lo, part, off in parts)
+                     for coef, parts in _step_terms(dd)), Fraction(0))
+    return _LEVELS[N, k, d, int(n)]
 
 
 def gmt_upto3(N, k):

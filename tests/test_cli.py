@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import subprocess
 import sys
 import warnings
@@ -51,6 +53,13 @@ def test_two_point_table_and_json(capsys):
     assert rc == 0
     payload = json.loads(out)
     assert payload["value"] == "3" and payload["degree"] == [0, 1]
+    # kf0 declares its one parameter k, default 1
+    for flags, k in [((), 1), (("--k", "7"), 7)]:
+        rc, out, _ = run(capsys, "two-point", "--geometry", "kf0", *flags, "--d", "2,1",
+                         "--a", "z", "--b", "w", "--format", "json")
+        assert rc == 0 and json.loads(out) == {
+            "a": "z", "b": "w", "degree": [2, 1], "geometry": "kf0",
+            "params": {"k": k}, "value": "-58"}
 
 
 def test_two_point_off_selection_rule_is_zero_without_chains(capsys, monkeypatch):
@@ -188,6 +197,32 @@ def test_validation_failures_exit_2(capsys):
     assert "3 <= n <= 1" in err
     rc, _, err = run(capsys, "gw", "--N", "8", "--k", "9", "--a", "z")
     assert "--a" in err and "--b" in err
+    # the geometry parameter errors, word for word
+    for argv, msg in [
+        (("two-point", "--geometry", "kf0", "--N", "5", "--d", "1,0", "--a", "1", "--b", "z"),
+         "--N does not apply to kf0"),
+        (("two-point", "--geometry", "f3", "--k", "2", "--d", "1,0", "--a", "1", "--b", "1"),
+         "--k does not apply to f3"),
+        (("two-point", "--geometry", "cpn", "--k", "5", "--d", "1", "--a", "1", "--b", "z"),
+         "cpn needs --N"),
+        (("two-point", "--geometry", "cpn", "--N", "5", "--d", "1", "--a", "1", "--b", "z"),
+         "cpn needs --k"),
+        (("two-point", "--geometry", "cpn", "--d", "1", "--a", "1", "--b", "z"),
+         "cpn needs --N, --k"),
+        (("series", "--geometry", "nowhere", "--a", "1", "--b", "z"),
+         "unknown geometry 'nowhere' (have: cpn, f3, kf0, wp1, wp2, wp3)"),
+        (("series", "--geometry", "nowhere", "--N", "3", "--a", "1", "--b", "z"),
+         "--N does not apply to nowhere"),
+        (("mirror-map", "--geometry", "cpn", "--N", "1", "--k", "5"),
+         "need N >= 2 and k >= 1"),
+    ]:
+        assert run(capsys, *argv) == (2, "", "error: %s\n" % msg), argv
+
+
+def test_vsc_far_below_the_grounding_level(capsys):
+    rc, out, err = run(capsys, "vsc", "--N", "2", "--k", "400", "--d", "1", "--n", "0")
+    assert (rc, err) == (0, "")
+    assert int(out) == math.factorial(400)
 
 
 def test_cache_stores_and_shares_symmetric_key(tmp_path, capsys):
@@ -271,13 +306,17 @@ def test_warm_cache_rerun_is_byte_identical(tmp_path):
     argv = [sys.executable, "-m", "resmirror.cli", "series", "--geometry", "cpn",
             "--N", "5", "--k", "5", "--a", "z", "--b", "z", "--trunc", "2",
             "--format", "json", "--cache", path]
-    cold = subprocess.run(argv, capture_output=True)
-    warm = subprocess.run(argv, capture_output=True)
+    # the child finds the package in src/, installed or not
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    cold = subprocess.run(argv, capture_output=True, env=env)
+    warm = subprocess.run(argv, capture_output=True, env=env)
     assert cold.returncode == 0 and warm.returncode == 0
     assert cold.stdout == warm.stdout
     with open(path, "rb") as fh:
         stored = fh.read()
-    rerun = subprocess.run(argv, capture_output=True)
+    rerun = subprocess.run(argv, capture_output=True, env=env)
     with open(path, "rb") as fh:
         assert fh.read() == stored  # warm run appends nothing
     assert rerun.stdout == cold.stdout

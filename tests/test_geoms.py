@@ -86,6 +86,24 @@ class TestInsertionLabels:
             geometry("kf0").two_point(2, "1", "zw")
         with pytest.raises(InvalidDegree):
             geometry("f3").two_point((1, -1), "1", "w2")
+        with pytest.raises(InvalidDegree):
+            geometry("cpn", N=5, k=5).two_point((1, 1), 0, 2)
+        for bad in [(1.9, 1.2), (1.5, 1), (1, 1.0), ("1", 1), (1, 1, 0)]:
+            with pytest.raises(InvalidDegree):
+                geometry("f3").two_point(bad, "z", "z")
+            with pytest.raises(InvalidDegree):
+                two_point_f3(bad, "z", "z")
+        # a memoized number must not answer a degree that only coerces to it
+        assert two_point_f3((1, 1), "z", "z") == 1
+        for bad in [(1.9, 1.2), (1.5, 1)]:
+            with pytest.raises(InvalidDegree):
+                two_point_f3(bad, "z", "z")
+        g = geometry("cpn", N=5, k=5)
+        one, zz = Insertion(0), Insertion(2)
+        assert cached_two_point(g, 1, one, zz) == 3850
+        for bad in [1.0, (1.0,), (1, 1)]:
+            with pytest.raises(InvalidDegree):
+                cached_two_point(g, bad, one, zz)
 
 
 class TestCpn:
@@ -260,6 +278,28 @@ class TestStructuralProperties:
         ("wp2", dict(), 1, [("1", "z")]),
         ("wp3", dict(), (1, 1), [("1", "zw"), ("z", "w")]),
     ]
+
+    DECLARED = [
+        ("cpn", dict(N=5, k=5), "cpn(N=5, k=5)", {1: 2, 2: 2, 3: 2}),
+        ("cpn", dict(N=8, k=9), "cpn(N=8, k=9)", {1: 4, 2: 3, 3: 2}),
+        ("cpn", dict(N=6, k=4), "cpn(N=6, k=4)", {1: 5, 2: 7, 3: 9}),
+        ("wp2", dict(), "wp2()", {1: 1, 2: 1, 3: 1}),
+        ("kf0", dict(), "kf0(k=1)", {(1, 0): 2, (0, 1): 2, (2, 1): 2, (3, 2): 2}),
+        ("kf0", dict(k=7), "kf0(k=7)", {(1, 1): 2}),
+        ("wp1", dict(), "wp1()", {(1, 0): 2, (0, 1): 2, (2, 1): 2, (3, 2): 2}),
+        ("wp3", dict(), "wp3()", {(1, 0): 2, (0, 1): 2, (2, 1): 2, (3, 2): 2}),
+        ("f3", dict(), "f3()", {(1, 0): 0, (0, 1): 3, (2, 1): 1, (3, 2): 2}),
+    ]
+
+    @pytest.mark.parametrize("name,params,rep,rule", DECLARED)
+    def test_declared_facts(self, name, params, rep, rule):
+        # the parameters (repr reads params()), the selection rule
+        # dim - 1 + c1 . d and the Kahler classes, from each declaration
+        g = geometry(name, **params)
+        assert repr(g) == rep
+        assert {dd: g.selection_degree(dd) for dd in rule} == rule
+        labels = ["z"] if g.n_forms == 1 else ["z", "w"]
+        assert [c.label() for c in g.kahler_classes()] == labels
 
     @pytest.mark.parametrize("name,params,dd,pairs", PAIRS)
     def test_insertion_exchange_symmetry(self, name, params, dd, pairs):

@@ -194,6 +194,9 @@ def test_initial_zero_for_higher_degree():
 def test_degree_one_is_level_independent():
     for N in (5, 6, 7, 9):
         assert vsc_recursive(N, 5, 1, 1) == 770
+    # 798 levels below the grounding level 2k, beyond any recursion limit;
+    # the n = 0 constant at d = 1 is k (k - 1)! = k! on every level
+    assert vsc_recursive(2, 400, 1, 0) == math.factorial(400)
 
 
 def test_out_of_range_vanishes():
