@@ -12,7 +12,7 @@ import importlib
 _EXPORTS = {
     "polys": ("Fraction", "IdenticallySingular", "MultiPoly", "RatFunc", "VarSet",
               "frac_from_str", "frac_to_str"),
-    "residues": ("DuplicatePole", "PoleSpec", "residue_at", "residue_sum"),
+    "residues": ("DuplicatePole", "residue_at", "residue_sum"),
     "parts": ("InvalidDegree", "ordered_bipartitions", "ordered_partitions"),
     "geoms": ("Insertion", "InvalidInsertion", "geometry", "parse_insertion",
               "two_point_cpn", "two_point_f3", "two_point_kf0", "two_point_wp1",

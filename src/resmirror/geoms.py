@@ -47,7 +47,7 @@ from fractions import Fraction
 from .cache import cached_two_point
 from .parts import InvalidDegree, ordered_bipartitions, ordered_partitions
 from .polys import RatFunc, VarSet
-from .residues import PoleSpec, residue_at, residue_sum
+from .residues import residue_at, residue_sum
 
 
 class InvalidInsertion(ValueError):
@@ -64,9 +64,11 @@ class Insertion:
     __slots__ = ("exps",)
 
     def __init__(self, *exps):
-        self.exps = tuple(int(e) for e in exps)
-        if any(e < 0 for e in self.exps):
-            raise InvalidInsertion("negative exponent in %r" % (self.exps,))
+        if not all(isinstance(e, int) and not isinstance(e, bool) for e in exps):
+            raise InvalidInsertion("non-integer exponent in %r" % (exps,))
+        self.exps = exps
+        if any(e < 0 for e in exps):
+            raise InvalidInsertion("negative exponent in %r" % (exps,))
 
     def degree(self):
         return sum(self.exps)
@@ -90,6 +92,14 @@ class Insertion:
 
     def __repr__(self):
         return "Insertion(%s)" % ", ".join(map(str, self.exps))
+
+
+def _check_integers(**params):
+    """Raise ValueError for the first parameter that is not an int (nor a
+    bool), so that no number is answered for a coerced parameter."""
+    for name, x in params.items():
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError("%s must be an integer, got %r" % (name, x))
 
 
 _TWO_FORM_LABEL = re.compile(r"^(?:(z)(\d*))?(?:(w)(\d*))?$")
@@ -269,7 +279,7 @@ class Geometry:
                 continue
             if section or j == l:
                 f = f * RatFunc(vs.const(1), [(z[j], 2)])
-                f = residue_at(f, PoleSpec("z%d" % j, 0))
+                f = residue_at(f, "z%d" % j)
             else:
                 f = f.substitute("z%d" % j, z[j + 1])
 
@@ -308,13 +318,13 @@ class Geometry:
         power, with_factor, with_branch_pole = prof
         wj = f.vars.poly(wname)
         den = [(wj, power)]
-        specs = [PoleSpec(wname, 0)]
+        locs = [0]
         if with_factor:
             den.append((wj - self._BRANCH * zj, 1))
         if with_factor or with_branch_pole:
-            specs.append(PoleSpec(wname, self._BRANCH * zj))
+            locs.append(self._BRANCH * zj)
         f = f * RatFunc(f.vars.const(self._W_SCALE), den)
-        return residue_sum(f, specs)
+        return residue_sum(f, wname, locs)
 
     def classical_triple(self, a, b, c):
         raise NotImplementedError
@@ -471,10 +481,11 @@ class CpnGeometry(_OneFormGeometry):
     param_defaults = {"N": None, "k": None}
 
     def __init__(self, N, k):
+        _check_integers(N=N, k=k)
         if N < 2 or k < 1:
             raise ValueError("need N >= 2 and k >= 1")
-        self.N = int(N)
-        super().__init__((1,) * self.N, int(k))
+        self.N = N
+        super().__init__((1,) * N, k)
 
     def basis(self):
         return [Insertion(i) for i in range(self.N - 1)]
@@ -515,7 +526,8 @@ class Kf0Geometry(_TwoFormGeometry):
     _RES = {"a": (2, False, False), "b": (2, False, False)}
 
     def __init__(self, k=param_defaults["k"]):
-        self.k = int(k)
+        _check_integers(k=k)
+        self.k = k
 
     def basis(self):
         return [Insertion(0, 0), Insertion(1, 0), Insertion(0, 1), Insertion(1, 1)]

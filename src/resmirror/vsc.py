@@ -31,9 +31,9 @@ from fractions import Fraction
 from functools import cache
 from math import prod
 
-from .geoms import two_point_cpn
+from .geoms import _check_integers, two_point_cpn
 from .polys import MultiPoly, RatFunc, VarSet
-from .residues import PoleSpec, residue_at
+from .residues import residue_at
 
 
 class InvalidComb(ValueError):
@@ -150,7 +150,7 @@ def _movable_residues(f, forms, names, fixed):
             elif own is not None and own.max_exp(name) > 1:
                 raise ArithmeticError("movable pole is not linear: %r" % (own,))
             for loc in locs:
-                res = residue_at(g, PoleSpec(name, loc))
+                res = residue_at(g, name, loc)
                 if res.is_zero():
                     continue
                 nxt.append((res, {h: p.subs(name, loc)
@@ -198,12 +198,11 @@ def _initial_coeffs(k):
     return [Fraction(k * c) for c in poly]
 
 
-def _check_domain(N, k, d):
-    """(N, k, d) as integers; every route needs N >= 2, k >= 1, d >= 1."""
-    N, k, d = int(N), int(k), int(d)
+def _check_domain(N, k, d, n=0):
+    """Every route needs integers N >= 2, k >= 1, d >= 1 and an integer n."""
+    _check_integers(N=N, k=k, d=d, n=n)
     if N < 2 or k < 1 or d < 1:
         raise ValueError("need N >= 2, k >= 1, d >= 1")
-    return N, k, d
 
 
 def _vanishes(N, k, d, n):
@@ -240,8 +239,8 @@ def vsc_recursive(N, k, d, n):
     levels are walked in loops, not by recursion: up to 2k, collecting the
     (degree, index) pairs each level needs, then down, each from the next.
     """
-    N, k, d = _check_domain(N, k, d)
-    needs = [{(d, int(n))}]
+    _check_domain(N, k, d, n)
+    needs = [{(d, n)}]
     for M in range(N, 2 * k):
         needs.append({(part, nn + lo * (M - k + 1) + off) for dd, nn in needs[-1]
                       if (M, k, dd, nn) not in _LEVELS and not _vanishes(M, k, dd, nn)
@@ -260,7 +259,7 @@ def vsc_recursive(N, k, d, n):
                     (coef * prod(_LEVELS[M + 1, k, part, nn + lo * (M - k + 1) + off]
                                  for lo, part, off in parts)
                      for coef, parts in _step_terms(dd)), Fraction(0))
-    return _LEVELS[N, k, d, int(n)]
+    return _LEVELS[N, k, d, n]
 
 
 def gmt_upto3(N, k):
@@ -327,8 +326,7 @@ def vsc_residue(N, k, d, n):
     insertions z^(N-2-n) and z^(n-1+(N-k)d) must both be basis classes,
     which needs 1 - (N-k)d <= n <= N - 2; other n raise ValueError.
     """
-    N, k, d = _check_domain(N, k, d)
-    n = int(n)
+    _check_domain(N, k, d, n)
     if _vanishes(N, k, d, n):
         return Fraction(0)
     lo = 1 - (N - k) * d
@@ -345,8 +343,7 @@ def vsc_merged_contour(N, k, d, n):
     origin only.  Unlike vsc_residue, the endpoint exponents may be negative
     here.
     """
-    N, k, d = _check_domain(N, k, d)
-    n = int(n)
+    _check_domain(N, k, d, n)
     vs = VarSet(["z%d" % j for j in range(d + 1)])
     z = [vs.poly("z%d" % j) for j in range(d + 1)]
     num = vs.const(1)
@@ -395,7 +392,7 @@ class Theorem1Report:
 def check_theorem1(N, k, d):
     """Compare vsc_recursive and vsc_residue on every n both routes cover;
     a ValueError when they cover none."""
-    N, k, d = _check_domain(N, k, d)
+    _check_domain(N, k, d)
     lo = max(0, 1 - (N - k) * d)
     hi = min(N - 2, N - 1 - (N - k) * d)
     if lo > hi:

@@ -31,7 +31,7 @@ from resmirror.geoms import (
 from resmirror.geoms import _axis, _hypersurface_roots, _part_deg, _part_poles
 from resmirror.parts import InvalidDegree
 from resmirror.polys import RatFunc, VarSet
-from resmirror.residues import PoleSpec, residue_at, residue_sum
+from resmirror.residues import residue_at, residue_sum
 
 
 class TestInsertionLabels:
@@ -70,6 +70,14 @@ class TestInsertionLabels:
             parse_insertion(g1, "w")
         with pytest.raises(InvalidInsertion):
             Insertion(-1)
+        # an exponent is never coerced: 2.9 is not z^2, nor (1.7, 0) z
+        for bad in [(2.9,), (1.0,), (True,), (1.7, 0), (0, False)]:
+            with pytest.raises(InvalidInsertion):
+                Insertion(*bad)
+        with pytest.raises(InvalidInsertion):
+            parse_insertion(g1, True)
+        with pytest.raises(InvalidInsertion):
+            two_point_f3((1, 1), (1.7, 0), "z")
 
     def test_outside_basis_rejected(self):
         with pytest.raises(InvalidInsertion):
@@ -337,6 +345,18 @@ class TestStructuralProperties:
         with pytest.raises(ValueError):
             geometry("nosuch")
 
+    def test_non_integer_parameters_rejected(self):
+        # a parameter is never coerced: N=5.5 is not cpn(N=5)
+        for name, params in [("cpn", dict(N=5.5, k=5)), ("cpn", dict(N=5, k=5.0)),
+                             ("cpn", dict(N=True, k=5)), ("kf0", dict(k=1.5)),
+                             ("kf0", dict(k=True))]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                geometry(name, **params)
+        with pytest.raises(ValueError, match="must be an integer"):
+            two_point_cpn(5.5, 5, 1, 1, 1)
+        with pytest.raises(ValueError, match="^need N >= 2 and k >= 1$"):
+            geometry("cpn", N=1, k=5)
+
     RULE_SAMPLE = [("cpn", dict(N=5, k=5)), ("cpn", dict(N=4, k=3)), ("wp2", dict()),
                    ("kf0", dict()), ("f3", dict()), ("wp1", dict()), ("wp3", dict())]
 
@@ -457,7 +477,7 @@ def one_form_oracle(g, sigma, a, b):
     f = RatFunc(num, den)
     order = range(l, -1, -1) if g._DESCENDING else range(0, l + 1)
     for j in order:
-        f = residue_at(f, PoleSpec("z%d" % j, 0))
+        f = residue_at(f, "z%d" % j)
     val = f.as_rational()
     for d in sigma:
         val /= d
@@ -496,14 +516,14 @@ def two_form_oracle(g, sigma, a, b):
         if _axis(sigma[j]) == "a":
             f = f.substitute("w%d" % j, w[j + 1])
             f = f * RatFunc(vs.const(1), [(z[j], 2)])
-            f = residue_at(f, PoleSpec("z%d" % j, 0))
+            f = residue_at(f, "z%d" % j)
         else:
             prof = g._RES[_axis(sigma[j - 1]) if j else "b"]
             f = g._w_residue(f, "w%d" % j, z[j], prof)
             f = f.substitute("z%d" % j, z[j + 1])
     f = g._w_residue(f, "w%d" % l, z[l], g._RES[_axis(sigma[-1])])
     f = f * RatFunc(vs.const(1), [(z[l], 2)])
-    f = residue_at(f, PoleSpec("z%d" % l, 0))
+    f = residue_at(f, "z%d" % l)
 
     val = f.as_rational()
     for part in sigma:
@@ -564,8 +584,8 @@ def classical_triple_oracle(g, a, b, c):
     power = g._RES["b"][0]
     f = RatFunc(scale * zz ** s * ww ** t,
                 [(ww, power), (ww - g._BRANCH * zz, 1), (zz, 2)])
-    h = residue_sum(f, [PoleSpec("w", 0), PoleSpec("w", g._BRANCH * zz)])
-    return residue_at(h, PoleSpec("z", 0)).as_rational()
+    h = residue_sum(f, "w", [0, g._BRANCH * zz])
+    return residue_at(h, "z").as_rational()
 
 
 @pytest.mark.parametrize("name", ["f3", "wp1", "wp3"])

@@ -1,5 +1,7 @@
-"""The README's command-line examples print the values their comments give."""
+"""The README's Quick tour and command-line examples give the values their
+comments state."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -13,11 +15,15 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 VALUE = re.compile(r"(\w+ = )?-?\d+(/\d+)?")
 
 
+def _block(heading, fence):
+    text = README.read_text(encoding="utf-8")
+    return text.split(heading, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
 def _examples():
     """(argv, values) for each `resmirror ...  # v1, v2, ...` line of the
     Command line block whose comment lists values ("..." ends a list)."""
-    text = README.read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    block = _block("## Command line", "```sh")
     out = []
     for line in block.splitlines():
         command, _, comment = line.partition("#")
@@ -44,3 +50,23 @@ def test_readme_example(tmp_path, capsys, monkeypatch, argv, values):
     for v in values:
         # a value is a whole line ("3850", "j_1 = 744") or follows ": "
         assert any(line == v or line.endswith(": " + v) for line in lines), (v, lines)
+
+
+def test_readme_quick_tour(monkeypatch):
+    """Run the Quick tour statement by statement; an expression whose line
+    carries a comment must have a value whose repr starts that comment."""
+    monkeypatch.delenv("RESMIRROR_CACHE", raising=False)
+    monkeypatch.setattr(cache, "_MEMO", {})
+    source = _block("## Quick tour", "```python")
+    lines = source.splitlines()
+    scope, checked = {}, []
+    for node in ast.parse(source).body:
+        code = ast.get_source_segment(source, node)
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        if isinstance(node, ast.Expr) and comment:
+            value = eval(code, scope)
+            assert comment.startswith(repr(value)), (code, value, comment)
+            checked.append(code)
+        else:
+            exec(code, scope)
+    assert len(checked) >= 4

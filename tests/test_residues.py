@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from resmirror import geoms, residues, vsc
 from resmirror.geoms import geometry
 from resmirror.polys import IdenticallySingular, RatFunc, VarSet
-from resmirror.residues import DuplicatePole, PoleSpec, residue_at, residue_sum
+from resmirror.residues import DuplicatePole, residue_at, residue_sum
 from test_polys import ENGINE_CASES, monic_ratfunc
 
 ZA = VarSet(["z", "a"])
@@ -19,46 +19,44 @@ def const(c):
     return RatFunc(ZA.const(c))
 
 
-def laurent_coefficient(r, spec, n):
-    """The coefficient of (v - location)^n in the expansion of r, read off
-    as the residue of r / (v - location)^(n+1)."""
-    shift = r.vars.poly(spec.var) - spec.loc_poly(r.vars)
+def laurent_coefficient(r, var, loc, n):
+    """The coefficient of (var - loc)^n in the expansion of r, read off
+    as the residue of r / (var - loc)^(n+1)."""
+    shift = r.vars.poly(var) - loc
     if n >= 0:
-        return residue_at(r * RatFunc(r.vars.const(1), [(shift, n + 1)]), spec)
-    return residue_at(r * shift ** (-n - 1), spec)
+        return residue_at(r * RatFunc(r.vars.const(1), [(shift, n + 1)]), var, loc)
+    return residue_at(r * shift ** (-n - 1), var, loc)
 
 
 def test_simple_pole():
     r = RatFunc(ZA.const(1), [(Z, 1)])
-    assert residue_at(r, PoleSpec("z", 0)).as_rational() == 1
+    assert residue_at(r, "z").as_rational() == 1
 
 
-def test_expand_one_over_z_z_minus_a():
+def test_laurent_one_over_z_z_minus_a():
     # 1/(z(z-a)) about 0: -(1/a) z^-1 - (1/a^2) z^0 - ...
     r = RatFunc(ZA.const(1), [(Z, 1), (Z - A, 1)])
-    p = PoleSpec("z", 0)
-    assert laurent_coefficient(r, p, -2).is_zero()
-    assert laurent_coefficient(r, p, -1) == RatFunc(ZA.const(-1), [(A, 1)])
-    assert laurent_coefficient(r, p, 0) == RatFunc(ZA.const(-1), [(A, 2)])
+    assert laurent_coefficient(r, "z", 0, -2).is_zero()
+    assert laurent_coefficient(r, "z", 0, -1) == RatFunc(ZA.const(-1), [(A, 1)])
+    assert laurent_coefficient(r, "z", 0, 0) == RatFunc(ZA.const(-1), [(A, 2)])
 
 
-def test_expand_about_movable_location():
+def test_laurent_about_movable_location():
     # about z = a: 1/(z(z-a)) = (1/a) (z-a)^-1 - (1/a^2) (z-a)^0 + ...
     r = RatFunc(ZA.const(1), [(Z, 1), (Z - A, 1)])
-    p = PoleSpec("z", A)
-    assert laurent_coefficient(r, p, -1) == RatFunc(ZA.const(1), [(A, 1)])
-    assert laurent_coefficient(r, p, 0) == RatFunc(ZA.const(-1), [(A, 2)])
+    assert laurent_coefficient(r, "z", A, -1) == RatFunc(ZA.const(1), [(A, 1)])
+    assert laurent_coefficient(r, "z", A, 0) == RatFunc(ZA.const(-1), [(A, 2)])
 
 
 def test_residue_with_unit_series():
     # (1/z^2) * 1/(1 - z): residue at 0 is the z^1 coefficient of 1/(1-z), i.e. 1
     r = RatFunc(ZA.const(1), [(Z, 2), (1 - Z, 1)])
-    assert residue_at(r, PoleSpec("z", 0)).as_rational() == 1
+    assert residue_at(r, "z").as_rational() == 1
 
 
 def test_no_pole_means_zero_residue():
     r = RatFunc(Z + A)
-    assert residue_at(r, PoleSpec("z", 0)).is_zero()
+    assert residue_at(r, "z").is_zero()
 
 
 def test_identically_singular():
@@ -73,23 +71,35 @@ def test_residue_sum_two_point():
     W, Zv = zw.poly("w"), zw.poly("z")
     # 1/(w(w - 3z)): residues at {0, 3z} cancel
     r = RatFunc(zw.const(1), [(W, 1), (W - 3 * Zv, 1)])
-    specs = [PoleSpec("w", 0), PoleSpec("w", 3 * Zv)]
-    assert residue_sum(r, specs).is_zero()
+    locs = [0, 3 * Zv]
+    assert residue_sum(r, "w", locs).is_zero()
     # w^2/(w(w - 3z)): residues now add up to 3z
     r2 = RatFunc(W ** 2, [(W, 1), (W - 3 * Zv, 1)])
-    assert residue_sum(r2, specs) == RatFunc(3 * Zv)
+    assert residue_sum(r2, "w", locs) == RatFunc(3 * Zv)
 
 
 def test_duplicate_pole_detected():
     r = RatFunc(ZA.const(1), [(Z, 1)])
     with pytest.raises(DuplicatePole):
-        residue_sum(r, [PoleSpec("z", 0), PoleSpec("z", 0)])
+        residue_sum(r, "z", [0, 0])
+
+
+def test_location_checks():
+    r = RatFunc(ZA.const(1), [(Z - A, 1)])
+    with pytest.raises(ValueError, match="^pole location on a different variable set$"):
+        residue_at(r, "z", VarSet(["z", "b"]).poly("b"))
+    with pytest.raises(ValueError, match="^pole location may not involve 'z' itself$"):
+        residue_at(r, "z", Z + A)
+    with pytest.raises(ValueError, match="^pole location may not involve 'z' itself$"):
+        residue_sum(r, "z", [A, 2 * Z])
+    empty = residue_sum(r, "z", [])
+    assert empty.is_zero() and empty.vars == ZA
 
 
 def iterate(r, schedule):
     """Residue sums over (var, locations) steps, innermost step first."""
     for var, locs in schedule:
-        r = residue_sum(r, [PoleSpec(var, loc) for loc in locs])
+        r = residue_sum(r, var, locs)
     return r
 
 
@@ -112,9 +122,8 @@ def test_iterated_two_variables():
 def test_linearity():
     r1 = RatFunc(A, [(Z, 1)])
     r2 = RatFunc(ZA.const(1), [(Z, 2), (1 + Z, 1)])
-    p = PoleSpec("z", 0)
-    lhs = residue_at(r1 + r2, p)
-    assert lhs == residue_at(r1, p) + residue_at(r2, p)
+    lhs = residue_at(r1 + r2, "z")
+    assert lhs == residue_at(r1, "z") + residue_at(r2, "z")
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,7 +134,7 @@ def test_sum_of_all_residues_vanishes(mults, numdeg):
     den = [(Z - loc, m) for loc, m in mults.items()]
     total = sum(m for _, m in den)
     r = RatFunc(Z ** min(numdeg, total - 2), den)
-    s = residue_sum(r, [PoleSpec("z", loc) for loc in mults])
+    s = residue_sum(r, "z", mults)
     assert s.is_zero()
 
 
@@ -165,11 +174,10 @@ def _series_inv_unit(parts, top, zero):
     return out
 
 
-def residue_oracle(r, spec):
-    """The residue of r at spec from the whole principal part: the numerator
-    series times each unit's inverse series, once per multiplicity."""
-    v = spec.var
-    loc = spec.loc_poly(r.vars)
+def residue_oracle(r, v, loc):
+    """The residue of r in v at loc from the whole principal part: the
+    numerator series times each unit's inverse series, once per
+    multiplicity."""
     shifted = r.vars.poly(v) + loc
     spectators, units, order = [], [], 0
     for f, m in r.den:
@@ -197,12 +205,11 @@ def residue_oracle(r, spec):
     return RatFunc(c.num, c.den + tuple(spectators)).reduce()
 
 
-def recurrence_oracle(r, spec):
+def recurrence_oracle(r, v, loc):
     """The residue by the division recurrence with the unit product W built
     one multiplicity at a time for every pole order, 1/W_0 and the result in
     the monic normal form, and the result reduced against all its factors."""
-    v = spec.var
-    shifted = r.vars.poly(v) + spec.loc_poly(r.vars)
+    shifted = r.vars.poly(v) + loc
     spectators, units, order = [], [], 0
     for f, m in r.den:
         g = f.subs(v, shifted)
@@ -261,21 +268,21 @@ def factored_residues(draw):
         num = num + vs.monomial(exps, draw(coeff))
     if num.is_zero():
         num = vs.const(1)
-    return RatFunc(num, den), PoleSpec("z", loc)
+    return RatFunc(num, den), "z", loc
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(factored_residues())
 def test_residue_matches_inverse_series_oracle(case):
-    r, spec = case
-    assert residue_at(r, spec) == residue_oracle(r, spec)
+    r, var, loc = case
+    assert residue_at(r, var, loc) == residue_oracle(r, var, loc)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(factored_residues())
 def test_one_spec_sum_is_its_residue(case):
-    r, spec = case
-    got, want = residue_sum(r, [spec]), residue_at(r, spec)
+    r, var, loc = case
+    got, want = residue_sum(r, var, [loc]), residue_at(r, var, loc)
     assert got.num == want.num and got.den == want.den
 
 
@@ -283,9 +290,9 @@ def test_engine_residues_match_inverse_series_oracle(monkeypatch):
     seen = []
     take = residues.residue_at
 
-    def recording(r, spec):
-        out = take(r, spec)
-        seen.append((r, spec, out))
+    def recording(r, var, loc=0):
+        out = take(r, var, loc)
+        seen.append((r, var, loc, out))
         return out
 
     for mod in (residues, geoms, vsc):
@@ -293,11 +300,11 @@ def test_engine_residues_match_inverse_series_oracle(monkeypatch):
     for name, params, dd, a, b in ENGINE_CASES:
         geometry(name, **params).two_point(dd, a, b)
     monkeypatch.undo()
-    assert any(not out.is_zero() for _, _, out in seen)
-    assert any(not spec.loc_poly(r.vars).is_zero() for r, spec, _ in seen)
-    for r, spec, out in seen:
-        assert out == residue_oracle(r, spec)
-        assert_same_residue(r, spec, out)
+    assert any(not out.is_zero() for *_, out in seen)
+    assert any(loc != 0 for _, _, loc, _ in seen)
+    for r, var, loc, out in seen:
+        assert out == residue_oracle(r, var, loc)
+        assert_same_residue(r, var, loc, out)
 
 
 POLE_CASES = [("simple", None), ("variable", None), ("movable", None),
@@ -334,13 +341,13 @@ def pole_cases(draw, kind, mult):
     for _ in range(draw(st.integers(1, 3))):
         num = num + vs.monomial([draw(st.integers(0, 2)) for _ in vs.names], draw(coeff))
     num = (num or vs.const(1)) * spectator ** draw(st.integers(0, 2))
-    return RatFunc(num, den), PoleSpec("z", loc)
+    return RatFunc(num, den), "z", loc
 
 
-def assert_same_residue(r, spec, out):
+def assert_same_residue(r, var, loc, out):
     """Equal values, and the same reduced form: the oracle reduces against
     every factor, residue_at only against the spectators."""
-    want = recurrence_oracle(r, spec)
+    want = recurrence_oracle(r, var, loc)
     assert out == want
     want = RatFunc(want.num, want.den)
     assert out.num == want.num and dict(out.den) == dict(want.den)
@@ -350,5 +357,5 @@ def assert_same_residue(r, spec, out):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_residue_matches_recurrence_oracle(kind, mult, data):
-    r, spec = data.draw(pole_cases(kind, mult))
-    assert_same_residue(r, spec, residue_at(r, spec))
+    r, var, loc = data.draw(pole_cases(kind, mult))
+    assert_same_residue(r, var, loc, residue_at(r, var, loc))

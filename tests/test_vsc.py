@@ -226,6 +226,20 @@ def test_residue_route_rejects_n_it_cannot_form():
             vsc_residue(5, 5, 1, n)
 
 
+def test_routes_reject_non_integer_arguments():
+    # (5.5, 5, 1, 1) and (5, 5, 1.9, 1.2) are not the (5, 5, 1, 1) value 770
+    assert vsc_recursive(5, 5, 1, 1) == 770
+    for args in [(5.5, 5, 1, 1), (5, 5, 1.9, 1.2), (5, 5.0, 1, 1), (5, 5, 1, 1.0),
+                 (5, 5, True, 1)]:
+        for route in (vsc_recursive, vsc_residue, vsc_merged_contour):
+            with pytest.raises(ValueError, match="must be an integer"):
+                route(*args)
+    with pytest.raises(ValueError, match="must be an integer"):
+        check_theorem1(5, 5, 2.0)
+    with pytest.raises(ValueError, match="^need N >= 2, k >= 1, d >= 1$"):
+        vsc_recursive(1, 5, 1, 1)
+
+
 def test_recursion_step_at_degree_two():
     # one step of the level recursion, spelled out: the universal degree-2
     # polynomial (x + y)/2 + z1 predicts
