@@ -10,8 +10,7 @@ compiles only the modules its route runs.
 import importlib
 
 _EXPORTS = {
-    "polys": ("Fraction", "IdenticallySingular", "MultiPoly", "RatFunc", "VarSet",
-              "frac_from_str", "frac_to_str"),
+    "polys": ("Fraction", "IdenticallySingular", "MultiPoly", "RatFunc", "VarSet"),
     "residues": ("DuplicatePole", "residue_at", "residue_sum"),
     "parts": ("InvalidDegree", "ordered_bipartitions", "ordered_partitions"),
     "geoms": ("Insertion", "InvalidInsertion", "geometry", "parse_insertion",
@@ -21,7 +20,7 @@ _EXPORTS = {
             "gmt_upto3", "poly_d", "vsc_merged_contour", "vsc_recursive",
             "vsc_residue"),
     "cache": ("CacheCorruption", "CacheStore", "activate", "cached_two_point",
-              "two_point_key"),
+              "frac_from_str", "frac_to_str", "two_point_key"),
     "series": ("GradedSeries", "InvalidExp", "JExpansion", "MirrorMap",
                "SingularMetric", "build_generating_function", "invert_mirror_map",
                "j_coefficients", "mirror_map", "picard_fuchs_basis",

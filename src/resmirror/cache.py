@@ -15,13 +15,27 @@ import threading
 import warnings
 from fractions import Fraction
 
-from .polys import frac_from_str, frac_to_str
-
 SCHEMA = 1
 
 
 class CacheCorruption(RuntimeError):
     """Two records with the same key but different exact values."""
+
+
+def frac_to_str(c):
+    """Exact decimal-free text form: "num/den", with "/den" omitted when 1."""
+    c = Fraction(c)
+    if c.denominator == 1:
+        return str(c.numerator)
+    return "%d/%d" % (c.numerator, c.denominator)
+
+
+def frac_from_str(s):
+    """The rational a frac_to_str text denotes.  Only text is accepted: a
+    JSON float has already lost its exact value."""
+    if not isinstance(s, str):
+        raise TypeError("exact rational text expected, got %r" % (s,))
+    return Fraction(s)
 
 
 def two_point_key(g, dd, a, b):

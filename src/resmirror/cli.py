@@ -4,7 +4,8 @@ One subcommand per operation family; every value printed is an exact
 rational.  Exit status: 0 on success, 2 when the request itself is
 invalid, 1 when a computation or cache consistency step fails.  Each
 handler imports the modules of its own route, so a command loads (and,
-without cached bytecode, compiles) only the code it runs.
+without cached bytecode, compiles) only the code it runs, and a cache hit
+loads no chain engine (chains, polys, residues).
 """
 
 import argparse
@@ -13,9 +14,8 @@ import os
 import sys
 
 from . import cache as cache_mod
-from .cache import CacheCorruption, cached_two_point
+from .cache import CacheCorruption, cached_two_point, frac_to_str
 from .geoms import GEOMETRIES, geometry, parse_insertion
-from .polys import frac_to_str
 
 
 class UsageError(ValueError):

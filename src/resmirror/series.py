@@ -30,9 +30,8 @@ common denominator per operand.
 import math
 from fractions import Fraction
 
-from .cache import cached_two_point
+from .cache import cached_two_point, frac_from_str, frac_to_str
 from .geoms import Insertion, geometry, parse_insertion
-from .polys import frac_from_str, frac_to_str
 
 _F0 = Fraction(0)
 _NO_AFFINE = (_F0, _F0)

@@ -54,9 +54,18 @@ def _on_vars(p, vs, rename=None):
     return MultiPoly(vs, out)
 
 
+def _check_d(d):
+    """Raise InvalidComb unless d is a positive int (not a bool)."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise InvalidComb("d must be an integer, got %r" % (d,))
+    if d < 1:
+        raise InvalidComb("d must be positive, got %r" % (d,))
+
+
 def _check_indices(d, indices):
-    idx = tuple(int(i) for i in indices)
-    if list(idx) != sorted(set(idx)) or any(not 1 <= i <= d - 1 for i in idx):
+    idx = tuple(indices)
+    if not all(isinstance(i, int) and not isinstance(i, bool) for i in idx) \
+            or list(idx) != sorted(set(idx)) or any(not 1 <= i <= d - 1 for i in idx):
         raise InvalidComb(
             "need 1 <= i_1 < ... < i_k <= %d, got %r" % (d - 1, indices))
     return idx
@@ -117,9 +126,7 @@ def decomposition_coefficient(d, indices):
     Returned on variables z0 .. z{d}; it only involves z0, z{d} and the
     indexed interior variables, and is homogeneous of degree d-1-len(indices).
     """
-    d = int(d)
-    if d < 1:
-        raise InvalidComb("d must be positive, got %r" % (d,))
+    _check_d(d)
     return _decomposition_table(d)[_check_indices(d, indices)]
 
 
@@ -162,13 +169,11 @@ def _movable_residues(f, forms, names, fixed):
     return total.reduce()
 
 
-@cache
 def poly_d(d):
     """The degree-(d-1) universal polynomial in x, y, z1 .. z{d-1} whose
-    monomials drive one step of the level recursion."""
-    d = int(d)
-    if d < 1:
-        raise InvalidComb("d must be positive, got %r" % (d,))
+    monomials drive one step of the level recursion; _step_terms memoizes
+    it, decoded."""
+    _check_d(d)
     vs = VarSet(["x", "y"] + ["z%d" % i for i in range(1, d)])
     rename = {"z0": "x", "z%d" % d: "y"}
     total = vs.const(0)

@@ -8,6 +8,8 @@ from resmirror.cache import (
     CacheStore,
     activate,
     cached_two_point,
+    frac_from_str,
+    frac_to_str,
     two_point_key,
 )
 from resmirror.cli import main
@@ -107,3 +109,12 @@ def test_damaged_line_warns_and_keeps_later_records(tmp_path, capsys, damage):
     assert rc == 0 and capsys.readouterr().out == "3\n"
     # the clean record on line 2 was loaded, so nothing was appended
     assert path.read_bytes() == damaged
+
+
+def test_frac_round_trip():
+    assert frac_to_str(Fraction(-3, 7)) == "-3/7"
+    assert frac_to_str(Fraction(5)) == "5"
+    assert frac_from_str("-3/7") == Fraction(-3, 7)
+    assert frac_from_str("5") == 5
+    with pytest.raises(TypeError):
+        frac_from_str(0.1)

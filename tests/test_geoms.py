@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resmirror import cache
+from resmirror import cache, chains
 from resmirror.cache import cached_two_point
 from resmirror.geoms import (
     Insertion,
@@ -28,7 +28,7 @@ from resmirror.geoms import (
     two_point_wp2,
     two_point_wp3,
 )
-from resmirror.geoms import _axis, _hypersurface_roots, _part_deg, _part_poles
+from resmirror.chains import _axis, _hypersurface_roots, _part_deg, _part_poles
 from resmirror.parts import InvalidDegree
 from resmirror.polys import RatFunc, VarSet
 from resmirror.residues import residue_at, residue_sum
@@ -503,14 +503,14 @@ def two_form_oracle(g, sigma, a, b):
             d, p, q, other = part[0], z[i], z[i + 1], w[i]
         else:
             d, p, q, other = part[1], w[i], w[i + 1], z[i]
-        block = g._section_block if axis in g._SECTION_AXES else g._fiber_block
-        f = f * block(d, p, q, other)
+        block = chains._section_block if axis in g._SECTION_AXES else chains._fiber_block
+        f = f * block(g, d, p, q, other)
     for j in range(1, l):
         prv, nxt = sigma[j - 1], sigma[j]
         A = (z[j] - z[j - 1]) if _axis(prv) == "a" else (w[j] - w[j - 1])
         B = (z[j] - z[j + 1]) if _axis(nxt) == "a" else (w[j] - w[j + 1])
         form = A * F(1, _part_deg(prv)) + B * F(1, _part_deg(nxt))
-        f = f * g._node((_axis(prv), _axis(nxt)), z[j], w[j], form)
+        f = f * chains._node(g, (_axis(prv), _axis(nxt)), z[j], w[j], form)
 
     for j in range(l):
         if _axis(sigma[j]) == "a":
@@ -519,9 +519,9 @@ def two_form_oracle(g, sigma, a, b):
             f = residue_at(f, "z%d" % j)
         else:
             prof = g._RES[_axis(sigma[j - 1]) if j else "b"]
-            f = g._w_residue(f, "w%d" % j, z[j], prof)
+            f = chains._w_residue(g, f, "w%d" % j, z[j], prof)
             f = f.substitute("z%d" % j, z[j + 1])
-    f = g._w_residue(f, "w%d" % l, z[l], g._RES[_axis(sigma[-1])])
+    f = chains._w_residue(g, f, "w%d" % l, z[l], g._RES[_axis(sigma[-1])])
     f = f * RatFunc(vs.const(1), [(z[l], 2)])
     f = residue_at(f, "z%d" % l)
 

@@ -11,8 +11,6 @@ from resmirror.polys import (
     MultiPoly,
     RatFunc,
     VarSet,
-    frac_from_str,
-    frac_to_str,
 )
 
 LIMIT = 1 << 15     # the packed exponent field holds 0 .. LIMIT - 1
@@ -505,18 +503,6 @@ def test_operations_keep_the_normal_form_without_renormalising(p, q):
     assert red == prod
     for f, _ in red.den:
         assert red.num.exact_div(f) is None
-
-
-# -- serialization ---------------------------------------------------------
-
-
-def test_frac_round_trip():
-    assert frac_to_str(Fraction(-3, 7)) == "-3/7"
-    assert frac_to_str(Fraction(5)) == "5"
-    assert frac_from_str("-3/7") == Fraction(-3, 7)
-    assert frac_from_str("5") == 5
-    with pytest.raises(TypeError):
-        frac_from_str(0.1)
 
 
 # -- the packed kernels against tuple-keyed Fraction oracles -----------------

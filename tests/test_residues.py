@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resmirror import geoms, residues, vsc
+from resmirror import chains, residues, vsc
 from resmirror.geoms import geometry
 from resmirror.polys import IdenticallySingular, RatFunc, VarSet
 from resmirror.residues import DuplicatePole, residue_at, residue_sum
@@ -295,7 +295,7 @@ def test_engine_residues_match_inverse_series_oracle(monkeypatch):
         seen.append((r, var, loc, out))
         return out
 
-    for mod in (residues, geoms, vsc):
+    for mod in (residues, chains, vsc):
         monkeypatch.setattr(mod, "residue_at", recording)
     for name, params, dd, a, b in ENGINE_CASES:
         geometry(name, **params).two_point(dd, a, b)

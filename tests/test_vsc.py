@@ -147,6 +147,24 @@ def test_decomposition_invalid_indices():
         decomposition_coefficient(0, ())
 
 
+def test_non_integer_degree_and_indices_rejected():
+    # poly_d(2.0) must not be answered from the memo of poly_d(2), and
+    # (2.7, (1.2,)) is not the (2, (1,)) coefficient 1/2
+    poly_d(2)
+    for bad in (2.0, 2.5, True, "2"):
+        with pytest.raises(InvalidComb, match="^d must be an integer"):
+            poly_d(bad)
+        with pytest.raises(InvalidComb, match="^d must be an integer"):
+            decomposition_coefficient(bad, ())
+    for bad in [(1.2,), (1.0,), (True,), ("1",), (1, 2.0)]:
+        with pytest.raises(InvalidComb, match="^need 1 <= i_1"):
+            decomposition_coefficient(3, bad)
+        with pytest.raises(InvalidComb, match="^need 1 <= i_1"):
+            _check_indices(3, bad)
+    with pytest.raises(InvalidComb):
+        decomposition_coefficient(2.7, (1.2,))
+
+
 def test_contour_route_matches_solved_route():
     for d in range(1, 6):
         for sub in interior_subsets(d):
