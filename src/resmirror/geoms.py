@@ -1,8 +1,9 @@
 """The target geometries, declared as data, and the sum over chains.
 
 Geometry.two_point sums one amplitude per chain, and the engine in chains
-computes each from the data declared here; it is imported on the first
-amplitude, so a cache hit loads neither it nor polys and residues.  A
+computes each from the data declared here.  It is imported on the first
+amplitude, and parts, which enumerates the chains, on the first sum, so
+a cache hit loads none of chains, parts, polys and residues.  A
 chain's parts run along the section axis (z) or the fiber axis (w).  A
 two-form target declares section and fiber data, a branch constant, an
 orbifold weight and one residue profile per axis of the previous part.  A
@@ -31,7 +32,6 @@ import re
 from fractions import Fraction
 
 from .cache import cached_two_point
-from .parts import InvalidDegree, ordered_bipartitions, ordered_partitions
 
 
 def __getattr__(name):
@@ -40,6 +40,12 @@ def __getattr__(name):
         from . import residues
         return getattr(residues, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def _invalid_degree(msg):
+    """parts.InvalidDegree, imported only when a degree is refused."""
+    from .parts import InvalidDegree
+    return InvalidDegree(msg)
 
 
 class InvalidInsertion(ValueError):
@@ -233,10 +239,12 @@ class _OneFormGeometry(Geometry):
         if isinstance(dd, tuple) and len(dd) == 1:
             dd, = dd
         if not isinstance(dd, int) or dd <= 0:
-            raise InvalidDegree("degree must be a positive integer, got %r" % (dd,))
+            raise _invalid_degree("degree must be a positive integer, got %r"
+                                  % (dd,))
         return dd
 
     def _chains(self, d):
+        from .parts import ordered_partitions
         return ordered_partitions(d)
 
     def classical_triple(self, a, b, c):
@@ -259,15 +267,16 @@ class _TwoFormGeometry(Geometry):
     def check_degree(self, dd):
         if not (isinstance(dd, tuple) and len(dd) == 2
                 and all(isinstance(x, int) for x in dd)):
-            raise InvalidDegree("bi-degree required, got %r" % (dd,))
+            raise _invalid_degree("bi-degree required, got %r" % (dd,))
         da, db = dd
         if da < 0 or db < 0:
-            raise InvalidDegree("bi-degree must be a pair of non-negative integers")
+            raise _invalid_degree("bi-degree must be a pair of non-negative integers")
         if da == 0 and db == 0:
-            raise InvalidDegree("bi-degree (0, 0) has no chains")
+            raise _invalid_degree("bi-degree (0, 0) has no chains")
         return (da, db)
 
     def _chains(self, dd):
+        from .parts import ordered_bipartitions
         return ordered_bipartitions(*dd)
 
     def classical_triple(self, a, b, c):

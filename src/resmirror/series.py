@@ -9,8 +9,8 @@ numbers live in this ring: the affine part collects the classical triple
 pairings against the degree-one classes, the exponential part collects
 the quantum numbers degree by degree.  Contracting the unit-insertion
 generating functions with the inverse pairing block yields the mirror
-map; inverting it by fixed-point substitution and composing gives the
-transformed series whose coefficients are the invariants on the other
+map; inverting it in one sweep over the total degree and composing gives
+the transformed series whose coefficients are the invariants on the other
 side of the correspondence (the closed-form transform through degree
 three, built from the structure constants, is vsc.gmt_upto3).
 
@@ -20,11 +20,14 @@ pinned to zero, so every routine below is written once for both shapes.
 Transcendental operations are first-order recurrences over the total
 degree, never sums of truncated powers (Brent and Kung, JACM 25 (1978)):
 the exponential solves theta E = (theta s) E for the Euler derivation
-theta, the reciprocal of a unit solves u v = 1, and the logarithm of a
-one-variable unit a is the q-integral of (theta a) / a.  Each costs about
-one series product, and each coefficient is the same exact rational a power
-sum would give.  Every product multiplies integer numerators over one
-common denominator per operand.
+theta, and the reciprocal of a unit solves u v = 1.  Each costs about
+one series product, and each coefficient is the same exact rational a
+power sum would give.  Both run on one kernel, _graded_recurrence, which
+the mirror-map inversion also drives online, one level at a time.  The
+reversion of the modular expansion is Lagrange's form, with the powers it
+reads from Miller's recurrence, and j_coefficients checks it against
+_j_from_weights.  Products and recurrences run on integer numerators over
+one common denominator per operand or per degree.
 """
 
 import math
@@ -33,7 +36,7 @@ from fractions import Fraction
 from .cache import cached_two_point, frac_from_str, frac_to_str
 from .geoms import Insertion, geometry, parse_insertion
 
-_F0 = Fraction(0)
+_F0, _F1 = Fraction(0), Fraction(1)
 _NO_AFFINE = (_F0, _F0)
 
 
@@ -50,6 +53,13 @@ def _exact(c):
     if isinstance(c, (int, Fraction)):
         return c if type(c) is Fraction else Fraction(c)
     raise TypeError("coefficient must be an int or Fraction, got %r" % (c,))
+
+
+def _check_int(name, v):
+    """v itself if it is an int and not a bool; a ValueError otherwise."""
+    if type(v) is not int:
+        raise ValueError("%s must be an integer, got %r" % (name, v))
+    return v
 
 
 def _integral(terms):
@@ -72,14 +82,15 @@ class GradedSeries:
     def __init__(self, affine=(0, 0), const=0, terms=None, trunc=0):
         self.affine = (_exact(affine[0]), _exact(affine[1]))
         self.const = _exact(const)
-        self.trunc = int(trunc)
-        if self.trunc < 0:
+        self.trunc = _check_int("truncation bound", trunc)
+        if trunc < 0:
             raise ValueError("truncation bound must be non-negative")
         clean = {}
         if terms:
             for dd, c in terms.items():
-                da, db = int(dd[0]), int(dd[1])
-                if da < 0 or db < 0 or (da == 0 and db == 0):
+                da, db = dd
+                if type(da) is not int or type(db) is not int \
+                        or da < 0 or db < 0 or (da == 0 and db == 0):
                     raise ValueError("bad exponential degree %r" % (dd,))
                 c = _exact(c)
                 if c and da + db <= self.trunc:
@@ -89,7 +100,9 @@ class GradedSeries:
     # -- inspection --------------------------------------------------------
 
     def coefficient(self, dd):
-        da, db = int(dd[0]), int(dd[1])
+        da, db = dd
+        if type(da) is not int or type(db) is not int:
+            raise ValueError("bad exponential degree %r" % (dd,))
         if da == 0 and db == 0:
             return self.const
         return self.terms.get((da, db), _F0)
@@ -212,9 +225,8 @@ class GradedSeries:
         """
         if self.affine != _NO_AFFINE or self.const != 0:
             raise InvalidExp("exponential needs a vanishing affine part")
-        weighted = [(m, (m[0] + m[1]) * c) for m, c in self.terms.items()]
-        return _graded_recurrence(weighted, Fraction(1), self.trunc,
-                                  lambda n: Fraction(1, n))
+        weighted = {m: (m[0] + m[1]) * c for m, c in self.terms.items()}
+        return _solve(weighted, _F1, _euler, self.trunc)
 
     def div_unit(self, den):
         """Divide by a series with a non-zero constant term.
@@ -231,36 +243,65 @@ class GradedSeries:
         if den.const == 0:
             raise ZeroDivisionError("denominator has no constant term")
         step = -1 / den.const
-        inv = _graded_recurrence(list(den.terms.items()), 1 / den.const,
-                                 self.trunc, lambda n: step)
+        inv = _solve(den.terms, 1 / den.const, lambda n: step, self.trunc)
         return self * inv
 
 
-def _graded_recurrence(weighted, head, D, factor):
-    """The pure-q series E with E_0 = head and, for 1 <= |dd| <= D,
+def _euler(n):
+    """The factor of the exponential's recurrence at total degree n."""
+    return Fraction(1, n)
 
-        E_dd = factor(|dd|) * sum_m weighted[m] * E_{dd-m}.
 
-    Each sum runs over the pairs (m, e) with |m| + |e| = |dd|, so only
-    degrees the support can reach are visited.
+def _graded_recurrence(weights, head, factor, D):
+    """Levels 1..D of the pure-q series E with E_0 = head and
+
+        E_dd = factor(|dd|) * sum_m w_m E_{dd-m},
+
+    each yielded as (items, K_n): (degree, integer numerator) pairs over
+    one denominator K_n.  weights[r] holds the w_m of total degree r as
+    _integral gives them, (items, L_r).  Level n reads weights[r] only for
+    r <= n, so a caller may append weights[n] just before it asks for
+    level n.  The summands from weight level r share the denominator
+    L_r K_{n-r}, the lcm of those is the sum's, and factor(n) = a/b scales
+    the numerators by a and K_n by b: for the exponential of a series over
+    one denominator L, K_n = L^n n!.  Each sum runs over the pairs (m, e)
+    with |m| + |e| = |dd|, so only degrees the support can reach are
+    visited.
     """
-    E = {(0, 0): head}
-    levels = [[(0, 0)]] + [[] for _ in range(D)]
+    levels, dens = [[((0, 0), head.numerator)]], [head.denominator]
     for n in range(1, D + 1):
+        parts = [(weights[r], levels[n - r], dens[n - r]) for r in range(1, n + 1)
+                 if weights[r][0] and levels[n - r]]
+        den = math.lcm(*(L * K for (_, L), _, K in parts))
         acc = {}
-        for (ma, mb), w in weighted:
-            k = n - ma - mb
-            if k < 0:
-                continue
-            for ea, eb in levels[k]:
-                dd = (ma + ea, mb + eb)
-                acc[dd] = acc.get(dd, _F0) + w * E[(ea, eb)]
+        for (items, L), low, K in parts:
+            scale = den // (L * K)
+            for (ma, mb), w in items:
+                w *= scale
+                for (ea, eb), e in low:
+                    dd = (ma + ea, mb + eb)
+                    acc[dd] = acc.get(dd, 0) + w * e
         f = factor(n)
-        for dd, v in acc.items():
-            if v:
-                E[dd] = v * f
-                levels[n].append(dd)
-    del E[(0, 0)]
+        levels.append([(dd, v * f.numerator) for dd, v in acc.items() if v])
+        dens.append(den * f.denominator)
+        yield levels[n], dens[n]
+
+
+def _by_level(terms, D):
+    """terms grouped by total degree, one dict per level 0..D."""
+    out = [{} for _ in range(D + 1)]
+    for dd, c in terms.items():
+        if dd[0] + dd[1] <= D:
+            out[dd[0] + dd[1]][dd] = c
+    return out
+
+
+def _solve(terms, head, factor, D):
+    """_graded_recurrence with every weight given up front, as a series."""
+    weights = [_integral(g) for g in _by_level(terms, D)]
+    E = {}
+    for items, K in _graded_recurrence(weights, head, factor, D):
+        E.update((dd, Fraction(v, K)) for dd, v in items)
     return GradedSeries(_NO_AFFINE, head, E, D)
 
 
@@ -308,7 +349,7 @@ def build_generating_function(g, a, b, D):
     pairing domain (the virtual ring of the local surface) produce a
     purely classical series: their quantum part vanishes identically.
     """
-    if D < 1:
+    if _check_int("truncation bound", D) < 1:
         raise ValueError("need a truncation bound of at least 1")
     pa, pb = parse_insertion(g, a), parse_insertion(g, b)
     affine = [_F0, _F0]
@@ -342,7 +383,7 @@ class MirrorMap:
 
     def __init__(self, geom, trunc, forward, inverse=None):
         self.geom = geom
-        self.trunc = trunc
+        self.trunc = _check_int("truncation bound", trunc)
         self.forward = tuple(forward)
         self.inverse = None if inverse is None else tuple(inverse)
 
@@ -352,7 +393,7 @@ class MirrorMap:
 
 
 def _axis_affine(i):
-    return (Fraction(1), _F0) if i == 0 else (_F0, Fraction(1))
+    return (_F1, _F0) if i == 0 else (_F0, _F1)
 
 
 def mirror_map(g, D):
@@ -363,6 +404,7 @@ def mirror_map(g, D):
     result does not depend on the free classical parameter; the test suite
     checks this by comparing two parameter values.
     """
+    _check_int("truncation bound", D)
     rows = g.kahler_classes()
     cols = g.pairing_partners()
     unit = _unit(g)
@@ -393,38 +435,71 @@ def mirror_map(g, D):
     return MirrorMap(g, D, comps)
 
 
-def _compose_q(f, shifts):
-    """f with x_j replaced by t_j + shifts[j]; f and shifts are pure q.
+def _composition(fs, shifts, D):
+    """Levels 1..D of f(t + shifts) for each pure-q f in fs, a terms dict.
 
-    Each term c e^{dd.x} becomes c e^{dd.t} exp(da shifts[0] + db shifts[1]),
-    and the shift by dd keeps only the exponential's degrees up to
-    D - |dd|, so that is where it is cut.
+    Each term c e^{m.x} becomes c e^{m.t} exp(m.shifts), and the shift by
+    m keeps only the exponential's levels up to D - |m|.  Each exp(m.shifts)
+    is built once for all of fs, on _graded_recurrence, and its level n
+    reads the shifts only through level n, so level p of the result reads
+    them only below p.  shifts[j] lists the levels of shift j as
+    {dd: Fraction}, and a caller may append level p - 1 just before it
+    asks for level p.  Yields one {dd: Fraction} per f at each level; a
+    level is summed in integers over the lcm of the summands' denominators.
     """
+    exps = {}
+    for mm in {mm for f in fs for mm in f}:
+        weights = [None]
+        exps[mm] = (weights, [([((0, 0), 1)], 1)],
+                    _graded_recurrence(weights, _F1, _euler, D - mm[0] - mm[1]))
+    coefs = [_integral(f) for f in fs]
+    for p in range(1, D + 1):
+        r = p - 1
+        forms = [_integral(s[r]) for s in shifts] if r else ()
+        for (ma, mb), (weights, levels, gen) in exps.items():
+            if 0 < r <= D - ma - mb:
+                used = [(k, form) for k, form in zip((ma, mb), forms) if k]
+                L = math.lcm(*(form[1] for _, form in used))
+                arg = {}
+                for k, (items, Ls) in used:
+                    k *= r * (L // Ls)
+                    for dd, v in items:
+                        arg[dd] = arg.get(dd, 0) + k * v
+                weights.append((list(arg.items()), L))
+                levels.append(next(gen))
+        out = []
+        for items, Lf in coefs:
+            terms = [(m, c, exps[m][1][p - m[0] - m[1]])
+                     for m, c in items if m[0] + m[1] <= p]
+            den = math.lcm(*(K for _, _, (_, K) in terms))
+            acc = {}
+            for (ma, mb), c, (low, K) in terms:
+                c *= den // K
+                for (ea, eb), e in low:
+                    dd = (ma + ea, mb + eb)
+                    acc[dd] = acc.get(dd, 0) + c * e
+            out.append({dd: Fraction(v, den * Lf) for dd, v in acc.items() if v})
+        yield out
+
+
+def _compose_q(f, shifts):
+    """f with x_j replaced by t_j + shifts[j]; f and shifts are pure q."""
     D = f.trunc
+    levels = tuple(_by_level(s.terms, D) for s in shifts)
     out = {}
-    for (da, db), c in f.terms.items():
-        cut = D - da - db
-        arg = {}
-        for shift, k in ((shifts[0], da), (shifts[1], db)):
-            if k:
-                for (a1, b1), v in shift.terms.items():
-                    if a1 + b1 <= cut:
-                        arg[(a1, b1)] = arg.get((a1, b1), _F0) + k * v
-        e = GradedSeries(_NO_AFFINE, 0, arg, cut).exp_of_pure_q()
-        out[(da, db)] = out.get((da, db), _F0) + c
-        for (a1, b1), v in e.terms.items():
-            key = (a1 + da, b1 + db)
-            out[key] = out.get(key, _F0) + c * v
+    for (level,) in _composition((f.terms,), levels, D):
+        out.update(level)
     return GradedSeries(_NO_AFFINE, 0, out, D)
 
 
 def invert_mirror_map(m):
-    """Fill in x_i(t) by fixed-point substitution.
+    """Fill in x_i(t) in one sweep over the total degree.
 
-    The forward components are tangent to the identity and their quantum
-    terms have degree >= 1, so an error of degree >= p in the shifts moves
-    f(t + shifts) only at degree >= p + 1: pass p fixes total degree p and
-    needs f only cut at p, and D passes close the identity exactly.
+    With t_i = x_i + f_i(x), the shifts s_i = x_i - t_i solve
+    s_i = -f_i(t + s).  Level p of the right side reads the shifts only
+    below p (_composition), so each level of the composition, negated, is
+    the next level of the shifts, fed back before the level after it is
+    asked for: online composition (Brent and Kung, JACM 25 (1978)).
     """
     D = m.trunc
     fs = []
@@ -432,11 +507,16 @@ def invert_mirror_map(m):
         if t.affine != _axis_affine(i) or t.const != 0:
             raise ValueError("component %d is not x_%d plus exponential terms"
                              % (i, i + 1))
+        if t.trunc != D:
+            raise ValueError("truncation mismatch: %d vs %d" % (D, t.trunc))
         fs.append(t.quantum_part())
-    shifts = (GradedSeries(_NO_AFFINE, 0, None, D),) * 2
-    for p in range(1, D + 1):
-        shifts = tuple(-_compose_q(GradedSeries(_NO_AFFINE, 0, f.terms, p), shifts)
-                       for f in fs)
+    levels = ([{}], [{}])
+    for new in _composition([f.terms for f in fs], levels, D):
+        for lv, level in zip(levels, new):
+            lv.append({dd: -v for dd, v in level.items()})
+    shifts = tuple(GradedSeries(_NO_AFFINE, 0, {dd: v for level in lv
+                                                for dd, v in level.items()}, D)
+                   for lv in levels)
     for i in range(2):
         if not (shifts[i] + _compose_q(fs[i], shifts)).is_zero():
             raise ArithmeticError("fixed point failed to close at trunc %d" % D)
@@ -476,6 +556,8 @@ def picard_fuchs_basis(k, j, D):
     in the exponent shift, are lead_d * k * (H(k d) - H(d)) with the
     harmonic numbers H accumulated across d.
     """
+    for name, v in (("level", k), ("solution index", j), ("truncation", D)):
+        _check_int(name, v)
     if j not in (0, 1):
         raise ValueError("solution index must be 0 or 1")
     if D < 0:
@@ -509,38 +591,28 @@ class JExpansion:
         return "<j-expansion through degree %d>" % self.dmax
 
 
-def _cut(s, D):
-    """s cut at total degree D <= s.trunc.  Its terms are valid already, so
-    they are filtered, not re-checked as the constructor would."""
-    out = GradedSeries.__new__(GradedSeries)
-    out.affine, out.const, out.trunc = s.affine, s.const, D
-    out.terms = {dd: c for dd, c in s.terms.items() if dd[0] + dd[1] <= D}
-    return out
-
-
 def reversion_weights(js):
-    """Recover the w_d from the j_d via the logarithmic reversion identity.
+    """Recover the w_d from the j_d by Lagrange inversion.
 
-    The weights peel off log A, A = 1 + sum_d j_d q^d, as
-    sum_d w_d q^d A^{-d}, lowest degree first.  log A is the q-integral of
-    theta A / A, theta the Euler derivation.  Step d reads the d-th power
-    of A^{-1} only up to q^{D-d}, so each power is cut there.
+    With A = 1 + sum_d j_d q^d and u = q / A, log A = sum_d w_d u^d, so
+    Lagrange's formula gives w_d = [q^d] A^d / d.  The coefficients of
+    P = A^d solve J. C. P. Miller's recurrence
+    n P_n = sum_k ((d + 1) k - n) A_k P_{n-k} (Knuth, TAOCP vol. 2, 4.7).
+    After q -> L q, L the lcm of the denominators, A has integer
+    coefficients, so every P_n is an integer and each division by n is
+    exact.  j_coefficients checks the result against _j_from_weights,
+    which rebuilds the j_d from the weights by another route.
     """
-    D = len(js)
-    A = GradedSeries(_NO_AFFINE, 1, {(d, 0): v for d, v in enumerate(js, 1)}, D)
-    Ainv = GradedSeries(_NO_AFFINE, 1, None, D).div_unit(A)
-    theta = GradedSeries(_NO_AFFINE, 0, {dd: dd[0] * c for dd, c in A.terms.items()}, D)
-    target = [_F0] * (D + 1)
-    for (d, _), c in (theta * Ainv).terms.items():
-        target[d] = c / d
-    power = GradedSeries(_NO_AFFINE, 1, None, D)
+    js = [_exact(v) for v in js]
+    L = math.lcm(*(v.denominator for v in js))
+    A = [1] + [v.numerator * (L ** k // v.denominator) for k, v in enumerate(js, 1)]
     out = []
-    for d in range(1, D + 1):
-        power = _cut(power, D - d) * _cut(Ainv, D - d)
-        wd = target[d]
-        out.append(wd)
-        for (i, _), c in power.terms.items():
-            target[i + d] -= wd * c
+    for d in range(1, len(js) + 1):
+        P = [1]
+        for n in range(1, d + 1):
+            P.append(sum(((d + 1) * k - n) * A[k] * P[n - k]
+                         for k in range(1, n + 1)) // n)
+        out.append(Fraction(P[d], d * L ** d))
     return out
 
 
@@ -567,10 +639,11 @@ def j_coefficients(dmax):
 
     Each weight w_d is half the (1, z) two-point number at degree d; the
     coefficient j_d sums the weights over ordered partitions
-    (`_j_from_weights`).  The reversion identity is re-solved as a
-    cross-check before returning.
+    (`_j_from_weights`).  As a cross-check before returning, the Lagrange
+    form of the reversion (`reversion_weights`) must recover the weights
+    from those coefficients.
     """
-    if not 1 <= dmax <= 6:
+    if not 1 <= _check_int("dmax", dmax) <= 6:
         raise ValueError("dmax must be in 1..6: the desk-scale expansion "
                          "stops at degree 6")
     g = geometry("wp2")

@@ -15,8 +15,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 LOADED = "sorted(m for m in sys.modules if m.startswith('resmirror.'))"
 
-# the chain engine and the arithmetic under it
-ENGINE = ("resmirror.polys", "resmirror.residues", "resmirror.chains")
+# the chain engine, the arithmetic under it and the chain enumeration
+ENGINE = ("resmirror.polys", "resmirror.residues", "resmirror.chains",
+          "resmirror.parts")
 
 
 def _python(code, *args):
@@ -57,7 +58,8 @@ def test_warm_two_point_skips_series_vsc_and_refdata(tmp_path):
 def test_cache_hit_loads_no_engine(tmp_path, argv):
     argv += ("--cache", str(tmp_path / "memo.jsonl"))
     cold = _loaded_after_main(*argv)
-    assert "'resmirror.chains'" in cold, cold
+    for module in ("resmirror.chains", "resmirror.parts"):
+        assert repr(module) in cold, cold
     warm = _loaded_after_main(*argv)
     for module in ENGINE:
         assert repr(module) not in warm, warm
@@ -128,6 +130,19 @@ except AttributeError as e:
     print(e)
 """
     assert "no_such_name" in _python(code)
+
+
+def test_refused_degree_raises_the_exported_class():
+    # geoms imports parts only when it refuses a degree; the class stays one
+    import resmirror
+    from resmirror import parts
+    from resmirror.geoms import geometry
+
+    for g, dd in ((geometry("cpn", N=5, k=5), 0), (geometry("f3"), (0, 0)),
+                  (geometry("wp1"), 2)):
+        with pytest.raises(ValueError) as info:
+            g.check_degree(dd)
+        assert type(info.value) is parts.InvalidDegree is resmirror.InvalidDegree
 
 
 def test_names_the_benchmark_tracer_rebinds(monkeypatch):

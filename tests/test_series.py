@@ -137,6 +137,29 @@ def test_floats_are_refused():
     assert s.affine == (F(1), F(1, 2)) and s.const == 2
 
 
+@pytest.mark.parametrize("make", [
+    lambda: GradedSeries((0, 0), 0, {(1.5, 0): 3}, 2.7),
+    lambda: GradedSeries((0, 0), 0, {(1.5, 0): 3}, 2),
+    lambda: GradedSeries((0, 0), 0, {(1, True): 3}, 2),
+    lambda: GradedSeries((0, 0), 0, {(1, 0): 3}, 2.0),
+    lambda: GradedSeries((0, 0), 0, None, True),
+    lambda: q_series({(1, 0): 3}, 2).coefficient((1.0, 0)),
+    lambda: MirrorMap(geometry("kf0"), 2.0, ()),
+    lambda: j_coefficients(True),
+    lambda: j_coefficients(2.0),
+    lambda: picard_fuchs_basis(5, True, 3),
+    lambda: picard_fuchs_basis(True, 0, 3),
+    lambda: picard_fuchs_basis(5, 0, 3.0),
+    lambda: build_generating_function(geometry("cpn", N=5, k=5), 1, 1, 2.0),
+    lambda: mirror_map(geometry("cpn", N=5, k=5), True),
+], ids=["float-degree-and-trunc", "float-degree", "bool-degree", "float-trunc",
+        "bool-trunc", "float-lookup", "float-map-trunc", "bool-dmax", "float-dmax",
+        "bool-j", "bool-k", "float-D", "float-gf-D", "bool-map-D"])
+def test_non_integer_degrees_and_bounds_are_refused(make):
+    with pytest.raises(ValueError, match="integer|degree"):
+        make()
+
+
 # -- the power-sum loops the recurrences replace, kept as oracles ----------
 
 
@@ -559,8 +582,8 @@ def test_invert_single_exponential():
     assert m.inverse[0].terms == {(1, 0): -c, (2, 0): c * c}
 
 
-def test_deep_quintic_inversion():
-    D = 24
+@pytest.mark.parametrize("D", [24, 32])
+def test_deep_quintic_inversion(D):
     ratio = picard_fuchs_basis(5, 1, D).div_unit(picard_fuchs_basis(5, 0, D))
     forward = (GradedSeries((1, 0), 0, ratio.terms, D),
                GradedSeries((0, 1), 0, None, D))
@@ -595,6 +618,20 @@ def test_inversion_matches_full_precision_passes(series):
     m = invert_mirror_map(MirrorMap(geometry("kf0"), D, forward))
     for got, want in zip(m.inverse, invert_oracle(forward, D)):
         same_series(got, want)
+
+
+@pytest.mark.parametrize("short", [0, 1])
+def test_inversion_refuses_a_truncation_mismatch_first(monkeypatch, short):
+    def no_work(*args):
+        raise AssertionError("inversion started")
+
+    for name in ("_graded_recurrence", "_composition", "_compose_q"):
+        monkeypatch.setattr("resmirror.series." + name, no_work)
+    comps = [GradedSeries((1, 0), 0, {(1, 0): 3, (2, 0): 5}, 4),
+             GradedSeries((0, 1), 0, {(0, 1): 1}, 4)]
+    comps[short] = GradedSeries(comps[short].affine, 0, comps[short].terms, 2)
+    with pytest.raises(ValueError, match="truncation mismatch: 4 vs 2"):
+        invert_mirror_map(MirrorMap(geometry("kf0"), 4, comps))
 
 
 def test_inversion_composes_both_ways():
@@ -784,8 +821,9 @@ def test_deep_wp2_numbers_match_modular_weights(d):
     assert geometry("wp2").two_point(d, "1", "z") / 2 == weights[d - 1]
 
 
-def test_reversion_closes_on_forty_modular_coefficients():
-    js = modular_j(40)
+@pytest.mark.parametrize("count", [40, 80])
+def test_reversion_closes_on_modular_coefficients(count):
+    js = modular_j(count)
     assert js[:3] == [744, 196884, 21493760]
     assert _j_from_weights(reversion_weights(js)) == js
 
