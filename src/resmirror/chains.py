@@ -11,10 +11,12 @@ The integrand is never multiplied out whole.  It stays a list of factors,
 each tagged with the vertices whose variables it contains, and a factor
 joins the running integrand just before the residue of the first vertex it
 touches.  This is exact: a residue in one variable is linear over factors
-free of it, and such factors add no poles in it.  The identifications of
-one vertex's variable with the next vertex's change only factors that touch
-the vertex, and all of those have joined by then.  So each residue expands
+free of it, and such factors add no poles in it.  So each residue expands
 only the factors near its vertex, never the ones further down the chain.
+A two-form chain identifies the w of a section part's two ends, and the z
+of a fiber part's; each class of identified vertices gets one variable
+when the integrand is built, named after the last vertex of the class,
+whose residue removes it, so no identification is ever substituted.
 
 Every function here reads the geometry's declared data (geoms).  A part
 along an axis in _SECTION_AXES is a section-direction block: the roots
@@ -29,7 +31,7 @@ weight _W_SCALE.
 
 from fractions import Fraction
 
-from .polys import RatFunc, VarSet
+from .polys import RatFunc, VarSet, _lowest, _mul_n
 from .residues import residue_at, residue_sum
 
 
@@ -46,29 +48,37 @@ def amplitude(g, sigma, a, b):
 
     Part i touches vertices i and i + 1, node j touches j - 1, j and
     j + 1, an insertion its own vertex; each residue sees only the
-    factors that touch its vertex, which is exact (_absorb).  A vertex
-    that starts a section part identifies w_j = w_{j+1}; any other
-    vertex takes the w residue, which on a one-form target is the
-    residue in its one variable z_j.  A two-form vertex then takes the z
-    residue if it starts a section part or ends the chain, and
-    identifies z_j = z_{j+1} otherwise.  Each identification changes
-    only factors that touch j, and all of those have been absorbed.
+    factors that touch its vertex, which is exact (_absorb).  A two-form
+    variable stands for a class of vertices identified by construction:
+    a section part's two ends share w, a fiber part's share z.  Residues
+    run in ascending vertex order, and each class goes at its last vertex,
+    after which it is named, once every factor containing it has joined.
+    On a one-form target each vertex takes the w residue, in its z_j.
     """
     a, b = g.check_insertion(a), g.check_insertion(b)
     if g.n_forms == 1:
         sigma = tuple((0, d) for d in sigma)
+    elif g._DESCENDING:
+        raise NotImplementedError("two-form chains run in ascending vertex order")
     else:
         sigma = tuple(tuple(p) for p in sigma)
     l = len(sigma)
+    # cls[c][j]: the last vertex of vertex j's class for letter c
+    cls = {"z": list(range(l + 1)), "w": list(range(l + 1))}
+    for j in range(l - 1, -1, -1) if g.n_forms == 2 else ():
+        c = "w" if _axis(sigma[j]) == "a" else "z"
+        cls[c][j] = cls[c][j + 1]
     letters = "zw"[:g.n_forms]
-    vs = VarSet(["%s%d" % (c, j) for j in range(l + 1) for c in letters])
-    x = [[vs.poly("%s%d" % (c, j)) for c in letters] for j in range(l + 1)]
+    names = [["%s%d" % (c, cls[c][j]) for c in letters] for j in range(l + 1)]
+    vs = VarSet(n for j, ns in enumerate(names) for n, c in zip(ns, letters)
+                if cls[c][j] == j)
+    x = [[vs.poly(n) for n in ns] for ns in names]
     z, w = [v[0] for v in x], [v[-1] for v in x]
 
-    # vertex 0's variables come first in vs, vertex l's last
-    zeros = (0,) * (len(letters) * l)
-    pending = [({0}, RatFunc(vs.monomial(a.exps + zeros))),
-               ({l}, RatFunc(vs.monomial(zeros + b.exps)))]
+    pending = []
+    for j, e in ((0, a.exps), (l, b.exps)):
+        exps = dict(zip(names[j], e))
+        pending.append(({j}, RatFunc(vs.monomial([exps.get(n, 0) for n in vs.names]))))
     for i, part in enumerate(sigma):
         axis = _axis(part)
         if axis == "a":
@@ -88,20 +98,12 @@ def amplitude(g, sigma, a, b):
     f = RatFunc(vs.const(1))
     for j in range(l, -1, -1) if g._DESCENDING else range(l + 1):
         f = _absorb(f, pending, j)
-        section = j < l and _axis(sigma[j]) == "a"
-        wname = "%s%d" % (letters[-1], j)
-        if section:
-            f = f.substitute(wname, w[j + 1])
-        else:
+        if cls[letters[-1]][j] == j:
             prev = _axis(sigma[j - 1]) if j else "b"
-            f = _w_residue(g, f, wname, z[j], g._RES[prev])
-        if g.n_forms == 1:
-            continue
-        if section or j == l:
+            f = _w_residue(g, f, names[j][-1], z[j], g._RES[prev])
+        if g.n_forms == 2 and cls["z"][j] == j:
             f = f * RatFunc(vs.const(1), [(z[j], 2)])
             f = residue_at(f, "z%d" % j)
-        else:
-            f = f.substitute("z%d" % j, z[j + 1])
 
     val = f.as_rational()
     for part in sigma:
@@ -110,13 +112,11 @@ def amplitude(g, sigma, a, b):
 
 
 def _section_block(g, d, p, q, other):
-    num = p.vars.const(1)
-    if g._FIBER_DEGREE:
-        num = g._FIBER_DEGREE * other
-    for i in range(1, g._SPAN * d):
-        num = num * ((-i * p - (g._SPAN * d - i) * q) * Fraction(1, d)
-                     + g._SHIFT * other)
-    return RatFunc(num, _part_poles([(1, 0, 2)], d, p, q))
+    forms = [[(-i, p), (i - g._SPAN * d, q), (g._SHIFT * d, other)]
+             for i in range(1, g._SPAN * d)]
+    num = g._FIBER_DEGREE * other if g._FIBER_DEGREE else p.vars.const(1)
+    return RatFunc(_times_forms(num, forms, d),
+                   _part_poles([(1, 0, 2)], d, p, q))
 
 
 def _fiber_block(g, d, p, q, other):
@@ -151,16 +151,20 @@ def _w_residue(g, f, wname, zj, prof):
     return residue_sum(f, wname, locs)
 
 
-def _linform(c1, p1, c2, p2, scale):
-    return (p1 * c1 + p2 * c2) * scale
+def _times_forms(num, forms, d):
+    """num times the product of the linear forms over d, each form a list
+    of (integer, variable) pairs over distinct variables: one pass of the
+    integer product kernel over the denominator d^len(forms)."""
+    n, guard = num._n, num.vars._guard
+    for form in forms:
+        n = _mul_n(n, {next(iter(v._n)): c for c, v in form if c}, guard)
+    return _lowest(num.vars, n, num._d * d ** len(forms))
 
 
 def _hypersurface_roots(num, k, d, p, q):
     """num times the k*d + 1 roots (j p + (k d - j) q)/d that a degree-k
     equation contributes on one part of degree d."""
-    for j in range(0, k * d + 1):
-        num = num * _linform(j, p, k * d - j, q, Fraction(1, d))
-    return num
+    return _times_forms(num, [[(j, p), (k * d - j, q)] for j in range(k * d + 1)], d)
 
 
 def _part_poles(coords, d, p, q, base=None):
@@ -174,7 +178,7 @@ def _part_poles(coords, d, p, q, base=None):
     den = []
     for m in sorted({weight for weight, _, _ in coords}):
         for j in range(1, m * d):
-            pt = _linform(j, p, m * d - j, q, Fraction(1, d))
+            pt = (p * j + q * (m * d - j)) * Fraction(1, d)
             for weight, twist, mult in coords:
                 if weight == m:
                     den.append((pt - twist * base if twist else pt, mult))

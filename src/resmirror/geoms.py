@@ -238,7 +238,7 @@ class _OneFormGeometry(Geometry):
     def check_degree(self, dd):
         if isinstance(dd, tuple) and len(dd) == 1:
             dd, = dd
-        if not isinstance(dd, int) or dd <= 0:
+        if not isinstance(dd, int) or isinstance(dd, bool) or dd <= 0:
             raise _invalid_degree("degree must be a positive integer, got %r"
                                   % (dd,))
         return dd
@@ -266,7 +266,7 @@ class _TwoFormGeometry(Geometry):
 
     def check_degree(self, dd):
         if not (isinstance(dd, tuple) and len(dd) == 2
-                and all(isinstance(x, int) for x in dd)):
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in dd)):
             raise _invalid_degree("bi-degree required, got %r" % (dd,))
         da, db = dd
         if da < 0 or db < 0:

@@ -133,6 +133,31 @@ def _lowest(vars_, n, d):
     return _raw(vars_, n, d)
 
 
+def _mul_n(a, b, guard, n=None):
+    """The product of two numerator dicts, added into n when one is given.
+
+    The one integer product kernel: keys add, numerators multiply, zeros
+    are dropped, and a key reaching a guard bit raises OverflowError.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    if n is None and len(a) == 1:
+        (k1, c1), = a.items()
+        n = {k1 + k2: c1 * c2 for k2, c2 in b.items()}
+    else:
+        n = {} if n is None else n
+        get = n.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                n[k] = get(k, 0) + c1 * c2
+        if not all(n.values()):
+            n = {k: c for k, c in n.items() if c}
+    if reduce(or_, n, 0) & guard:
+        raise OverflowError("a product exponent reaches the field limit 2^15")
+    return n
+
+
 def _coeff(c, d):
     q, r = divmod(c, d)
     return Fraction(c, d) if r else q
@@ -252,23 +277,7 @@ class MultiPoly:
                 return NotImplemented
             return self._scaled(other)
         self._check(other)
-        a, b = self._n, other._n
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            (k1, c1), = a.items()
-            n = {k1 + k2: c1 * c2 for k2, c2 in b.items()}
-        else:
-            n = {}
-            get = n.get
-            for k1, c1 in a.items():
-                for k2, c2 in b.items():
-                    k = k1 + k2
-                    n[k] = get(k, 0) + c1 * c2
-            if not all(n.values()):
-                n = {k: c for k, c in n.items() if c}
-        if reduce(or_, n, 0) & self.vars._guard:
-            raise OverflowError("a product exponent reaches the field limit 2^15")
+        n = _mul_n(self._n, other._n, self.vars._guard)
         return _lowest(self.vars, n, self._d * other._d)
 
     __rmul__ = __mul__
@@ -323,38 +332,47 @@ class MultiPoly:
 
     # -- substitution and evaluation --------------------------------------
 
-    def split_by(self, name):
-        """Decompose as sum_j v^j * A_j(rest); returns {j: MultiPoly}.
-
-        Each A_j lives on the same VarSet with zero exponent in `name`.
-        """
+    def _split(self, name):
+        """{j: numerator dict of A_j} with self = sum_j v^j * A_j / self._d."""
         s = self.vars._shifts[self.vars.index(name)]
         out = {}
         for k, c in self._n.items():
             j = k >> s & _MASK
             out.setdefault(j, {})[k - (j << s)] = c
-        return {j: _lowest(self.vars, n, self._d) for j, n in out.items()}
+        return out
+
+    def split_by(self, name):
+        """Decompose as sum_j v^j * A_j(rest); returns {j: MultiPoly}.
+
+        Each A_j lives on the same VarSet with zero exponent in `name`.
+        """
+        return {j: _lowest(self.vars, n, self._d)
+                for j, n in self._split(name).items()}
 
     def subs(self, name, value):
         """Substitute `value` (polynomial or rational) for the variable.
 
         The value may itself involve the substituted variable; the split is
-        taken first, so e.g. subs("z", z + a) is the shift z -> z + a.
+        taken first, so e.g. subs("z", z + a) is the shift z -> z + a.  With
+        value = V / e, the result is sum_j A_j V^j e^(top - j) over the one
+        denominator d e^top: each power V^j is built once, and every product
+        runs on integer numerators, with one gcd at the end.
         """
         if isinstance(value, (int, Fraction)):
             value = self.vars.const(value)
         self._check(value)
-        parts = self.split_by(name)
-        # Horner over descending powers keeps the number of multiplies at
-        # max-exponent even for sparse splits.
+        parts = self._split(name)
         top = max(parts, default=0)
-        acc = self.vars.zero()
-        for j in range(top, -1, -1):
-            if j != top:
-                acc = acc * value
+        guard, e = self.vars._guard, value._d
+        power, acc = {0: 1}, {}
+        for j in range(top + 1):
+            if j:
+                power = _mul_n(power, value._n, guard)
             if j in parts:
-                acc = acc + parts[j]
-        return acc
+                scale = e ** (top - j)
+                a = {k: c * scale for k, c in parts[j].items()}
+                acc = _mul_n(a, power, guard, acc)
+        return _lowest(self.vars, acc, self._d * e ** top)
 
     def evaluate(self, assignment):
         """Full evaluation; `assignment` maps every used variable name to a rational."""

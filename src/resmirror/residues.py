@@ -14,7 +14,7 @@ the residue reads.
 
 from fractions import Fraction
 
-from .polys import RatFunc, _cancel, _normal
+from .polys import RatFunc, _cancel, _lowest, _mul_n, _normal
 
 
 class DuplicatePole(ValueError):
@@ -32,27 +32,28 @@ def _location(r, var, loc):
     return loc
 
 
-def _trunc_mul(a, b, top):
-    """The product of two eps-series (polynomial lists, a[0] != 0) to eps^top."""
-    out = [a[0].vars.zero()] * (top + 1)
+def _trunc_mul(a, b, top, guard):
+    """The product of two eps-series of numerator dicts (a[0] nonzero), each
+    over one denominator, to eps^top."""
+    out = [{} for _ in range(top + 1)]
     for i, x in enumerate(a):
         if x:
             for j in range(top + 1 - i):
                 if b[j]:
-                    out[i + j] = out[i + j] + x * b[j]
+                    out[i + j] = _mul_n(x, b[j], guard, out[i + j])
     return out
 
 
-def _trunc_pow(s, m, top):
+def _trunc_pow(s, m, top, guard):
     """s^m for m >= 1 by binary powering of the series cut after eps^top."""
     p = None
     while True:
         if m & 1:
-            p = s if p is None else _trunc_mul(p, s, top)
+            p = s if p is None else _trunc_mul(p, s, top, guard)
         m >>= 1
         if not m:
             return p
-        s = _trunc_mul(s, s, top)
+        s = _trunc_mul(s, s, top, guard)
 
 
 def residue_at(r, var, loc=0):
@@ -63,29 +64,31 @@ def residue_at(r, var, loc=0):
     W = prod u_i^m_i, and the residue is c_{P-1} where the coefficients of
     N / W solve c_n = (N_n - sum_{h=1..n} W_h c_{n-h}) / W_0 (Brent and
     Kung, JACM 25 (1978)).  W, a truncated series of polynomials, is built
-    only for P >= 2: each unit is raised to its multiplicity by binary
-    powering and multiplied in once, and a unit 1 (a factor var - loc) is
-    skipped.  1/W_0 stays factored as prod u_i(0)^-m_i, so each c_n is
-    reduced by trial division by those factors alone.  The spectators, the
-    factors free of var, are reattached at the end, and only they cancel:
-    c_{P-1} is reduced against its own factors, and a factor that does not
-    divide a numerator does not divide its quotient.
+    only for P >= 2, on integer numerators over one denominator: each unit
+    is raised to its multiplicity by binary powering and multiplied in
+    once, a unit 1 (a factor var - loc) is skipped, and each W_h becomes a
+    polynomial once, at the end.  1/W_0 stays factored as prod u_i(0)^-m_i,
+    so each c_n is reduced by trial division by those factors alone.  The
+    spectators, the factors free of var, are reattached at the end, and
+    only they cancel: c_{P-1} is reduced against its own factors, and a
+    factor that does not divide a numerator does not divide its quotient.
     """
     loc = _location(r, var, loc)
     vv = r.vars.poly(var)
     shift = (lambda p: p) if loc.is_zero() else (lambda p: p.subs(var, vv + loc))
 
     spectators = []
-    units = []          # (eps-coefficients with a nonzero constant term, mult)
+    units = []          # (eps-series of numerator dicts, denominator, mult)
     pole_order = 0
     for f, m in r.den:
         if f.max_exp(var) == 0:
             spectators.append((f, m))
             continue
-        parts = shift(f).split_by(var)
+        f = shift(f)
+        parts = f._split(var)
         j0 = min(parts)
         pole_order += j0 * m
-        units.append(({j - j0: a for j, a in parts.items()}, m))
+        units.append(({j - j0: a for j, a in parts.items()}, f._d, m))
 
     zero = r.vars.zero()
     if pole_order == 0:
@@ -93,11 +96,15 @@ def residue_at(r, var, loc=0):
     top = pole_order - 1
     w = None
     if top:
-        for u, m in units:
-            if len(u) > 1 or u[0] != 1:
-                p = _trunc_pow([u.get(h, zero) for h in range(top + 1)], m, top)
-                w = p if w is None else _trunc_mul(w, p, top)
-    b0 = RatFunc(r.vars.const(1), [(u[0], m) for u, m in units])
+        guard, den = r.vars._guard, 1
+        for u, d, m in units:
+            if len(u) > 1 or u[0] != {0: d}:
+                p = _trunc_pow([u.get(h, {}) for h in range(top + 1)], m, top, guard)
+                w = p if w is None else _trunc_mul(w, p, top, guard)
+                den *= d ** m
+        w = w and [_lowest(r.vars, x, den) for x in w]
+    b0 = RatFunc(r.vars.const(1),
+                 [(_lowest(r.vars, u[0], d), m) for u, d, m in units])
     num = shift(r.num).split_by(var)
     c = []
     for n in range(top + 1):

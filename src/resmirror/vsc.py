@@ -33,7 +33,6 @@ from math import prod
 
 from .geoms import _check_integers, two_point_cpn
 from .polys import MultiPoly, RatFunc, VarSet
-from .residues import residue_at
 
 
 class InvalidComb(ValueError):
@@ -140,6 +139,8 @@ def _movable_residues(f, forms, names, fixed):
     not-yet-integrated forms are carried per branch and updated after each
     step; branches never merge until all variables are gone.
     """
+    from .residues import residue_at
+
     branches = [(f, forms)]
     for name in names:
         nxt = []

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from resmirror import cache
 from resmirror.cache import (
     CacheCorruption,
     CacheStore,
@@ -14,6 +15,7 @@ from resmirror.cache import (
 )
 from resmirror.cli import main
 from resmirror.geoms import geometry, parse_insertion
+from resmirror.parts import InvalidDegree
 
 
 def key_for(d=1, a="1", b="z2"):
@@ -63,6 +65,29 @@ def test_cached_two_point_records_once(tmp_path):
     assert len(store) == 1
     rec = json.loads(open(store.path).readline())
     assert rec["value"] == "3850"
+
+
+@pytest.mark.parametrize("name,dd", [("cpn", True), ("cpn", (True,)),
+                                     ("f3", (True, 0)), ("wp1", (0, True))])
+def test_bool_degree_is_refused_before_the_cache(tmp_path, monkeypatch, name, dd):
+    g = geometry(name, **({"N": 5, "k": 5} if name == "cpn" else {}))
+    a, b = g.basis()[0], g.basis()[-1]
+    path = tmp_path / "c.jsonl"
+    store = activate(str(path))
+    monkeypatch.setattr(cache, "_MEMO", {})
+
+    def untouched(*args):
+        raise AssertionError("the store was consulted")
+
+    monkeypatch.setattr(store, "lookup", untouched)
+    monkeypatch.setattr(store, "store", untouched)
+    try:
+        with pytest.raises(InvalidDegree):
+            cached_two_point(g, dd, a, b)
+    finally:
+        activate(None)
+    assert cache._MEMO == {}
+    assert not path.exists() or path.read_bytes() == b""
 
 
 def test_store_after_torn_last_line_keeps_both_records(tmp_path):

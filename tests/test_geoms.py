@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from resmirror import cache, chains
 from resmirror.cache import cached_two_point
 from resmirror.geoms import (
+    F3Geometry,
     Insertion,
     InvalidInsertion,
     geometry,
@@ -112,6 +113,16 @@ class TestInsertionLabels:
         for bad in [1.0, (1.0,), (1, 1)]:
             with pytest.raises(InvalidDegree):
                 cached_two_point(g, bad, one, zz)
+
+    def test_bool_degrees_rejected(self):
+        g = geometry("cpn", N=5, k=5)
+        for bad in (True, (True,), False):
+            with pytest.raises(InvalidDegree, match="degree must be a positive integer"):
+                g.check_degree(bad)
+        for name in ("kf0", "f3", "wp1"):
+            for bad in ((True, 0), (0, True), (True, True), (False, 1)):
+                with pytest.raises(InvalidDegree, match="bi-degree required"):
+                    geometry(name).check_degree(bad)
 
 
 class TestCpn:
@@ -568,6 +579,67 @@ def test_amplitude_matches_whole_integrand(request):
     oracle = one_form_oracle if g.n_forms == 1 else two_form_oracle
     for sigma in g._chains(dd):
         assert g.amplitude(sigma, a, b) == oracle(g, sigma, a, b)
+
+
+def _chain_cases(name, dd, a, b):
+    g = geometry(name)
+    return [pytest.param(g, sigma, a, b, id="%s-%s" % (name, sigma))
+            for sigma in g._chains(dd)]
+
+
+@pytest.mark.parametrize("g,sigma,a,b", _chain_cases("f3", (3, 2), "z", "z")
+                         + _chain_cases("wp1", (2, 2), "z", "w"))
+def test_identified_vertices_match_substitution(g, sigma, a, b):
+    # chains of up to six vertices, so one variable class spans several parts
+    assert g.amplitude(sigma, a, b) == two_form_oracle(g, sigma, a, b)
+
+
+def test_descending_two_form_geometry_is_refused():
+    class Descending(F3Geometry):
+        _DESCENDING = True
+
+    g = Descending()
+    for sigma in g._chains((1, 1)):
+        with pytest.raises(NotImplementedError):
+            g.amplitude(sigma, "z", "z")
+
+
+# -- the block numerators against a product of MultiPoly linear forms --------
+
+
+def section_numerator_oracle(g, d, p, q, other):
+    num = g._FIBER_DEGREE * other if g._FIBER_DEGREE else p.vars.const(1)
+    for i in range(1, g._SPAN * d):
+        num = num * ((-i * p - (g._SPAN * d - i) * q) * F(1, d) + g._SHIFT * other)
+    return num
+
+
+def hypersurface_roots_oracle(num, k, d, p, q):
+    for j in range(k * d + 1):
+        num = num * ((j * p + (k * d - j) * q) * F(1, d))
+    return num
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("g", [geometry("cpn", N=5, k=5), geometry("cpn", N=3, k=2),
+                               geometry("kf0"), geometry("f3"), geometry("wp1"),
+                               geometry("wp2"), geometry("wp3")], ids=repr)
+def test_block_numerators_match_linear_form_products(g, d):
+    vs = VarSet(["z0", "w0", "z1", "w1"])
+    z0, w0, z1, w1 = (vs.poly(n) for n in vs.names)
+    checked = 0
+    if g._SPAN:
+        block = chains._section_block(g, d, z0, z1, w0)
+        want = RatFunc(section_numerator_oracle(g, d, z0, z1, w0),
+                       _part_poles([(1, 0, 2)], d, z0, z1))
+        assert (block.num, block.den) == (want.num, want.den)
+        checked += 1
+    if g._FIBER_DEGREE:
+        for num in (vs.const(1), F(3, 2) * z0 - w1 * F(1, 7)):
+            want = hypersurface_roots_oracle(num, g._FIBER_DEGREE, d, w0, w1)
+            assert _hypersurface_roots(num, g._FIBER_DEGREE, d, w0, w1) == want
+        checked += 1
+    assert checked
 
 
 def classical_triple_oracle(g, a, b, c):

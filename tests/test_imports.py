@@ -100,7 +100,9 @@ def test_each_module_imports_first(module):
 def test_closed_form_gw_skips_series():
     loaded = _loaded_after_main("gw", "--N", "8", "--k", "9", "--dmax", "3")
     assert "'resmirror.vsc'" in loaded
-    assert "'resmirror.series'" not in loaded, loaded
+    # nor the chain engine: vsc imports residue_at only where it takes one
+    for module in ("resmirror.series", "resmirror.residues", "resmirror.chains"):
+        assert repr(module) not in loaded, loaded
 
 
 def test_exports_are_the_defining_modules_objects():
