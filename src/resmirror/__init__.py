@@ -10,7 +10,7 @@ compiles only the modules its route runs.
 import importlib
 
 _EXPORTS = {
-    "polys": ("Fraction", "IdenticallySingular", "MultiPoly", "RatFunc", "VarSet"),
+    "polys": ("Fraction", "MultiPoly", "RatFunc", "VarSet"),
     "residues": ("DuplicatePole", "residue_at", "residue_sum"),
     "parts": ("InvalidDegree", "ordered_bipartitions", "ordered_partitions"),
     "geoms": ("Insertion", "InvalidInsertion", "geometry", "parse_insertion",

@@ -7,16 +7,18 @@ deformation/obstruction blocks and per-node smoothing factors, integrated
 by one residue per vertex, innermost vertex first.  All amplitudes are
 exact rationals.
 
-The integrand is never multiplied out whole.  It stays a list of factors,
-each tagged with the vertices whose variables it contains, and a factor
-joins the running integrand just before the residue of the first vertex it
-touches.  This is exact: a residue in one variable is linear over factors
-free of it, and such factors add no poles in it.  So each residue expands
-only the factors near its vertex, never the ones further down the chain.
-A two-form chain identifies the w of a section part's two ends, and the z
-of a fiber part's; each class of identified vertices gets one variable
-when the integrand is built, named after the last vertex of the class,
-whose residue removes it, so no identification is ever substituted.
+The integrand is never multiplied out whole.  One ascending sweep over the
+vertices builds each factor at the first vertex it touches and multiplies
+it in just before that vertex's residues.  This is exact: a residue in one
+variable is linear over factors free of it, and such factors add no poles
+in it.  So each residue expands only the factors near its vertex, never
+the ones further down the chain, and a chain whose integrand a residue
+kills returns 0 without building the rest.  A one-form target that
+integrates in descending vertex order reads its chain from the far end
+instead.  A two-form chain identifies the w of a section part's two ends,
+and the z of a fiber part's; each class of identified vertices gets one
+variable when the integrand is built, named after the last vertex of the
+class, whose residue removes it, so no identification needs a substitution.
 
 Every function here reads the geometry's declared data (geoms).  A part
 along an axis in _SECTION_AXES is a section-direction block: the roots
@@ -46,17 +48,25 @@ def _part_deg(part):
 def amplitude(g, sigma, a, b):
     """One chain's contribution on geometry g, with the 1/deg part prefactors.
 
-    Part i touches vertices i and i + 1, node j touches j - 1, j and
-    j + 1, an insertion its own vertex; each residue sees only the
-    factors that touch its vertex, which is exact (_absorb).  A two-form
-    variable stands for a class of vertices identified by construction:
-    a section part's two ends share w, a fiber part's share z.  Residues
-    run in ascending vertex order, and each class goes at its last vertex,
-    after which it is named, once every factor containing it has joined.
-    On a one-form target each vertex takes the w residue, in its z_j.
+    One ascending sweep over the vertices: insertion a joins at vertex 0,
+    part j and node j + 1 at vertex j, insertion b at vertex l, and then
+    the residues of the classes that end at that vertex are taken.  Part j
+    touches vertices j and j + 1 and node j + 1 touches j to j + 2, so every
+    factor joins before the residue of any variable it contains.  Once the
+    integrand is zero the sweep returns 0 without building the rest.
+
+    A two-form variable stands for a class of vertices identified by
+    construction: a section part's two ends share w, a fiber part's share
+    z, and the class is named after its last vertex, where its residue
+    goes.  On a one-form target each vertex takes the w residue, in its
+    z_j; a one-form geometry that declares _DESCENDING reads the chain from
+    its far end with the insertions exchanged, which is the same iterated
+    residue taken in descending vertex order.
     """
     a, b = g.check_insertion(a), g.check_insertion(b)
     if g.n_forms == 1:
+        if g._DESCENDING:
+            sigma, a, b = sigma[::-1], b, a
         sigma = tuple((0, d) for d in sigma)
     elif g._DESCENDING:
         raise NotImplementedError("two-form chains run in ascending vertex order")
@@ -75,35 +85,36 @@ def amplitude(g, sigma, a, b):
     x = [[vs.poly(n) for n in ns] for ns in names]
     z, w = [v[0] for v in x], [v[-1] for v in x]
 
-    pending = []
-    for j, e in ((0, a.exps), (l, b.exps)):
-        exps = dict(zip(names[j], e))
-        pending.append(({j}, RatFunc(vs.monomial([exps.get(n, 0) for n in vs.names]))))
-    for i, part in enumerate(sigma):
-        axis = _axis(part)
-        if axis == "a":
-            d, p, q, other = part[0], z[i], z[i + 1], w[i]
-        else:
-            d, p, q, other = part[1], w[i], w[i + 1], z[i]
-        block = _section_block if axis in g._SECTION_AXES else _fiber_block
-        pending.append(({i, i + 1}, block(g, d, p, q, other)))
-    for j in range(1, l):
-        prv, nxt = sigma[j - 1], sigma[j]
-        A = (z[j] - z[j - 1]) if _axis(prv) == "a" else (w[j] - w[j - 1])
-        B = (z[j] - z[j + 1]) if _axis(nxt) == "a" else (w[j] - w[j + 1])
-        form = A * Fraction(1, _part_deg(prv)) + B * Fraction(1, _part_deg(nxt))
-        node = _node(g, (_axis(prv), _axis(nxt)), z[j], w[j], form)
-        pending.append(({j - 1, j, j + 1}, node))
+    def insertion(j, exps):
+        exps = dict(zip(names[j], exps))
+        return RatFunc(vs.monomial([exps.get(n, 0) for n in vs.names]))
 
-    f = RatFunc(vs.const(1))
-    for j in range(l, -1, -1) if g._DESCENDING else range(l + 1):
-        f = _absorb(f, pending, j)
+    f = insertion(0, a.exps)
+    for j in range(l + 1):
+        if j < l:
+            part = sigma[j]
+            if _axis(part) == "a":
+                d, p, q, other = part[0], z[j], z[j + 1], w[j]
+            else:
+                d, p, q, other = part[1], w[j], w[j + 1], z[j]
+            block = _section_block if _axis(part) in g._SECTION_AXES else _fiber_block
+            f = f * block(g, d, p, q, other)
+        else:
+            f = f * insertion(l, b.exps)
+        if j + 1 < l:
+            k, prv, nxt = j + 1, sigma[j], sigma[j + 1]
+            A = (z[k] - z[j]) if _axis(prv) == "a" else (w[k] - w[j])
+            B = (z[k] - z[k + 1]) if _axis(nxt) == "a" else (w[k] - w[k + 1])
+            form = A * Fraction(1, _part_deg(prv)) + B * Fraction(1, _part_deg(nxt))
+            f = f * _node(g, (_axis(prv), _axis(nxt)), z[k], w[k], form)
         if cls[letters[-1]][j] == j:
             prev = _axis(sigma[j - 1]) if j else "b"
             f = _w_residue(g, f, names[j][-1], z[j], g._RES[prev])
         if g.n_forms == 2 and cls["z"][j] == j:
             f = f * RatFunc(vs.const(1), [(z[j], 2)])
             f = residue_at(f, "z%d" % j)
+        if f.is_zero():
+            return Fraction(0)
 
     val = f.as_rational()
     for part in sigma:
@@ -184,21 +195,3 @@ def _part_poles(coords, d, p, q, base=None):
                     den.append((pt - twist * base if twist else pt, mult))
     return den
 
-
-def _absorb(f, pending, j):
-    """f times the pending chain factors that touch vertex j.
-
-    `pending` lists (vertices, factor) pairs, the vertices being those
-    whose variables the factor contains; the absorbed pairs leave it.  A
-    residue in a vertex's variable is linear over factors free of that
-    variable, and they add no poles in it, so a factor can wait until the
-    first vertex it touches without changing any value.
-    """
-    rest = []
-    for touches, g in pending:
-        if j in touches:
-            f = f * g
-        else:
-            rest.append((touches, g))
-    pending[:] = rest
-    return f

@@ -155,7 +155,9 @@ class Geometry:
     _RES = None
     _BRANCH = None          # c in the movable zero w = c z, if any
     _W_SCALE = Fraction(1)  # orbifold weight per w residue
-    _DESCENDING = False     # residues in descending vertex order
+    # residues in descending vertex order: a one-form chain read from its
+    # far end, with the insertions exchanged
+    _DESCENDING = False
 
     def params(self):
         return tuple((p, getattr(self, p)) for p in self.param_defaults)

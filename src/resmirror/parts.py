@@ -18,7 +18,7 @@ def ordered_partitions(d):
     >>> ordered_partitions(3)
     [(1, 1, 1), (1, 2), (2, 1), (3,)]
     """
-    if not isinstance(d, int) or d <= 0:
+    if not isinstance(d, int) or isinstance(d, bool) or d <= 0:
         raise InvalidDegree("degree must be a positive integer, got %r" % (d,))
     out = []
 
@@ -42,7 +42,7 @@ def ordered_bipartitions(da, db):
     axis.  The list is sorted lexicographically.  (da, db) = (0, 0) is
     rejected; a single vanishing axis is fine.
     """
-    if not isinstance(da, int) or not isinstance(db, int) or da < 0 or db < 0:
+    if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in (da, db)):
         raise InvalidDegree("bi-degree must be a pair of non-negative integers")
     if da == 0 and db == 0:
         raise InvalidDegree("bi-degree (0, 0) has no chains")

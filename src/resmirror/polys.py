@@ -15,11 +15,11 @@ integral, a reduced Fraction elsewhere) is built only when asked for.
 
 A rational function keeps its denominator as (factor, multiplicity) pairs,
 each factor a primitive integer polynomial, and never expands it.
-Rational functions are added, multiplied and substituted into, never
-inverted: a residue divides only by polynomial factors, which join the
-denominator with their contents moved into the numerator.  Cancellation
-is by trial division of the numerator by denominator factors only, which
-is all the residue calculus downstream needs.
+Rational functions are only added and multiplied, never inverted: a
+residue divides only by polynomial factors, which join the denominator
+with their contents moved into the numerator.  Cancellation is by trial
+division of the numerator by denominator factors only, which is all the
+residue calculus downstream needs.
 """
 
 import heapq
@@ -31,10 +31,6 @@ from operator import index, or_
 _FIELD = 16             # bits per variable in a packed monomial
 _LIMIT = 1 << 15        # exponent bound; bit 15 of each field is its guard
 _MASK = _LIMIT - 1
-
-
-class IdenticallySingular(ArithmeticError):
-    """A substitution or expansion made a denominator factor vanish identically."""
 
 
 def _as_coeff(c):
@@ -352,7 +348,7 @@ class MultiPoly:
     def subs(self, name, value):
         """Substitute `value` (polynomial or rational) for the variable.
 
-        The value may itself involve the substituted variable; the split is
+        The value may itself involve the variable it replaces; the split is
         taken first, so e.g. subs("z", z + a) is the shift z -> z + a.  With
         value = V / e, the result is sum_j A_j V^j e^(top - j) over the one
         denominator d e^top: each power V^j is built once, and every product
@@ -596,30 +592,6 @@ class RatFunc:
         if o is None:
             return NotImplemented
         return (self - o).num.is_zero()
-
-    def substitute(self, name, value):
-        """Substitute a polynomial or a rational constant for a variable, in
-        the numerator and in every denominator factor.
-
-        `value` must not involve the substituted variable; a value with a
-        denominator is a TypeError.  Raises IdenticallySingular when a
-        denominator factor becomes identically zero (the substitution lands
-        on a pole).
-        """
-        pv = self._coerce(value)
-        if pv is None or pv.den:
-            raise TypeError("cannot substitute %r" % (value,))
-        if pv.num.max_exp(name) > 0:
-            raise ValueError("substituted value may not involve %r" % name)
-        num = self.num.subs(name, pv.num)
-        den = []
-        for f, m in self.den:
-            g = f.subs(name, pv.num)
-            if g.is_zero():
-                raise IdenticallySingular(
-                    "denominator factor %r vanishes at %s = %r" % (f, name, pv.num))
-            den.append((g, m))
-        return RatFunc(num, den)
 
     def reduce(self):
         """Cancel denominator factors that divide the numerator exactly."""

@@ -135,7 +135,7 @@ def _movable_residues(f, forms, names, fixed):
     ``forms`` maps a variable name to the node form whose root the contour
     encircles (along with any ``fixed`` locations for that variable); the
     other denominator factors contribute no poles, however the variable
-    enters them.  Residues substitute the pole location everywhere, so the
+    enters them.  A residue puts the pole location in everywhere, so the
     not-yet-integrated forms are carried per branch and updated after each
     step; branches never merge until all variables are gone.
     """

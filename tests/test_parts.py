@@ -25,7 +25,7 @@ def test_lexicographic_order_and_sums():
 
 
 def test_invalid_degree():
-    for bad in (0, -1, "2", 1.5):
+    for bad in (0, -1, "2", 1.5, True, False):
         with pytest.raises(InvalidDegree):
             ordered_partitions(bad)
 
@@ -72,6 +72,9 @@ def test_bipartition_invalid():
         ordered_bipartitions(0, 0)
     with pytest.raises(InvalidDegree):
         ordered_bipartitions(-1, 2)
+    for bad in ((True, 0), (1, False), (0, True), (False, 1), (1.0, 1), (1, "1")):
+        with pytest.raises(InvalidDegree):
+            ordered_bipartitions(*bad)
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resmirror.geoms import geometry
-from resmirror.polys import (
-    IdenticallySingular,
-    MultiPoly,
-    RatFunc,
-    VarSet,
-)
+from resmirror.polys import MultiPoly, RatFunc, VarSet
 
 LIMIT = 1 << 15     # the packed exponent field holds 0 .. LIMIT - 1
 XY = VarSet(["x", "y"])
@@ -356,33 +351,6 @@ def test_ratfunc_of_a_ratfunc_takes_no_denominator():
 def test_ratfunc_zero_denominator_factor():
     with pytest.raises(ZeroDivisionError):
         RatFunc(X, [(XY.zero(), 1)])
-
-
-def test_ratfunc_substitute_polynomial():
-    # (x + y)/x with y := 2x collapses to the constant 3
-    r = RatFunc(X + Y, [(X, 1)])
-    assert r.substitute("y", 2 * X).as_rational() == 3
-
-
-def test_ratfunc_substitute_hits_pole():
-    r = RatFunc(XY.const(1), [(X - Y, 1)])
-    with pytest.raises(IdenticallySingular):
-        r.substitute("x", Y)
-
-
-def test_ratfunc_substitute_rejects_self_reference():
-    r = RatFunc(X, [(Y, 1)])
-    with pytest.raises(ValueError):
-        r.substitute("y", Y + 1)
-
-
-def test_ratfunc_substitute_rejects_a_value_with_a_denominator():
-    r = RatFunc(X, [(X - Y, 1)])
-    with pytest.raises(TypeError):
-        r.substitute("x", RatFunc(XY.const(1), [(Y, 1)]))
-    # a rational constant is a polynomial value: x/(x - y) at x = 1/2
-    s = r.substitute("x", Fraction(1, 2))
-    assert s.evaluate({"y": Fraction(3)}) == Fraction(1, 2) / (Fraction(1, 2) - 3)
 
 
 def test_ratfunc_reduce_trial_division():

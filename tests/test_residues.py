@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from resmirror import chains, residues
 from resmirror.geoms import geometry
-from resmirror.polys import IdenticallySingular, RatFunc, VarSet
+from resmirror.polys import RatFunc, VarSet
 from resmirror.residues import DuplicatePole, residue_at, residue_sum
 from test_polys import ENGINE_CASES, monic_ratfunc
 
@@ -57,13 +57,6 @@ def test_residue_with_unit_series():
 def test_no_pole_means_zero_residue():
     r = RatFunc(Z + A)
     assert residue_at(r, "z").is_zero()
-
-
-def test_identically_singular():
-    # a substitution landing on the pole locus surfaces the dedicated error
-    r = RatFunc(ZA.const(1), [(Z - A, 1)])
-    with pytest.raises(IdenticallySingular):
-        r.substitute("a", Z)
 
 
 def test_residue_sum_two_point():
