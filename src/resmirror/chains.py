@@ -13,12 +13,11 @@ it in just before that vertex's residues.  This is exact: a residue in one
 variable is linear over factors free of it, and such factors add no poles
 in it.  So each residue expands only the factors near its vertex, never
 the ones further down the chain, and a chain whose integrand a residue
-kills returns 0 without building the rest.  A one-form target that
-integrates in descending vertex order reads its chain from the far end
-instead.  A two-form chain identifies the w of a section part's two ends,
-and the z of a fiber part's; each class of identified vertices gets one
-variable when the integrand is built, named after the last vertex of the
-class, whose residue removes it, so no identification needs a substitution.
+kills returns 0 without building the rest.  A two-form chain identifies
+the w of a section part's two ends, and the z of a fiber part's; each
+class of identified vertices gets one variable when the integrand is
+built, named after the last vertex of the class, whose residue removes
+it, so no identification needs a substitution.
 
 Every function here reads the geometry's declared data (geoms).  A part
 along an axis in _SECTION_AXES is a section-direction block: the roots
@@ -59,17 +58,11 @@ def amplitude(g, sigma, a, b):
     construction: a section part's two ends share w, a fiber part's share
     z, and the class is named after its last vertex, where its residue
     goes.  On a one-form target each vertex takes the w residue, in its
-    z_j; a one-form geometry that declares _DESCENDING reads the chain from
-    its far end with the insertions exchanged, which is the same iterated
-    residue taken in descending vertex order.
+    z_j.
     """
     a, b = g.check_insertion(a), g.check_insertion(b)
     if g.n_forms == 1:
-        if g._DESCENDING:
-            sigma, a, b = sigma[::-1], b, a
         sigma = tuple((0, d) for d in sigma)
-    elif g._DESCENDING:
-        raise NotImplementedError("two-form chains run in ascending vertex order")
     else:
         sigma = tuple(tuple(p) for p in sigma)
     l = len(sigma)

@@ -155,9 +155,6 @@ class Geometry:
     _RES = None
     _BRANCH = None          # c in the movable zero w = c z, if any
     _W_SCALE = Fraction(1)  # orbifold weight per w residue
-    # residues in descending vertex order: a one-form chain read from its
-    # far end, with the insertions exchanged
-    _DESCENDING = False
 
     def params(self):
         return tuple((p, getattr(self, p)) for p in self.param_defaults)
@@ -182,9 +179,13 @@ class Geometry:
         return self.dim - 1 + sum(c * d for c, d in zip(self._C1, dd))
 
     def kahler_classes(self):
-        """Degree-one generators, one per form."""
+        """Degree-one generators, one per form; the series layer reads them
+        first, so a basis without one (cpn with N = 2) is refused here."""
         n = self.n_forms
-        return [Insertion(*(int(i == j) for j in range(n))) for i in range(n)]
+        classes = [Insertion(*(int(i == j) for j in range(n))) for i in range(n)]
+        if not all(v in self.basis() for v in classes):
+            raise ValueError("%r has no degree-one class" % self)
+        return classes
 
     def pairing_partners(self):
         """Classes of degree dim-1 pairing against the generators."""
@@ -193,12 +194,17 @@ class Geometry:
     def two_point(self, dd, a, b):
         """Sum of chain amplitudes at degree dd with the two insertions,
         computed on every call; cache.cached_two_point memoizes it.  A pair
-        whose total degree breaks the selection rule is 0 without a chain."""
+        whose total degree breaks the selection rule is 0 without a chain.
+        Each sum starts from the higher-degree insertion (the first on a
+        tie), whose power at vertex 0 lowers the first residues' pole order;
+        the number is symmetric in its insertions, so this is exact."""
         a, b = self.check_insertion(a), self.check_insertion(b)
         dd = self.check_degree(dd)
         total = Fraction(0)
         if a.degree() + b.degree() != self.selection_degree(dd):
             return total
+        if b.degree() > a.degree():
+            a, b = b, a
         for sigma in self._chains(dd):
             total += self.amplitude(sigma, a, b)
         return total
@@ -219,8 +225,7 @@ class _OneFormGeometry(Geometry):
     0 over the roots of the degree-k equation.  With no section variable,
     each vertex takes one residue, with a pole of order len(weights) and the
     orbifold weight 1/prod(weights), and each node carries 1/k.  Subclasses
-    declare the weights, k and the order in which the vertex residues are
-    taken.
+    declare the weights and k.
     """
 
     n_forms = 1
@@ -309,11 +314,10 @@ class CpnGeometry(_OneFormGeometry):
 
     Insertions are powers of the hyperplane class, 0 .. N-2.  Chains are
     plain compositions; every vertex carries one variable, integrated about
-    the origin in descending vertex order.
+    the origin.
     """
 
     name = "cpn"
-    _DESCENDING = True
     param_defaults = {"N": None, "k": None}
 
     def __init__(self, N, k):
@@ -331,7 +335,7 @@ class Wp2Geometry(_OneFormGeometry):
     """Degree-6 hypersurface in P(1,1,1,3): a K3 surface with one form.
 
     Every vertex residue carries the orbifold weight 1/3 and a fourth-order
-    pole at the origin; residues run in ascending vertex order.
+    pole at the origin.
     """
 
     name = "wp2"

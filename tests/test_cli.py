@@ -185,9 +185,21 @@ def test_validation_failures_exit_2(capsys):
         ("check", "conjecture2", "--k", "5"),
         ("check", "conjecture2", "--d", "1"),
     ]
-    for argv in bad:
-        rc, _, err = run(capsys, *argv)
-        assert rc == 2 and "error:" in err, argv
+    # cpn with N = 2 has basis {1}: no degree-one class for a series route
+    no_kahler = [
+        ("series", "--geometry", "cpn", "--N", "2", "--k", "1",
+         "--a", "1", "--b", "1", "--trunc", "2"),
+        ("gw", "--N", "2", "--k", "2", "--a", "1", "--b", "1"),
+        ("mirror-map", "--geometry", "cpn", "--N", "2", "--k", "1", "--trunc", "2"),
+    ]
+    for argv in bad + no_kahler:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "" and "error:" in err, argv
+        if argv in no_kahler:
+            assert err.endswith(" has no degree-one class\n"), argv
+    rc, out, _ = run(capsys, "two-point", "--geometry", "cpn", "--N", "2", "--k", "1",
+                     "--d", "1", "--a", "1", "--b", "1")
+    assert (rc, out) == (0, "1\n")
     rc, _, err = run(capsys, "j", "--dmax", "0")
     assert "1..6" in err
     rc, _, err = run(capsys, "vsc", "--N", "5", "--k", "5", "--d", "1", "--n", "4",

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from resmirror import cache, chains
 from resmirror.cache import cached_two_point
 from resmirror.geoms import (
-    F3Geometry,
     Insertion,
     InvalidInsertion,
     geometry,
@@ -320,11 +319,52 @@ class TestStructuralProperties:
         labels = ["z"] if g.n_forms == 1 else ["z", "w"]
         assert [c.label() for c in g.kahler_classes()] == labels
 
+    @staticmethod
+    def chain_sum(g, dd, a, b):
+        # the sum over chains in the caller's insertion order; two_point
+        # itself always starts from the higher-degree insertion
+        return sum(g.amplitude(s, a, b) for s in g._chains(dd))
+
     @pytest.mark.parametrize("name,params,dd,pairs", PAIRS)
     def test_insertion_exchange_symmetry(self, name, params, dd, pairs):
         g = geometry(name, **params)
         for a, b in pairs:
-            assert g.two_point(dd, a, b) == g.two_point(dd, b, a)
+            assert self.chain_sum(g, dd, a, b) == self.chain_sum(g, dd, b, a)
+
+    @pytest.mark.parametrize("name,params,degrees", [
+        ("cpn", dict(N=5, k=5), [1, 2, 3, 4]), ("wp2", dict(), [1, 2, 3, 4])]
+        + [(name, dict(), [(da, t - da) for t in (1, 2, 3) for da in range(t + 1)])
+           for name in ("kf0", "f3", "wp1", "wp3")])
+    def test_insertion_exchange_symmetry_exhaustive(self, name, params, degrees):
+        # every basis pair on the selection rule, so two_point's choice of
+        # the higher-degree insertion first is exact wherever it is made
+        g = geometry(name, **params)
+        pairs = 0
+        for dd in degrees:
+            for a, b in combinations_with_replacement(g.basis(), 2):
+                if a != b and a.degree() + b.degree() == g.selection_degree(dd):
+                    pairs += 1
+                    assert self.chain_sum(g, dd, a, b) == self.chain_sum(g, dd, b, a), \
+                        (dd, a, b)
+        assert pairs
+
+    @pytest.mark.parametrize("name,params,dd,a,b,first", [
+        ("cpn", dict(N=5, k=5), 3, "1", "z2", "z2"),
+        ("kf0", dict(), (2, 1), "1", "zw", "zw"),
+        ("wp1", dict(), (1, 1), "z", "w", "z")])
+    def test_chain_sum_starts_from_higher_degree_insertion(self, monkeypatch, name,
+                                                           params, dd, a, b, first):
+        # a tie keeps the caller's order
+        g = geometry(name, **params)
+        orig, starts = type(g).amplitude, []
+
+        def recording(self, sigma, a, b):
+            starts.append(a.label())
+            return orig(self, sigma, a, b)
+
+        monkeypatch.setattr(type(g), "amplitude", recording)
+        g.two_point(dd, a, b)
+        assert starts and set(starts) == {first}
 
     def test_memo_shared_across_orders_and_instances(self, monkeypatch):
         assert cache.active_store() is None
@@ -418,10 +458,10 @@ class TestStructuralProperties:
 # meets the selection rule.  Sums alone would not notice a change that moves
 # value between chains, such as a different vertex residue order.
 CHAIN_PINS = [
-    ("cpn", dict(N=5, k=5), 1, "1", "z2", {(1,): 3850}),
-    ("cpn", dict(N=5, k=5), 2, "1", "z2", {(1, 1): -462000, (2,): 4051125}),
-    ("cpn", dict(N=5, k=5), 3, "1", "z2",
-     {(1, 1, 1): 55440000, (1, 2): -486135000, (2, 1): -436590000,
+    ("cpn", dict(N=5, k=5), 1, "z2", "1", {(1,): 3850}),
+    ("cpn", dict(N=5, k=5), 2, "z2", "1", {(1, 1): -462000, (2,): 4051125}),
+    ("cpn", dict(N=5, k=5), 3, "z2", "1",
+     {(1, 1, 1): 55440000, (1, 2): -436590000, (2, 1): -486135000,
       (3,): F(18728395000, 3)}),
     ("wp2", dict(), 1, "1", "z", {(1,): 1488}),
     ("wp2", dict(), 2, "1", "z", {(1, 1): -1285632, (2,): 2232936}),
@@ -486,8 +526,7 @@ def one_form_oracle(g, sigma, a, b):
         den += [(form, 1), (z[j], 1)]
         num = num * F(1, g.k)
     f = RatFunc(num, den)
-    order = range(l, -1, -1) if g._DESCENDING else range(0, l + 1)
-    for j in order:
+    for j in range(l + 1):
         f = residue_at(f, "z%d" % j)
     val = f.as_rational()
     for d in sigma:
@@ -603,11 +642,11 @@ def test_identified_vertices_match_substitution(g, sigma, a, b, oracle):
 
 
 @pytest.mark.parametrize("g,sigma,a,b,oracle",
-                         _chain_cases("cpn", 5, "1", "z2", N=5, k=5)
+                         _chain_cases("cpn", 5, "z2", "1", N=5, k=5)
                          + _chain_cases("wp2", 5, "1", "z"))
 def test_long_one_form_chains_match_whole_integrand(g, sigma, a, b, oracle):
-    # chains of up to six vertices; the oracle integrates in the order
-    # _DESCENDING names, so cpn also checks the engine's reversed reading
+    # chains of up to six vertices, each integrated in ascending vertex
+    # order; cpn's request is the order two_point hands the chains
     assert g.amplitude(sigma, a, b) == oracle(g, sigma, a, b)
 
 
@@ -632,16 +671,6 @@ def test_zero_chain_stops_building_blocks(monkeypatch):
             early.append(sigma)
             assert value == 0 == two_form_oracle(g, sigma, "z", "z")
     assert early
-
-
-def test_descending_two_form_geometry_is_refused():
-    class Descending(F3Geometry):
-        _DESCENDING = True
-
-    g = Descending()
-    for sigma in g._chains((1, 1)):
-        with pytest.raises(NotImplementedError):
-            g.amplitude(sigma, "z", "z")
 
 
 # -- the block numerators against a product of MultiPoly linear forms --------

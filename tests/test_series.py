@@ -450,7 +450,7 @@ def local_f0_periods(D):
 
 
 def test_local_surface_map_matches_b_model_periods():
-    D = 4
+    D = 5
     m = mirror_map(geometry("kf0"), D)
     want = local_f0_periods(D)
     for i, axis in enumerate(((1, 0), (0, 1))):
@@ -513,7 +513,7 @@ FIBERED_PERIODS = {
 def test_fibered_map_matches_b_model_periods(name):
     # the engine's degree (da, db) is GKZ (m, n), and its t_1, t_2 are
     # GKZ t_2, t_1
-    D = 3
+    D = 4
     m = mirror_map(geometry(name), D)
     t1, t2 = fibered_periods(D, *FIBERED_PERIODS[name])
     for i, t in enumerate((t2, t1)):
