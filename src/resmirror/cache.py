@@ -39,9 +39,10 @@ def frac_from_str(s):
 
 
 def two_point_key(g, dd, a, b):
-    """Canonical lookup key; insertions are sorted so symmetry shares hits."""
-    params = tuple(sorted((str(name), int(val)) for name, val in g.params()))
-    degree = (dd,) if isinstance(dd, int) else tuple(int(x) for x in dd)
+    """Canonical lookup key; insertions are sorted so symmetry shares hits.
+    The geometry's parameters and the degree must already be validated."""
+    params = tuple(sorted(g.params()))
+    degree = (dd,) if isinstance(dd, int) else tuple(dd)
     ins = tuple(sorted((tuple(a.exps), tuple(b.exps))))
     return (SCHEMA, "two-point", g.name, params, degree, ins)
 
@@ -60,14 +61,22 @@ def _record_of(key, value):
     }
 
 
+def _int(x):
+    """x itself if it is an int and not a bool: a damaged record must not
+    be filed under the integer key it would coerce to."""
+    if type(x) is not int:
+        raise TypeError("integer expected, got %r" % (x,))
+    return x
+
+
 def _key_of(rec):
     return (
-        int(rec["schema"]),
+        _int(rec["schema"]),
         str(rec["kind"]),
         str(rec["geometry"]),
-        tuple(sorted((str(k), int(v)) for k, v in rec.get("params", {}).items())),
-        tuple(int(x) for x in rec["degree"]),
-        tuple(tuple(int(e) for e in ins) for ins in rec["insertions"]),
+        tuple(sorted((str(k), _int(v)) for k, v in rec.get("params", {}).items())),
+        tuple(_int(x) for x in rec["degree"]),
+        tuple(tuple(_int(e) for e in ins) for ins in rec["insertions"]),
     )
 
 

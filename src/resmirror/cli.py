@@ -152,6 +152,7 @@ def _cmd_gw(args, cfg):
     dmax = args.dmax if args.dmax is not None else 3
     if dmax < 1:
         raise UsageError("--dmax must be at least 1")
+    g = geometry("cpn", N=args.N, k=args.k)
     if args.N < args.k:
         if dmax > 3:
             raise UsageError("the closed-form transform stops at degree 3")
@@ -163,7 +164,6 @@ def _cmd_gw(args, cfg):
         table = gmt_upto3(args.N, args.k)
         rows = [(d, a, b, v) for (d, (a, b)), v in table.items() if d <= dmax]
         if args.a is not None:
-            g = geometry("cpn", N=args.N, k=args.k)
             sel = {g.check_insertion(args.a).exps[0], g.check_insertion(args.b).exps[0]}
             rows = [r for r in rows if {r[1], r[2]} == sel]
     else:
@@ -171,7 +171,6 @@ def _cmd_gw(args, cfg):
             raise UsageError("the transform route needs --a and --b")
         from .series import build_generating_function, mirror_map, transform
 
-        g = geometry("cpn", N=args.N, k=args.k)
         a, b = parse_insertion(g, args.a), parse_insertion(g, args.b)
         out = transform(build_generating_function(g, a, b, dmax),
                         mirror_map(g, dmax))

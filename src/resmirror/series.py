@@ -320,12 +320,11 @@ def series_from_json(obj):
     aff = obj.get("affine", {})
     terms = {}
     for t in obj.get("terms", ()):
-        da, db = t["d"]
-        terms[(int(da), int(db))] = frac_from_str(t["coef"])
+        terms[tuple(t["d"])] = frac_from_str(t["coef"])
     return GradedSeries((frac_from_str(aff.get("x1", "0")),
                          frac_from_str(aff.get("x2", "0"))),
                         frac_from_str(aff.get("const", "0")),
-                        terms, int(obj["trunc"]))
+                        terms, obj["trunc"])
 
 
 # -- generating functions --------------------------------------------------
@@ -637,8 +636,9 @@ def _j_from_weights(w):
 def j_coefficients(dmax):
     """Expansion coefficients through q^{dmax-1} from the degree-6 surface.
 
-    Each weight w_d is half the (1, z) two-point number at degree d; the
-    coefficient j_d sums the weights over ordered partitions
+    Each weight w_d is the (1, z) two-point number at degree d over the
+    surface's classical triple <1, z, z> = k / prod(w) = 2, read from its
+    declaration; the coefficient j_d sums the weights over ordered partitions
     (`_j_from_weights`).  As a cross-check before returning, the Lagrange
     form of the reversion (`reversion_weights`) must recover the weights
     from those coefficients.
@@ -648,7 +648,8 @@ def j_coefficients(dmax):
                          "stops at degree 6")
     g = geometry("wp2")
     one, zc = Insertion(0), Insertion(1)
-    w = [cached_two_point(g, d, one, zc) / 2 for d in range(1, dmax + 1)]
+    triple = g.classical_triple(one, zc, zc)
+    w = [cached_two_point(g, d, one, zc) / triple for d in range(1, dmax + 1)]
     js = _j_from_weights(w)
     if reversion_weights(js) != w:
         raise ArithmeticError("reversion failed to recover the weights")

@@ -39,20 +39,6 @@ class InvalidComb(ValueError):
     """An index set outside 1 <= i_1 < ... < i_k <= d-1."""
 
 
-def _on_vars(p, vs, rename=None):
-    """The same polynomial re-indexed onto another variable set, by name."""
-    rename = rename or {}
-    out = {}
-    for exps, coef in p.terms.items():
-        tgt = [0] * len(vs.names)
-        for pos, e in enumerate(exps):
-            if e:
-                name = p.vars.names[pos]
-                tgt[vs.index(rename.get(name, name))] += e
-        out[tuple(tgt)] = out.get(tuple(tgt), 0) + coef
-    return MultiPoly(vs, out)
-
-
 def _check_d(d):
     """Raise InvalidComb unless d is a positive int (not a bool)."""
     if not isinstance(d, int) or isinstance(d, bool):
@@ -170,25 +156,30 @@ def _movable_residues(f, forms, names, fixed):
     return total.reduce()
 
 
+def _table_monomials(d):
+    """Every monomial of poly_d(d), as (coefficient, cuts, exponents).
+
+    Subset S contributes d / prod(gaps) * prod(z_i, i in S) * f_S, the gaps
+    being those between consecutive cuts (0,) + S + (d,).  f_S involves only
+    z0, z_d and z_S, so a monomial's interior variables are exactly S: no
+    two subsets share a monomial, and its cuts are read off the table key.
+    The exponents run over z0 .. z{d}.
+    """
+    for sub, f in _decomposition_table(d).items():
+        cuts = (0,) + sub + (d,)
+        scale = Fraction(d, prod(hi - lo for lo, hi in zip(cuts, cuts[1:])))
+        for exps, coef in f.terms.items():
+            yield scale * coef, cuts, tuple(e + (i in sub) for i, e in enumerate(exps))
+
+
 def poly_d(d):
     """The degree-(d-1) universal polynomial in x, y, z1 .. z{d-1} whose
-    monomials drive one step of the level recursion; _step_terms memoizes
-    it, decoded."""
+    monomials drive one step of the level recursion; _step_terms reads
+    the same monomials, decoded."""
     _check_d(d)
     vs = VarSet(["x", "y"] + ["z%d" % i for i in range(1, d)])
-    rename = {"z0": "x", "z%d" % d: "y"}
-    total = vs.const(0)
-    for comb in _interior_subsets(d):
-        bounds = (0,) + comb + (d,)
-        coef = Fraction(d)
-        for lo, hi in zip(bounds, bounds[1:]):
-            coef /= hi - lo
-        term = vs.const(1) * coef
-        for i in comb:
-            term = term * vs.poly("z%d" % i)
-        f = _on_vars(decomposition_coefficient(d, comb), vs, rename)
-        total = total + term * f
-    return total
+    return MultiPoly(vs, {(exps[0], exps[d]) + exps[1:d]: coef
+                          for coef, _, exps in _table_monomials(d)})
 
 
 @cache
@@ -218,21 +209,17 @@ def _vanishes(N, k, d, n):
 
 @cache
 def _step_terms(d):
-    """poly_d(d) decoded once: a (coefficient, parts) pair per monomial.
+    """The monomials of poly_d(d), read once off the decomposition table:
+    a (coefficient, parts) pair per monomial.
 
     x^m_0 z_i1^m_1 ... y^m_r cuts 0 < i_1 < ... < d into parts; part j is
     the next level's constant of degree i_j - i_(j-1) at index
     n + i_(j-1) (N - k + 1) + 1 - d + m_j + ... + m_r, kept as the triple
     (i_(j-1), i_j - i_(j-1), 1 - d + m_j + ... + m_r).
     """
-    p = poly_d(d)
-    pos = [p.vars.index(v) for v in ["x"] + ["z%d" % i for i in range(1, d)] + ["y"]]
-    out = []
-    for exps, coef in p.terms.items():
-        cuts = [i for i in range(d + 1) if i in (0, d) or exps[pos[i]]]
-        out.append((Fraction(coef), [(lo, hi - lo, 1 - d + sum(exps[pos[i]] for i in cuts[j:]))
-                                     for j, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1)]))
-    return out
+    return [(coef, [(lo, hi - lo, 1 - d + sum(exps[i] for i in cuts[j:]))
+                    for j, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1)])
+            for coef, cuts, exps in _table_monomials(d)]
 
 
 _LEVELS = {}    # (N, k, d, n) -> L(N, k, d, n), shared by every call
@@ -274,8 +261,10 @@ def gmt_upto3(N, k):
     Valid on the side N < k where the closed-form transform is known.
     Returns a map (d, (a, b)) -> value over all insertion pairs allowed
     at each degree.  The structure constants come from the level
-    recursion.
+    recursion, so N and k must be integers with N >= 2 and k >= 1, as
+    there.
     """
+    _check_domain(N, k, 1)
     if N >= k:
         raise ValueError("closed-form transform needs N < k")
 

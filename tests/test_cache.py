@@ -106,6 +106,11 @@ def test_store_after_torn_last_line_keeps_both_records(tmp_path):
         assert fh.read().startswith(data)  # the old line is kept, not truncated
 
 
+F3_ARGV = ["two-point", "--geometry", "f3", "--d", "0,1", "--a", "w", "--b", "w2"]
+CPN_ARGV = ["two-point", "--geometry", "cpn", "--N", "5", "--k", "5", "--d", "1",
+            "--a", "1", "--b", "z2"]
+
+
 def _set(field, value):
     def damage(line):
         rec = json.loads(line)
@@ -119,11 +124,18 @@ def _set(field, value):
     _set("value", 0.1),
     _set("params", []),
     lambda line: line.replace(b'"f3"', b'"f\xff"'),
-], ids=["zero-denominator", "float-value", "params-not-an-object", "not-utf8"])
+    _set("degree", [0.0, 1]),
+    _set("degree", [False, True]),
+    _set("schema", 1.0),
+    _set("schema", 1.2),
+    _set("params", {"N": 5.5}),
+    _set("insertions", [[0, 1.0], [0, 2]]),
+], ids=["zero-denominator", "float-value", "params-not-an-object", "not-utf8",
+        "float-degree", "bool-degree", "float-schema", "fractional-schema",
+        "float-param", "float-insertion"])
 def test_damaged_line_warns_and_keeps_later_records(tmp_path, capsys, damage):
     path = tmp_path / "memo.jsonl"
-    argv = ["two-point", "--geometry", "f3", "--d", "0,1", "--a", "w", "--b", "w2",
-            "--cache", str(path)]
+    argv = F3_ARGV + ["--cache", str(path)]
     assert main(argv) == 0
     capsys.readouterr()
     good = path.read_bytes()
@@ -134,6 +146,23 @@ def test_damaged_line_warns_and_keeps_later_records(tmp_path, capsys, damage):
     assert rc == 0 and capsys.readouterr().out == "3\n"
     # the clean record on line 2 was loaded, so nothing was appended
     assert path.read_bytes() == damaged
+
+
+@pytest.mark.parametrize("argv,damage,want", [
+    (F3_ARGV, _set("degree", [0.0, 1]), "3"),
+    (CPN_ARGV, _set("params", {"N": 5.5, "k": 5}), "3850"),
+], ids=["f3-float-degree", "cpn-float-param"])
+def test_damaged_key_never_answers_for_another(tmp_path, capsys, argv, damage, want):
+    # the damaged record is the only one, and its value is wrong: it must
+    # be skipped, not filed under the integer key it coerces to
+    path = tmp_path / "memo.jsonl"
+    argv = argv + ["--cache", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    path.write_bytes(_set("value", "7")(damage(path.read_bytes().rstrip(b"\n"))) + b"\n")
+    with pytest.warns(UserWarning, match="line 1 unreadable"):
+        rc = main(argv)
+    assert rc == 0 and capsys.readouterr().out == want + "\n"
 
 
 def test_frac_round_trip():

@@ -184,6 +184,9 @@ def test_validation_failures_exit_2(capsys):
         ("check", "conjecture2", "--N", "5"),
         ("check", "conjecture2", "--k", "5"),
         ("check", "conjecture2", "--d", "1"),
+        ("gw", "--N", "0", "--k", "3", "--dmax", "1"),
+        ("gw", "--N", "-2", "--k", "1", "--dmax", "3"),
+        ("gw", "--N", "1", "--k", "3", "--dmax", "1"),
     ]
     # cpn with N = 2 has basis {1}: no degree-one class for a series route
     no_kahler = [

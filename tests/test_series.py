@@ -122,6 +122,26 @@ def test_json_round_trip(t1):
     assert series_from_json(series_to_json(s)) == s
 
 
+def _json_with(trunc=3, d=(1, 0)):
+    return {"affine": {}, "terms": [{"d": list(d), "coef": "5"}], "trunc": trunc}
+
+
+@pytest.mark.parametrize("obj", [
+    _json_with(trunc=2.5),
+    _json_with(trunc="2"),
+    _json_with(trunc=True),
+    _json_with(d=(1.7, 0)),
+    _json_with(d=(True, 0)),
+    _json_with(d=(1, 0, 0)),
+], ids=["float-trunc", "text-trunc", "bool-trunc", "float-degree", "bool-degree",
+        "three-degree"])
+def test_json_refuses_non_integer_degrees_and_bounds(obj):
+    # nothing is truncated to the nearest integer on the way in
+    assert series_from_json(_json_with()) == GradedSeries((0, 0), 0, {(1, 0): 5}, 3)
+    with pytest.raises(ValueError):
+        series_from_json(obj)
+
+
 def test_floats_are_refused():
     with pytest.raises(TypeError):
         GradedSeries((0.5, 0), 0, {}, 3)
@@ -726,6 +746,12 @@ def test_closed_form_puncture_zeros():
 def test_closed_form_rejects_fano_side():
     with pytest.raises(ValueError):
         gmt_upto3(9, 8)
+
+
+@pytest.mark.parametrize("N,k", [(True, 9), (8.0, 9), (8, "9"), (1, 3), (0, 3), (-2, 1)])
+def test_closed_form_rejects_invalid_parameters(N, k):
+    with pytest.raises(ValueError, match="integer|need N >= 2"):
+        gmt_upto3(N, k)
 
 
 # -- solution basis --------------------------------------------------------

@@ -4,13 +4,13 @@ from itertools import permutations
 
 import pytest
 
-from resmirror.polys import RatFunc, VarSet
+from resmirror.polys import MultiPoly, RatFunc, VarSet
 from resmirror.series import picard_fuchs_basis
 from resmirror.vsc import (
     InvalidComb,
     _check_indices,
     _movable_residues,
-    _on_vars,
+    _step_terms,
     check_theorem1,
     decomposition_coefficient,
     poly_d,
@@ -21,6 +21,20 @@ from resmirror.vsc import (
 
 
 # -- contour oracles for the solved decomposition and for poly_d -----------
+
+
+def _on_vars(p, vs, rename=None):
+    """The same polynomial re-indexed onto another variable set, by name."""
+    rename = rename or {}
+    out = {}
+    for exps, coef in p.terms.items():
+        tgt = [0] * len(vs.names)
+        for pos, e in enumerate(exps):
+            if e:
+                name = p.vars.names[pos]
+                tgt[vs.index(rename.get(name, name))] += e
+        out[tuple(tgt)] = out.get(tuple(tgt), 0) + coef
+    return MultiPoly(vs, out)
 
 
 def _as_poly(f):
@@ -195,6 +209,44 @@ def test_poly_homogeneous():
 def test_poly_direct_oracle():
     for d in (2, 3, 4):
         assert poly_d_direct(d) == poly_d(d)
+
+
+def poly_d_by_products(d):
+    """poly_d summed from renamed products, one per interior subset."""
+    vs = VarSet(["x", "y"] + ["z%d" % i for i in range(1, d)])
+    rename = {"z0": "x", "z%d" % d: "y"}
+    total = vs.const(0)
+    for sub in interior_subsets(d):
+        bounds = (0,) + sub + (d,)
+        term = vs.const(Fraction(d, math.prod(hi - lo for lo, hi in zip(bounds, bounds[1:]))))
+        for i in sub:
+            term = term * vs.poly("z%d" % i)
+        total = total + term * _on_vars(decomposition_coefficient(d, sub), vs, rename)
+    return total
+
+
+def step_terms_by_position(p, d):
+    """Step terms decoded from a poly_d by variable position: a monomial's
+    cuts are the endpoints and the interior variables it carries."""
+    pos = [p.vars.index(v) for v in ["x"] + ["z%d" % i for i in range(1, d)] + ["y"]]
+    out = []
+    for exps, coef in p.terms.items():
+        cuts = [i for i in range(d + 1) if i in (0, d) or exps[pos[i]]]
+        out.append((Fraction(coef), [(lo, hi - lo, 1 - d + sum(exps[pos[i]] for i in cuts[j:]))
+                                     for j, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1)]))
+    return out
+
+
+def test_table_monomials_match_summed_products():
+    # poly_d and the step terms are read straight off the decomposition
+    # table; building the polynomial and decoding it must give the same
+    for d in range(1, 8):
+        p = poly_d_by_products(d)
+        assert poly_d(d) == p
+        by_parts = {tuple(parts): coef for coef, parts in _step_terms(d)}
+        assert len(by_parts) == len(_step_terms(d))
+        assert by_parts == {tuple(parts): coef
+                            for coef, parts in step_terms_by_position(p, d)}
 
 
 def test_initial_row():
