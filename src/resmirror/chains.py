@@ -19,15 +19,16 @@ class of identified vertices gets one variable when the integrand is
 built, named after the last vertex of the class, whose residue removes
 it, so no identification needs a substitution.
 
-Every function here reads the geometry's declared data (geoms).  A part
-along an axis in _SECTION_AXES is a section-direction block: the roots
-(-i p - (S d - i) q)/d + shift * other for 0 < i < S d over a doubled P1
-denominator, where S is _SPAN.  A part along any other axis is a
-fiber-direction block: the _FIBER coordinate groups, and the roots of the
-degree-_FIBER_DEGREE fiber equation when there is one.  A hypersurface also
-puts its equation's degree, times w, in front of each section block, and
-1/(_FIBER_DEGREE w) on each node.  Each fiber residue carries the orbifold
-weight _W_SCALE.
+Every function here reads the constants that geoms derives from each
+geometry's toric data (_DIVISORS, _HYPERSURFACE, _BUNDLE).  A part along
+an axis in _SECTION_AXES is a section-direction block: the roots
+(-i p - (S d - i) q)/d + shift * other for 0 < i < S d over the poles of
+the section base _SECTION_BASE, where S is _SPAN.  A part along any other
+axis is a fiber-direction block: the _FIBER coordinate groups, and the
+roots of the degree-_FIBER_DEGREE fiber equation when there is one.  A
+hypersurface also puts its equation's degree, times w, in front of each
+section block, and 1/(_FIBER_DEGREE w) on each node.  Each fiber residue
+carries the orbifold weight _W_SCALE.
 """
 
 from fractions import Fraction
@@ -120,7 +121,7 @@ def _section_block(g, d, p, q, other):
              for i in range(1, g._SPAN * d)]
     num = g._FIBER_DEGREE * other if g._FIBER_DEGREE else p.vars.const(1)
     return RatFunc(_times_forms(num, forms, d),
-                   _part_poles([(1, 0, 2)], d, p, q))
+                   _part_poles(g._SECTION_BASE, d, p, q))
 
 
 def _fiber_block(g, d, p, q, other):

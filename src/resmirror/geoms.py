@@ -1,17 +1,16 @@
-"""The target geometries, declared as data, and the sum over chains.
+"""The target geometries, declared as toric data, and the sum over chains.
 
-Geometry.two_point sums one amplitude per chain, and the engine in chains
-computes each from the data declared here.  It is imported on the first
-amplitude, and parts, which enumerates the chains, on the first sum, so
-a cache hit loads none of chains, parts, polys and residues.  A
-chain's parts run along the section axis (z) or the fiber axis (w).  A
-two-form target declares section and fiber data, a branch constant, an
-orbifold weight and one residue profile per axis of the previous part.  A
-one-form target is the same data with fiber parts only: its coordinate
-weights at twist 0 over its degree-k equation.  It has no section
-variable, so its one variable per vertex is named z.  The declared
-dimension and first Chern class give the selection rule dim - 1 + c1 . d,
-and the declared parameters what the CLI accepts.
+Each geometry declares three fields, every class a (c_z, c_w) pair of
+pairings with the Kahler forms z and w: _DIVISORS, its toric divisors;
+_HYPERSURFACE, its defining equation, or None; _BUNDLE, a local target's
+bundle, or None.  A one-form target pairs along w alone.  At construction
+Geometry._derive turns the table into the constants that the engine in
+chains reads, among them the dimension and first Chern class of the
+selection rule dim - 1 + c1 . d.  Geometry.two_point sums one amplitude
+per chain; chains is imported on the first amplitude and parts, which
+enumerates the chains, on the first sum, so a cache hit loads none of
+chains, parts, polys and residues.  The declared parameters are what the
+CLI accepts.
 
 Supported geometries and their string names:
 
@@ -29,6 +28,7 @@ Supported geometries and their string names:
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .cache import cached_two_point
@@ -136,25 +136,63 @@ def parse_insertion(geom, label):
     return Insertion(s, t)
 
 
+def _groups(cols):
+    # (weight, twist, multiplicity) per distinct column (weight, -twist)
+    return tuple((c, -o, m) for (c, o), m in Counter(cols).items())
+
+
 class Geometry:
-    """Base for all targets: the data that chains reads, and the chain sum."""
+    """Base for all targets: the toric data, its derivation, the chain sum."""
 
     name = None
     n_forms = None
-    dim = None
     param_defaults = {}     # parameter name -> default, None when required
-    _C1 = None              # c1 paired with each degree component
+    _DIVISORS = ()          # (c_z, c_w) per toric divisor
+    _HYPERSURFACE = None    # (c_z, c_w) of the defining equation, if any
+    _BUNDLE = None          # (c_z, c_w) of a local target's bundle, if any
 
-    _SECTION_AXES = "a"
-    _SPAN = _SHIFT = None
-    _FIBER_DEGREE = None    # degree of the fiber hypersurface, if any
-    _FIBER = ()             # (weight, twist, multiplicity) per coordinate group
-    # fiber residue profile by the axis of the previous part, the chain
-    # start counting as "b": (w power in the measure, measure carries the
-    # branch factor (w - c z), contour also encircles w = c z)
-    _RES = None
-    _BRANCH = None          # c in the movable zero w = c z, if any
-    _W_SCALE = Fraction(1)  # orbifold weight per w residue
+    def __init__(self):
+        self._derive()
+
+    def _derive(self):
+        """Set the constants that chains reads, from the toric data.
+
+        Axis a pairs with z, axis b with w (a one-form target has b only).
+        A column (divisor or bundle) pairing negatively with an axis makes
+        it a section axis.  On the first one, i, that column gives _SPAN =
+        -c_i and _SHIFT = its other pairing, and the divisors on axis i
+        alone are the base poles _SECTION_BASE.  If w is not a section
+        axis, the divisors with c_w > 0 are the fiber groups _FIBER,
+        (c_w, -c_z, multiplicity), and a twisted one (c_z < 0) puts the
+        branch point at w = _BRANCH z.  The pure-w divisors set each w
+        residue's pole order and its orbifold weight _W_SCALE.  _RES[prev],
+        after a part on axis prev (the chain start counting as b), is (pole
+        order, the measure carries 1/(w - _BRANCH z), the contour encloses
+        w = _BRANCH z).
+        """
+        n, divs, bundle = self.n_forms, self._DIVISORS, self._BUNDLE
+        hyp = self._HYPERSURFACE or (0, 0)
+        cols = divs + ((bundle,) if bundle else ())
+        self.dim = len(divs) - n - bool(self._HYPERSURFACE) + bool(bundle)
+        self._C1 = tuple(sum(c[i] for c in cols) - hyp[i] for i in (0, 1))[2 - n:]
+        self._SECTION_AXES = "".join(x for i, x in enumerate("ab")
+                                     if any(c[i] < 0 for c in cols))
+        self._SPAN = self._SHIFT = self._SECTION_BASE = None
+        if self._SECTION_AXES:
+            i = "ab".index(self._SECTION_AXES[0])
+            col = next(c for c in cols if c[i] < 0)
+            self._SPAN, self._SHIFT = -col[i], col[1 - i]
+            self._SECTION_BASE = _groups((c[i], c[1 - i]) for c in divs
+                                         if c[i] > 0 and c[1 - i] == 0)
+        self._FIBER = () if "b" in self._SECTION_AXES else \
+            _groups((cw, cz) for cz, cw in divs if cw > 0)
+        twisted = [-cz for cz, cw in divs if cw > 0 > cz]
+        self._BRANCH = twisted[0] if twisted else None
+        pure = [cw for cz, cw in divs if cz == 0 < cw]
+        self._W_SCALE = Fraction(1, math.prod(pure))
+        self._FIBER_DEGREE = hyp[1] or None
+        self._RES = {prev: (len(pure), prev == "b" and bool(twisted), bool(twisted))
+                     for prev in "ab"[2 - n:]}
 
     def params(self):
         return tuple((p, getattr(self, p)) for p in self.param_defaults)
@@ -219,28 +257,12 @@ class Geometry:
 
 
 class _OneFormGeometry(Geometry):
-    """A degree-k hypersurface in weighted projective space.
-
-    Every part is a fiber part: the coordinate groups of `weights` at twist
-    0 over the roots of the degree-k equation.  With no section variable,
-    each vertex takes one residue, with a pole of order len(weights) and the
-    orbifold weight 1/prod(weights), and each node carries 1/k.  Subclasses
-    declare the weights and k.
+    """A hypersurface in weighted projective space: divisors (0, weight)
+    and the equation (0, k).  Every part is a fiber part, and each vertex
+    takes one residue, in its one variable.
     """
 
     n_forms = 1
-
-    def __init__(self, weights, k):
-        self.weights, self.k = weights, k
-        self._C1 = (sum(weights) - k,)
-        self._FIBER_DEGREE = k
-        self._FIBER = tuple((m, 0, weights.count(m)) for m in sorted(set(weights)))
-        self._W_SCALE = Fraction(1, math.prod(weights))
-        self._RES = {"b": (len(weights), False, False)}
-
-    @property
-    def dim(self):
-        return len(self.weights) - 2
 
     def check_degree(self, dd):
         if isinstance(dd, tuple) and len(dd) == 1:
@@ -258,15 +280,14 @@ class _OneFormGeometry(Geometry):
         a, b, c = (self.check_insertion(x) for x in (a, b, c))
         if a.degree() + b.degree() + c.degree() != self.dim:
             return Fraction(0)
-        return Fraction(self.k, math.prod(self.weights))
+        return self._FIBER_DEGREE * self._W_SCALE
 
 
 class _TwoFormGeometry(Geometry):
     """A surface or a threefold with two Kahler forms, z and w.
 
-    Subclasses declare the section and fiber data, the branch constant, the
-    orbifold weight and the residue profiles that chains.amplitude reads;
-    each vertex carries the two variables z_j and w_j.
+    Subclasses declare the divisor table; each vertex carries the two
+    variables z_j and w_j.
     """
 
     n_forms = 2
@@ -287,15 +308,13 @@ class _TwoFormGeometry(Geometry):
         return ordered_bipartitions(*dd)
 
     def classical_triple(self, a, b, c):
-        """The degree-zero pairing: the last fiber residue profile, then z.
+        """The degree-zero pairing: the w residue at the chain start, then z.
 
-        The integrand is scale z^(s-2) w^(t-p) / (w - c z), with p the w
-        power of that profile and c the branch constant.  Its residues at
-        w = 0 and w = c z sum to (c z)^(t-p) when t >= p; below p they
-        cancel, because the residue at infinity vanishes.  The z residue
-        then keeps only s + t - p = 1.  A fiber hypersurface contributes
-        its class _FIBER_DEGREE * w at the orbifold weight of a fiber
-        residue.
+        The integrand is scale z^(s-2) w^(t-p) / (w - c z), with p its pole
+        order and c the branch constant; its residues at w = 0 and w = c z
+        sum to (c z)^(t-p) for t >= p and cancel below, and the z residue
+        keeps s + t - p = 1.  A hypersurface adds its class _FIBER_DEGREE * w
+        at the orbifold weight of a fiber residue.
         """
         a, b, c = (self.check_insertion(x) for x in (a, b, c))
         s = a.exps[0] + b.exps[0] + c.exps[0]
@@ -324,24 +343,20 @@ class CpnGeometry(_OneFormGeometry):
         _check_integers(N=N, k=k)
         if N < 2 or k < 1:
             raise ValueError("need N >= 2 and k >= 1")
-        self.N = N
-        super().__init__((1,) * N, k)
+        self.N, self.k = N, k
+        self._DIVISORS, self._HYPERSURFACE = ((0, 1),) * N, (0, k)
+        super().__init__()
 
     def basis(self):
         return [Insertion(i) for i in range(self.N - 1)]
 
 
 class Wp2Geometry(_OneFormGeometry):
-    """Degree-6 hypersurface in P(1,1,1,3): a K3 surface with one form.
-
-    Every vertex residue carries the orbifold weight 1/3 and a fourth-order
-    pole at the origin.
-    """
+    """Degree-6 hypersurface in P(1,1,1,3): a K3 surface with one form."""
 
     name = "wp2"
-
-    def __init__(self):
-        super().__init__((1, 1, 1, 3), 6)
+    _DIVISORS = ((0, 1), (0, 1), (0, 1), (0, 3))
+    _HYPERSURFACE = (0, 6)
 
     def basis(self):
         return [Insertion(i) for i in range(4)]
@@ -350,24 +365,21 @@ class Wp2Geometry(_OneFormGeometry):
 class Kf0Geometry(_TwoFormGeometry):
     """The canonical bundle over P1 x P1 (a local surface).
 
-    Both axes carry the section block of the bundle O(-2, -2).  Quantum
-    two-point numbers are independent of the ring parameter k; the
-    classical triple pairing is a k-linear table on the six-element virtual
-    ring {1, z, w, z^2, zw, z^3}.
+    Both axes carry the section block of the bundle O(-2, -2) over the
+    divisors z, z, w, w.  Quantum two-point numbers are independent of the
+    ring parameter k; the classical triple pairing is a k-linear table on
+    the six-element virtual ring {1, z, w, z^2, zw, z^3}.
     """
 
     name = "kf0"
-    dim = 3
-
-    _C1 = (0, 0)
     param_defaults = {"k": 1}
-    _SECTION_AXES = "ab"
-    _SPAN, _SHIFT = 2, -2
-    _RES = {"a": (2, False, False), "b": (2, False, False)}
+    _DIVISORS = ((1, 0), (1, 0), (0, 1), (0, 1))
+    _BUNDLE = (-2, -2)
 
     def __init__(self, k=param_defaults["k"]):
         _check_integers(k=k)
         self.k = k
+        super().__init__()
 
     def basis(self):
         return [Insertion(0, 0), Insertion(1, 0), Insertion(0, 1), Insertion(1, 1)]
@@ -397,17 +409,12 @@ class Kf0Geometry(_TwoFormGeometry):
 class F3Geometry(_TwoFormGeometry):
     """The Hirzebruch surface of twist 3 (fiber class squares to zero).
 
-    The fiber has one coordinate twisted by 3 and one untwisted.
+    The divisors are z, z, w - 3z and w: the fiber has one coordinate
+    twisted by 3 and one untwisted.
     """
 
     name = "f3"
-    dim = 2
-
-    _C1 = (-1, 2)
-    _SPAN, _SHIFT = 3, 1
-    _FIBER = ((1, 3, 1), (1, 0, 1))
-    _BRANCH = 3
-    _RES = {"a": (1, False, False), "b": (1, True, True)}
+    _DIVISORS = ((1, 0), (1, 0), (-3, 1), (0, 1))
 
     def basis(self):
         return [Insertion(0, 0), Insertion(1, 0), Insertion(0, 1), Insertion(0, 2)]
@@ -415,14 +422,8 @@ class F3Geometry(_TwoFormGeometry):
 
 class _WeightedFibration(_TwoFormGeometry):
     """A Calabi-Yau hypersurface in weighted projective space, fibered
-    over P1 by a K3 hypersurface of degree _FIBER_DEGREE."""
-
-    dim = 3
-
-    _C1 = (0, 0)
-    _SPAN, _SHIFT = 2, 1
-    _BRANCH = 2
-    _RES = {"a": (3, False, True), "b": (3, True, True)}
+    over P1 by a K3 hypersurface: base divisors z, z, untwisted fiber
+    coordinates w and one fiber coordinate twisted by 2, w - 2z."""
 
     def basis(self):
         return [Insertion(s, t) for t in range(4) for s in range(2)]
@@ -434,24 +435,20 @@ class Wp1Geometry(_WeightedFibration):
     """
 
     name = "wp1"
-
-    _FIBER_DEGREE = 4
-    _FIBER = ((1, 0, 3), (1, 2, 1))
+    _DIVISORS = ((1, 0), (1, 0), (0, 1), (0, 1), (0, 1), (-2, 1))
+    _HYPERSURFACE = (0, 4)
 
 
 class Wp3Geometry(_WeightedFibration):
     """Degree-12 hypersurface in P(1,1,2,2,6), fibered over P1.
 
     The fiber is the P(1,1,1,3) sextic: two unit-weight directions, one
-    twisted unit-weight direction, one weight-3 direction; each fiber
-    residue carries the orbifold weight 1/3.
+    twisted unit-weight direction and one weight-3 direction.
     """
 
     name = "wp3"
-
-    _FIBER_DEGREE = 6
-    _FIBER = ((1, 0, 2), (1, 2, 1), (3, 0, 1))
-    _W_SCALE = Fraction(1, 3)
+    _DIVISORS = ((1, 0), (1, 0), (0, 1), (0, 1), (-2, 1), (0, 3))
+    _HYPERSURFACE = (0, 6)
 
 
 GEOMETRIES = {

@@ -508,23 +508,25 @@ def one_form_oracle(g, sigma, a, b):
     a, b = g.check_insertion(a), g.check_insertion(b)
     sigma = tuple(sigma)
     l = len(sigma)
-    n = len(g.weights)
-    coords = [(m, 0, g.weights.count(m)) for m in sorted(set(g.weights))]
+    weights = [cw for _, cw in g._DIVISORS]
+    k = g._HYPERSURFACE[1]
+    n = len(weights)
+    coords = [(m, 0, weights.count(m)) for m in sorted(set(weights))]
     vs = VarSet(["z%d" % j for j in range(l + 1)])
     z = [vs.poly("z%d" % j) for j in range(l + 1)]
     num = z[0] ** a.exps[0] * z[l] ** b.exps[0]
-    orbifold = math.prod(g.weights)
+    orbifold = math.prod(weights)
     if orbifold != 1:
         num = num * F(1, orbifold) ** (l + 1)
     den = [(zz, n) for zz in z]
     for i, d in enumerate(sigma):
-        num = _hypersurface_roots(num, g.k, d, z[i], z[i + 1])
+        num = _hypersurface_roots(num, k, d, z[i], z[i + 1])
         den += _part_poles(coords, d, z[i], z[i + 1])
     for j in range(1, l):
         form = (z[j] - z[j - 1]) * F(1, sigma[j - 1]) \
              + (z[j] - z[j + 1]) * F(1, sigma[j])
         den += [(form, 1), (z[j], 1)]
-        num = num * F(1, g.k)
+        num = num * F(1, k)
     f = RatFunc(num, den)
     for j in range(l + 1):
         f = residue_at(f, "z%d" % j)
