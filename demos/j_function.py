@@ -6,13 +6,14 @@ over ordered partitions of d recovers the j coefficients themselves, and
 an exact series reversion closes the loop.
 """
 
-from resmirror import j_coefficients, reversion_weights, two_point_wp2
+from resmirror import cached_two_point, geometry, j_coefficients, reversion_weights
 
 DMAX = 4
+K3 = geometry("wp2")
 
 print("two-point numbers of the K3 fibration and the expansion weights:")
 for d in range(1, DMAX + 1):
-    v = two_point_wp2(d, 0, 1)
+    v = cached_two_point(K3, d, 0, 1)
     print("  d=%d: w(O_1 O_z) = %-14s  w_%d = %s" % (d, v, d, v / 2))
 
 je = j_coefficients(DMAX)

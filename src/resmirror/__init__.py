@@ -14,8 +14,7 @@ _EXPORTS = {
     "residues": ("DuplicatePole", "residue_at", "residue_sum"),
     "parts": ("InvalidDegree", "ordered_bipartitions", "ordered_partitions"),
     "geoms": ("Insertion", "InvalidInsertion", "geometry", "parse_insertion",
-              "two_point_cpn", "two_point_f3", "two_point_kf0", "two_point_wp1",
-              "two_point_wp2", "two_point_wp3"),
+              "two_point_cpn"),
     "vsc": ("InvalidComb", "check_theorem1", "decomposition_coefficient",
             "gmt_upto3", "poly_d", "vsc_merged_contour", "vsc_recursive",
             "vsc_residue"),

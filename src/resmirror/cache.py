@@ -170,11 +170,13 @@ def cached_two_point(g, dd, a, b):
     """g.two_point(dd, a, b) from the active store, else from the process
     memo, else computed; the store records what it lacks.
 
-    a and b must already be Insertion values.  The key holds the degree
-    as g.check_degree returns it, so an invalid degree raises before any
-    memo can answer it.
+    a and b are labels ("z", "w2", an exponent or a tuple of them) or
+    Insertion values.  The key holds the degree and the insertions as
+    g.check_degree and g.check_insertion return them, so an invalid
+    request raises before any memo or store is read.
     """
-    key = two_point_key(g, g.check_degree(dd), a, b)
+    dd, a, b = g.check_degree(dd), g.check_insertion(a), g.check_insertion(b)
+    key = two_point_key(g, dd, a, b)
     store = _ACTIVE
     hit = None if store is None else store.lookup(key)
     if hit is not None:

@@ -166,6 +166,10 @@ def _cmd_gw(args, cfg):
         if args.a is not None:
             sel = {g.check_insertion(args.a).exps[0], g.check_insertion(args.b).exps[0]}
             rows = [r for r in rows if {r[1], r[2]} == sel]
+        if not rows:
+            pair = "" if args.a is None else " for --a %s --b %s" % (args.a, args.b)
+            raise UsageError("gw N=%d k=%d has no invariant up to degree %d%s"
+                             % (args.N, args.k, dmax, pair))
     else:
         if args.a is None or args.b is None:
             raise UsageError("the transform route needs --a and --b")

@@ -469,31 +469,6 @@ def geometry(name, **params):
     return GEOMETRIES[name](**params)
 
 
-def _two_point(name, dd, a, b, **params):
-    """A named geometry's two-point number, through cache.cached_two_point."""
-    g = geometry(name, **params)
-    return cached_two_point(g, dd, g.check_insertion(a), g.check_insertion(b))
-
-
 def two_point_cpn(N, k, d, a, b):
-    return _two_point("cpn", d, a, b, N=N, k=k)
-
-
-def two_point_kf0(dd, a, b, k=1):
-    return _two_point("kf0", dd, a, b, k=k)
-
-
-def two_point_f3(dd, a, b):
-    return _two_point("f3", dd, a, b)
-
-
-def two_point_wp1(dd, a, b):
-    return _two_point("wp1", dd, a, b)
-
-
-def two_point_wp2(d, a, b):
-    return _two_point("wp2", d, a, b)
-
-
-def two_point_wp3(dd, a, b):
-    return _two_point("wp3", dd, a, b)
+    """cached_two_point on CpnGeometry(N, k): the raw number at degree d."""
+    return cached_two_point(CpnGeometry(N, k), d, a, b)

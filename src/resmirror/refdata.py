@@ -14,7 +14,7 @@ Only the upper triangle is stored; both matrices are symmetric.
 from fractions import Fraction
 
 from .cache import cached_two_point
-from .geoms import geometry, parse_insertion
+from .geoms import geometry
 
 _F = Fraction
 
@@ -69,16 +69,14 @@ class ConnectionReport:
 def check_conjecture2():
     """Recompute every stored connection entry from two-point numbers."""
     g = geometry("f3")
-    kahler = {"z": parse_insertion(g, "z"), "w": parse_insertion(g, "w")}
     rows = []
     for direction, table, slot in (("z", F3_Z_CONNECTION, 0),
                                    ("w", F3_W_CONNECTION, 1)):
         for (ra, cb), coeffs in sorted(table.items()):
-            a, b = parse_insertion(g, ra), parse_insertion(g, cb)
             for dd, ref in sorted(coeffs.items()):
                 if dd == (0, 0):
-                    got = g.classical_triple(a, b, kahler[direction])
+                    got = g.classical_triple(ra, cb, direction)
                 else:
-                    got = dd[slot] * cached_two_point(g, dd, a, b)
+                    got = dd[slot] * cached_two_point(g, dd, ra, cb)
                 rows.append((direction, ra, cb, dd, ref, got, ref == got))
     return ConnectionReport(rows)

@@ -9,7 +9,8 @@ import random
 import time
 from fractions import Fraction
 
-from resmirror.geoms import geometry, two_point_cpn, two_point_f3, two_point_wp2
+from resmirror.cache import cached_two_point
+from resmirror.geoms import geometry, two_point_cpn
 from resmirror.parts import ordered_bipartitions, ordered_partitions
 from resmirror.refdata import check_conjecture2
 from resmirror.series import (
@@ -204,8 +205,9 @@ TWIST_RAW = [
 
 def test_criterion_5_twisted_surface():
     def body():
+        f3 = geometry("f3")
         for dd, a, b, want in TWIST_RAW:
-            assert two_point_f3(dd, a, b) == want
+            assert cached_two_point(f3, dd, a, b) == want
         report = check_conjecture2()
         assert report.ok
         assert len(report.rows) == 33
@@ -284,8 +286,9 @@ J_SERIES = [F(744), F(196884), F(21493760), F(864299970),
 
 def test_criterion_7_modular_expansion():
     def body():
+        wp2 = geometry("wp2")
         for d, w in enumerate(K3_WEIGHTS, 1):
-            assert two_point_wp2(d, 0, 1) == 2 * w
+            assert cached_two_point(wp2, d, 0, 1) == 2 * w
         je = j_coefficients(6)
         assert list(je.j) == J_SERIES
         assert list(je.w[:5]) == K3_WEIGHTS

@@ -14,7 +14,7 @@ from resmirror.cache import (
     two_point_key,
 )
 from resmirror.cli import main
-from resmirror.geoms import geometry, parse_insertion
+from resmirror.geoms import Insertion, InvalidInsertion, geometry, parse_insertion
 from resmirror.parts import InvalidDegree
 
 
@@ -67,11 +67,8 @@ def test_cached_two_point_records_once(tmp_path):
     assert rec["value"] == "3850"
 
 
-@pytest.mark.parametrize("name,dd", [("cpn", True), ("cpn", (True,)),
-                                     ("f3", (True, 0)), ("wp1", (0, True))])
-def test_bool_degree_is_refused_before_the_cache(tmp_path, monkeypatch, name, dd):
-    g = geometry(name, **({"N": 5, "k": 5} if name == "cpn" else {}))
-    a, b = g.basis()[0], g.basis()[-1]
+def refused_before_the_cache(tmp_path, monkeypatch, error, g, dd, a, b):
+    """cached_two_point raises error, reads neither memo and writes nothing."""
     path = tmp_path / "c.jsonl"
     store = activate(str(path))
     monkeypatch.setattr(cache, "_MEMO", {})
@@ -82,12 +79,32 @@ def test_bool_degree_is_refused_before_the_cache(tmp_path, monkeypatch, name, dd
     monkeypatch.setattr(store, "lookup", untouched)
     monkeypatch.setattr(store, "store", untouched)
     try:
-        with pytest.raises(InvalidDegree):
+        with pytest.raises(error):
             cached_two_point(g, dd, a, b)
     finally:
         activate(None)
     assert cache._MEMO == {}
     assert not path.exists() or path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("name,dd", [("cpn", True), ("cpn", (True,)),
+                                     ("f3", (True, 0)), ("wp1", (0, True))])
+def test_bool_degree_is_refused_before_the_cache(tmp_path, monkeypatch, name, dd):
+    g = geometry(name, **({"N": 5, "k": 5} if name == "cpn" else {}))
+    refused_before_the_cache(tmp_path, monkeypatch, InvalidDegree,
+                             g, dd, g.basis()[0], g.basis()[-1])
+
+
+def test_labels_ask_for_the_same_number_as_insertions():
+    f3 = geometry("f3")
+    assert cached_two_point(f3, (3, 2), "z", "z") == \
+        cached_two_point(f3, (3, 2), Insertion(1, 0), Insertion(1, 0)) == Fraction(64)
+
+
+@pytest.mark.parametrize("label", ["z9", "q", (1.7, 0)], ids=["z9", "q", "float"])
+def test_bad_label_is_refused_before_the_cache(tmp_path, monkeypatch, label):
+    refused_before_the_cache(tmp_path, monkeypatch, InvalidInsertion,
+                             geometry("f3"), (3, 2), "z", label)
 
 
 def test_store_after_torn_last_line_keeps_both_records(tmp_path):

@@ -187,6 +187,9 @@ def test_validation_failures_exit_2(capsys):
         ("gw", "--N", "0", "--k", "3", "--dmax", "1"),
         ("gw", "--N", "-2", "--k", "1", "--dmax", "3"),
         ("gw", "--N", "1", "--k", "3", "--dmax", "1"),
+        # the closed-form route with no row left to print
+        ("gw", "--N", "3", "--k", "5", "--dmax", "3"),
+        ("gw", "--N", "5", "--k", "6", "--a", "z", "--b", "z", "--dmax", "2"),
     ]
     # cpn with N = 2 has basis {1}: no degree-one class for a series route
     no_kahler = [

@@ -22,16 +22,13 @@ from resmirror.geoms import (
     geometry,
     parse_insertion,
     two_point_cpn,
-    two_point_f3,
-    two_point_kf0,
-    two_point_wp1,
-    two_point_wp2,
-    two_point_wp3,
 )
 from resmirror.chains import _axis, _hypersurface_roots, _part_deg, _part_poles
 from resmirror.parts import InvalidDegree
 from resmirror.polys import RatFunc, VarSet
 from resmirror.residues import residue_at, residue_sum
+
+KF0, F3, WP1, WP2, WP3 = (geometry(name) for name in ("kf0", "f3", "wp1", "wp2", "wp3"))
 
 
 class TestInsertionLabels:
@@ -77,7 +74,7 @@ class TestInsertionLabels:
         with pytest.raises(InvalidInsertion):
             parse_insertion(g1, True)
         with pytest.raises(InvalidInsertion):
-            two_point_f3((1, 1), (1.7, 0), "z")
+            cached_two_point(F3, (1, 1), (1.7, 0), "z")
 
     def test_outside_basis_rejected(self):
         with pytest.raises(InvalidInsertion):
@@ -100,12 +97,12 @@ class TestInsertionLabels:
             with pytest.raises(InvalidDegree):
                 geometry("f3").two_point(bad, "z", "z")
             with pytest.raises(InvalidDegree):
-                two_point_f3(bad, "z", "z")
+                cached_two_point(F3, bad, "z", "z")
         # a memoized number must not answer a degree that only coerces to it
-        assert two_point_f3((1, 1), "z", "z") == 1
+        assert cached_two_point(F3, (1, 1), "z", "z") == 1
         for bad in [(1.9, 1.2), (1.5, 1)]:
             with pytest.raises(InvalidDegree):
-                two_point_f3(bad, "z", "z")
+                cached_two_point(F3, bad, "z", "z")
         g = geometry("cpn", N=5, k=5)
         one, zz = Insertion(0), Insertion(2)
         assert cached_two_point(g, 1, one, zz) == 3850
@@ -161,22 +158,23 @@ class TestCpn:
 
 class TestKf0:
     def test_degree_one_parts(self):
-        assert two_point_kf0((1, 0), "1", "zw") == -1
-        assert two_point_kf0((0, 1), "1", "zw") == -1
-        assert two_point_kf0((1, 1), "1", "zw") == -6
-        assert two_point_kf0((1, 0), "z", "z") == -2
-        assert two_point_kf0((0, 1), "z", "z") == 0
-        assert two_point_kf0((1, 1), "z", "w") == -10
+        assert cached_two_point(KF0, (1, 0), "1", "zw") == -1
+        assert cached_two_point(KF0, (0, 1), "1", "zw") == -1
+        assert cached_two_point(KF0, (1, 1), "1", "zw") == -6
+        assert cached_two_point(KF0, (1, 0), "z", "z") == -2
+        assert cached_two_point(KF0, (0, 1), "z", "z") == 0
+        assert cached_two_point(KF0, (1, 1), "z", "w") == -10
 
     def test_higher_degree_parts(self):
-        assert two_point_kf0((2, 0), "z", "z") == -5
-        assert two_point_kf0((2, 1), "z", "z") == -76
-        assert two_point_kf0((2, 1), "1", "zw") == -30
-        assert two_point_kf0((3, 0), "z", "z") == F(-44, 3)
-        assert two_point_kf0((2, 1), "z", "w") == -58
+        assert cached_two_point(KF0, (2, 0), "z", "z") == -5
+        assert cached_two_point(KF0, (2, 1), "z", "z") == -76
+        assert cached_two_point(KF0, (2, 1), "1", "zw") == -30
+        assert cached_two_point(KF0, (3, 0), "z", "z") == F(-44, 3)
+        assert cached_two_point(KF0, (2, 1), "z", "w") == -58
 
     def test_quantum_part_is_k_free(self):
-        assert two_point_kf0((2, 1), "z", "w", k=7) == two_point_kf0((2, 1), "z", "w")
+        assert cached_two_point(geometry("kf0", k=7), (2, 1), "z", "w") == \
+            cached_two_point(KF0, (2, 1), "z", "w")
 
     def test_classical_triple_table(self):
         g1, g7 = geometry("kf0"), geometry("kf0", k=7)
@@ -197,17 +195,17 @@ class TestKf0:
 
 class TestF3:
     def test_degree_one_parts(self):
-        assert two_point_f3((1, 0), "1", "1") == 5
-        assert two_point_f3((0, 1), "w", "w2") == 3
-        assert two_point_f3((1, 1), "1", "w2") == -6
-        assert two_point_f3((1, 1), "z", "z") == 1
-        assert two_point_f3((1, 1), "z", "w") == -1
+        assert cached_two_point(F3, (1, 0), "1", "1") == 5
+        assert cached_two_point(F3, (0, 1), "w", "w2") == 3
+        assert cached_two_point(F3, (1, 1), "1", "w2") == -6
+        assert cached_two_point(F3, (1, 1), "z", "z") == 1
+        assert cached_two_point(F3, (1, 1), "z", "w") == -1
 
     def test_higher_degree_parts(self):
-        assert two_point_f3((2, 1), "1", "z") == -16
-        assert two_point_f3((2, 1), "1", "w") == F(39, 2)
-        assert two_point_f3((2, 2), "z", "w2") == 15
-        assert two_point_f3((2, 2), "w", "w2") == -18
+        assert cached_two_point(F3, (2, 1), "1", "z") == -16
+        assert cached_two_point(F3, (2, 1), "1", "w") == F(39, 2)
+        assert cached_two_point(F3, (2, 2), "z", "w2") == 15
+        assert cached_two_point(F3, (2, 2), "w", "w2") == -18
 
     def test_selection_rule(self):
         # nonzero at (da, db) needs total degree 1 - da + 2 db
@@ -228,16 +226,16 @@ class TestF3:
 
 class TestWp1:
     def test_low_degree(self):
-        assert two_point_wp1((0, 1), "1", "zw") == 416
-        assert two_point_wp1((0, 1), "1", "w2") == 1024
-        assert two_point_wp1((1, 0), "z", "z") == 4
-        assert two_point_wp1((1, 1), "z", "z") == 832
-        assert two_point_wp1((1, 0), "1", "zw") == -4
+        assert cached_two_point(WP1, (0, 1), "1", "zw") == 416
+        assert cached_two_point(WP1, (0, 1), "1", "w2") == 1024
+        assert cached_two_point(WP1, (1, 0), "z", "z") == 4
+        assert cached_two_point(WP1, (1, 1), "z", "z") == 832
+        assert cached_two_point(WP1, (1, 0), "1", "zw") == -4
 
     def test_second_degree(self):
-        assert two_point_wp1((2, 0), "1", "zw") == -6
-        assert two_point_wp1((0, 2), "1", "zw") == 39120
-        assert two_point_wp1((0, 2), "1", "w2") == 103872
+        assert cached_two_point(WP1, (2, 0), "1", "zw") == -6
+        assert cached_two_point(WP1, (0, 2), "1", "zw") == 39120
+        assert cached_two_point(WP1, (0, 2), "1", "w2") == 103872
 
     def test_classical_triple(self):
         g = geometry("wp1")
@@ -255,8 +253,8 @@ class TestWp1:
 
 class TestWp2:
     def test_low_degree(self):
-        assert two_point_wp2(1, "1", "z") == 1488
-        assert two_point_wp2(2, "1", "z") == 947304
+        assert cached_two_point(WP2, 1, "1", "z") == 1488
+        assert cached_two_point(WP2, 2, "1", "z") == 947304
 
     def test_classical_triple(self):
         g = geometry("wp2")
@@ -264,20 +262,20 @@ class TestWp2:
         assert g.classical_triple("1", "1", "z") == 0
 
     def test_off_rule_vanishing(self):
-        assert two_point_wp2(1, "1", "1") == 0
-        assert two_point_wp2(1, "z", "z") == 0
+        assert cached_two_point(WP2, 1, "1", "1") == 0
+        assert cached_two_point(WP2, 1, "z", "z") == 0
 
 
 class TestWp3:
     def test_low_degree(self):
-        assert two_point_wp3((0, 1), "1", "zw") == 1488
-        assert two_point_wp3((1, 0), "1", "zw") == -2
-        assert two_point_wp3((1, 0), "z", "z") == 2
-        assert two_point_wp3((1, 1), "z", "z") == 2976
-        assert two_point_wp3((0, 1), "1", "w2") == 3456
+        assert cached_two_point(WP3, (0, 1), "1", "zw") == 1488
+        assert cached_two_point(WP3, (1, 0), "1", "zw") == -2
+        assert cached_two_point(WP3, (1, 0), "z", "z") == 2
+        assert cached_two_point(WP3, (1, 1), "z", "z") == 2976
+        assert cached_two_point(WP3, (0, 1), "1", "w2") == 3456
 
     def test_second_degree(self):
-        assert two_point_wp3((0, 2), "1", "zw") == 947304
+        assert cached_two_point(WP3, (0, 2), "1", "zw") == 947304
 
     def test_classical_triple(self):
         g = geometry("wp3")
