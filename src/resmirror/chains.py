@@ -14,21 +14,32 @@ variable is linear over factors free of it, and such factors add no poles
 in it.  So each residue expands only the factors near its vertex, never
 the ones further down the chain, and a chain whose integrand a residue
 kills returns 0 without building the rest.  A two-form chain identifies
-the w of a section part's two ends, and the z of a fiber part's; each
-class of identified vertices gets one variable when the integrand is
-built, named after the last vertex of the class, whose residue removes
-it, so no identification needs a substitution.
+the w of a z-part's two ends, and the z of a w-part's; each class of
+identified vertices gets one variable when the integrand is built, named
+after the last vertex of the class, whose residue removes it, so no
+identification needs a substitution.
 
-Every function here reads the constants that geoms derives from each
-geometry's toric data (_DIVISORS, _HYPERSURFACE, _BUNDLE).  A part along
-an axis in _SECTION_AXES is a section-direction block: the roots
-(-i p - (S d - i) q)/d + shift * other for 0 < i < S d over the poles of
-the section base _SECTION_BASE, where S is _SPAN.  A part along any other
-axis is a fiber-direction block: the _FIBER coordinate groups, and the
-roots of the degree-_FIBER_DEGREE fiber equation when there is one.  A
-hypersurface also puts its equation's degree, times w, in front of each
-section block, and 1/(_FIBER_DEGREE w) on each node.  Each fiber residue
-carries the orbifold weight _W_SCALE.
+Every factor is read off the geometry's toric table (geoms): its columns,
+the divisors and a local target's bundle, each a pairing (c_z, c_w) with
+the two forms, and its hypersurface.  This is the edge and vertex rule of
+torus localization (Kontsevich, hep-th/9405035), one column at a time:
+
+  part   a part of degree d along axis i (z or w) runs from p to q with
+         the other coordinate fixed at o.  A column c, with n = |c_i| d,
+         has the points c_i (j p + (n - j) q)/n + c_o o for 0 < j < n:
+         poles of the part when c_i > 0, zeros when c_i < 0.  The
+         hypersurface puts in its points for 0 <= j <= n as zeros.
+  node   the smoothing form, times the value c_z z + c_w w of each column
+         that pairs negatively with both adjacent parts, over the value
+         of the hypersurface.
+  w      the w residue takes 1/(c_z z + c_w w) for each divisor with
+         c_w > 0 >= c_z, except a twisted one (c_z < 0) right after a
+         part it pairs negatively with, and its contour encloses w = 0
+         and every twisted root.
+  z      the z residue takes 1/(c_z z) for each divisor with c_w = 0 < c_z.
+
+A one-form target has the w axis alone, so its parts, nodes and residues
+are the w rules in its one variable per vertex.
 """
 
 from fractions import Fraction
@@ -38,11 +49,8 @@ from .residues import residue_at, residue_sum
 
 
 def _axis(part):
-    return "a" if part[0] > 0 else "b"
-
-
-def _part_deg(part):
-    return part[0] + part[1]
+    """0 for a part along z, 1 for a part along w."""
+    return 0 if part[0] > 0 else 1
 
 
 def amplitude(g, sigma, a, b):
@@ -56,10 +64,9 @@ def amplitude(g, sigma, a, b):
     integrand is zero the sweep returns 0 without building the rest.
 
     A two-form variable stands for a class of vertices identified by
-    construction: a section part's two ends share w, a fiber part's share
-    z, and the class is named after its last vertex, where its residue
-    goes.  On a one-form target each vertex takes the w residue, in its
-    z_j.
+    construction: a z-part's two ends share w, a w-part's share z, and the
+    class is named after its last vertex, where its residue goes.  On a
+    one-form target each vertex takes the w residue, in its z_j.
     """
     a, b = g.check_insertion(a), g.check_insertion(b)
     if g.n_forms == 1:
@@ -70,14 +77,16 @@ def amplitude(g, sigma, a, b):
     # cls[c][j]: the last vertex of vertex j's class for letter c
     cls = {"z": list(range(l + 1)), "w": list(range(l + 1))}
     for j in range(l - 1, -1, -1) if g.n_forms == 2 else ():
-        c = "w" if _axis(sigma[j]) == "a" else "z"
+        c = "wz"[_axis(sigma[j])]
         cls[c][j] = cls[c][j + 1]
     letters = "zw"[:g.n_forms]
     names = [["%s%d" % (c, cls[c][j]) for c in letters] for j in range(l + 1)]
     vs = VarSet(n for j, ns in enumerate(names) for n, c in zip(ns, letters)
                 if cls[c][j] == j)
     x = [[vs.poly(n) for n in ns] for ns in names]
-    z, w = [v[0] for v in x], [v[-1] for v in x]
+    zw = ([v[0] for v in x], [v[-1] for v in x])
+    z, w = zw
+    z_measure = [(cz, m) for (cz, cw), m in g._COLUMNS if cw == 0 < cz]
 
     def insertion(j, exps):
         exps = dict(zip(names[j], exps))
@@ -86,106 +95,84 @@ def amplitude(g, sigma, a, b):
     f = insertion(0, a.exps)
     for j in range(l + 1):
         if j < l:
-            part = sigma[j]
-            if _axis(part) == "a":
-                d, p, q, other = part[0], z[j], z[j + 1], w[j]
-            else:
-                d, p, q, other = part[1], w[j], w[j + 1], z[j]
-            block = _section_block if _axis(part) in g._SECTION_AXES else _fiber_block
-            f = f * block(g, d, p, q, other)
+            i = _axis(sigma[j])
+            f = f * _part(g, i, sigma[j][i], zw[i][j], zw[i][j + 1], zw[1 - i][j])
         else:
             f = f * insertion(l, b.exps)
         if j + 1 < l:
             k, prv, nxt = j + 1, sigma[j], sigma[j + 1]
-            A = (z[k] - z[j]) if _axis(prv) == "a" else (w[k] - w[j])
-            B = (z[k] - z[k + 1]) if _axis(nxt) == "a" else (w[k] - w[k + 1])
-            form = A * Fraction(1, _part_deg(prv)) + B * Fraction(1, _part_deg(nxt))
-            f = f * _node(g, (_axis(prv), _axis(nxt)), z[k], w[k], form)
+            ip, iq = _axis(prv), _axis(nxt)
+            form = (zw[ip][k] - zw[ip][j]) * Fraction(1, prv[ip]) \
+                + (zw[iq][k] - zw[iq][k + 1]) * Fraction(1, nxt[iq])
+            f = f * _node(g, (ip, iq), z[k], w[k], form)
         if cls[letters[-1]][j] == j:
-            prev = _axis(sigma[j - 1]) if j else "b"
-            f = _w_residue(g, f, names[j][-1], z[j], g._RES[prev])
+            prev = _axis(sigma[j - 1]) if j else None
+            f = _w_residue(g, f, names[j][-1], z[j], prev)
         if g.n_forms == 2 and cls["z"][j] == j:
-            f = f * RatFunc(vs.const(1), [(z[j], 2)])
+            f = f * RatFunc(vs.const(1), [(cz * z[j], m) for cz, m in z_measure])
             f = residue_at(f, "z%d" % j)
         if f.is_zero():
             return Fraction(0)
 
     val = f.as_rational()
     for part in sigma:
-        val /= _part_deg(part)
+        val /= sum(part)
     return val
 
 
-def _section_block(g, d, p, q, other):
-    forms = [[(-i, p), (i - g._SPAN * d, q), (g._SHIFT * d, other)]
-             for i in range(1, g._SPAN * d)]
-    num = g._FIBER_DEGREE * other if g._FIBER_DEGREE else p.vars.const(1)
-    return RatFunc(_times_forms(num, forms, d),
-                   _part_poles(g._SECTION_BASE, d, p, q))
+def _part(g, i, d, p, q, o):
+    """The factor of one part of degree d along axis i, from p to q, with
+    the other coordinate at o.  A point c_i (j p + (n - j) q)/n + c_o o of
+    a column c is the linear form (s j p + s (n - j) q + c_o d o)/d, with
+    s the sign of c_i, since n = |c_i| d: one integer form over d."""
+    vs = p.vars
+    kp, kq, ko = (next(iter(v._n)) for v in (p, q, o))
 
+    def points(c):
+        # 0 <= j <= n; a column's own points are the inner ones
+        n, s, co = abs(c[i]) * d, (c[i] > 0) - (c[i] < 0), c[1 - i] * d
+        return [{k: x for k, x in ((kp, s * j), (kq, s * (n - j)), (ko, co)) if x}
+                for j in range(n + 1)]
 
-def _fiber_block(g, d, p, q, other):
-    num = p.vars.const(1)
-    if g._FIBER_DEGREE:
-        num = _hypersurface_roots(num, g._FIBER_DEGREE, d, p, q)
-    return RatFunc(num, _part_poles(g._FIBER, d, p, q, other))
+    zeros, poles = [], []
+    for c, m in g._COLUMNS:
+        if c[i] > 0:
+            poles += [(_lowest(vs, pt, d), m) for pt in points(c)[1:-1]]
+        elif c[i] < 0:
+            zeros += points(c)[1:-1] * m
+    if g._HYPERSURFACE:
+        zeros += points(g._HYPERSURFACE)
+    num = {0: 1}
+    for form in zeros:
+        num = _mul_n(num, form, vs._guard)
+    return RatFunc(_lowest(vs, num, d ** len(zeros)), poles)
 
 
 def _node(g, axes, zj, wj, form):
-    # a node between two section blocks carries their root at the node
+    """The factor of the node between parts on axes (i, i') at (zj, wj)."""
     num = zj.vars.const(1)
-    if all(axis in g._SECTION_AXES for axis in axes):
-        num = g._SHIFT * wj - g._SPAN * zj
+    for c, m in g._COLUMNS:
+        if c[axes[0]] < 0 and c[axes[1]] < 0:
+            num = num * (c[0] * zj + c[1] * wj) ** m
     den = [(form, 1)]
-    if g._FIBER_DEGREE:
-        num = num * Fraction(1, g._FIBER_DEGREE)
-        den.append((wj, 1))
+    if g._HYPERSURFACE:
+        cz, cw = g._HYPERSURFACE
+        den.append((cz * zj + cw * wj, 1))
     return RatFunc(num, den)
 
 
-def _w_residue(g, f, wname, zj, prof):
-    power, with_factor, with_branch_pole = prof
+def _w_residue(g, f, wname, zj, prev):
+    """The w residue at one vertex, after a part on axis prev (None at the
+    chain start).  The pure-w divisors (c_z = 0) make one pole at w = 0."""
     wj = f.vars.poly(wname)
-    den = [(wj, power)]
-    locs = [0]
-    if with_factor:
-        den.append((wj - g._BRANCH * zj, 1))
-    if with_factor or with_branch_pole:
-        locs.append(g._BRANCH * zj)
-    f = f * RatFunc(f.vars.const(g._W_SCALE), den)
+    scale, order, twisted, locs = Fraction(1), 0, [], [0]
+    for c, m in g._COLUMNS:
+        cz, cw = c
+        if cz == 0 < cw:
+            scale, order = scale / cw ** m, order + m
+        elif cw > 0 > cz:
+            locs.append(Fraction(-cz, cw) * zj)
+            if prev is None or c[prev] >= 0:
+                twisted.append((cz * zj + cw * wj, m))
+    f = f * RatFunc(f.vars.const(scale), [(wj, order)] + twisted)
     return residue_sum(f, wname, locs)
-
-
-def _times_forms(num, forms, d):
-    """num times the product of the linear forms over d, each form a list
-    of (integer, variable) pairs over distinct variables: one pass of the
-    integer product kernel over the denominator d^len(forms)."""
-    n, guard = num._n, num.vars._guard
-    for form in forms:
-        n = _mul_n(n, {next(iter(v._n)): c for c, v in form if c}, guard)
-    return _lowest(num.vars, n, num._d * d ** len(forms))
-
-
-def _hypersurface_roots(num, k, d, p, q):
-    """num times the k*d + 1 roots (j p + (k d - j) q)/d that a degree-k
-    equation contributes on one part of degree d."""
-    return _times_forms(num, [[(j, p), (k * d - j, q)] for j in range(k * d + 1)], d)
-
-
-def _part_poles(coords, d, p, q, base=None):
-    """Denominator factors of one part of degree d from p to q.
-
-    `coords` lists (weight, twist, multiplicity) per group of coordinates.
-    Each distinct weight m, in ascending order, gives the forms
-    (j p + (m d - j) q)/d for 0 < j < m d; every group of that weight
-    contributes the form shifted by -twist * base, to its multiplicity.
-    """
-    den = []
-    for m in sorted({weight for weight, _, _ in coords}):
-        for j in range(1, m * d):
-            pt = (p * j + q * (m * d - j)) * Fraction(1, d)
-            for weight, twist, mult in coords:
-                if weight == m:
-                    den.append((pt - twist * base if twist else pt, mult))
-    return den
-

@@ -3,10 +3,13 @@
 Each geometry declares three fields, every class a (c_z, c_w) pair of
 pairings with the Kahler forms z and w: _DIVISORS, its toric divisors;
 _HYPERSURFACE, its defining equation, or None; _BUNDLE, a local target's
-bundle, or None.  A one-form target pairs along w alone.  At construction
-Geometry._derive turns the table into the constants that the engine in
-chains reads, among them the dimension and first Chern class of the
-selection rule dim - 1 + c1 . d.  Geometry.two_point sums one amplitude
+bundle, or None.  A one-form target pairs along w alone.  The engine in
+chains and the classical triples read every factor straight off this
+table; at construction Geometry._derive only groups the divisors and the
+bundle into (column, multiplicity) pairs and sets the dimension and first
+Chern class of the selection rule dim - 1 + c1 . d.  A table with no
+twisted divisor (c_z < 0 < c_w) has its w poles at 0 alone.
+Geometry.two_point sums one amplitude
 per chain; chains is imported on the first amplitude and parts, which
 enumerates the chains, on the first sum, so a cache hit loads none of
 chains, parts, polys and residues.  The declared parameters are what the
@@ -136,11 +139,6 @@ def parse_insertion(geom, label):
     return Insertion(s, t)
 
 
-def _groups(cols):
-    # (weight, twist, multiplicity) per distinct column (weight, -twist)
-    return tuple((c, -o, m) for (c, o), m in Counter(cols).items())
-
-
 class Geometry:
     """Base for all targets: the toric data, its derivation, the chain sum."""
 
@@ -153,46 +151,20 @@ class Geometry:
 
     def __init__(self):
         self._derive()
+        self._basis = frozenset(self.basis())
 
     def _derive(self):
-        """Set the constants that chains reads, from the toric data.
-
-        Axis a pairs with z, axis b with w (a one-form target has b only).
-        A column (divisor or bundle) pairing negatively with an axis makes
-        it a section axis.  On the first one, i, that column gives _SPAN =
-        -c_i and _SHIFT = its other pairing, and the divisors on axis i
-        alone are the base poles _SECTION_BASE.  If w is not a section
-        axis, the divisors with c_w > 0 are the fiber groups _FIBER,
-        (c_w, -c_z, multiplicity), and a twisted one (c_z < 0) puts the
-        branch point at w = _BRANCH z.  The pure-w divisors set each w
-        residue's pole order and its orbifold weight _W_SCALE.  _RES[prev],
-        after a part on axis prev (the chain start counting as b), is (pole
-        order, the measure carries 1/(w - _BRANCH z), the contour encloses
-        w = _BRANCH z).
+        """The dimension, the first Chern class _C1 of the selection rule,
+        and _COLUMNS, the divisors and the bundle grouped into (column,
+        multiplicity) pairs, which chains reads with _HYPERSURFACE.  Axis 0
+        pairs with z, axis 1 with w; a one-form target pairs along w alone.
         """
         n, divs, bundle = self.n_forms, self._DIVISORS, self._BUNDLE
         hyp = self._HYPERSURFACE or (0, 0)
         cols = divs + ((bundle,) if bundle else ())
         self.dim = len(divs) - n - bool(self._HYPERSURFACE) + bool(bundle)
         self._C1 = tuple(sum(c[i] for c in cols) - hyp[i] for i in (0, 1))[2 - n:]
-        self._SECTION_AXES = "".join(x for i, x in enumerate("ab")
-                                     if any(c[i] < 0 for c in cols))
-        self._SPAN = self._SHIFT = self._SECTION_BASE = None
-        if self._SECTION_AXES:
-            i = "ab".index(self._SECTION_AXES[0])
-            col = next(c for c in cols if c[i] < 0)
-            self._SPAN, self._SHIFT = -col[i], col[1 - i]
-            self._SECTION_BASE = _groups((c[i], c[1 - i]) for c in divs
-                                         if c[i] > 0 and c[1 - i] == 0)
-        self._FIBER = () if "b" in self._SECTION_AXES else \
-            _groups((cw, cz) for cz, cw in divs if cw > 0)
-        twisted = [-cz for cz, cw in divs if cw > 0 > cz]
-        self._BRANCH = twisted[0] if twisted else None
-        pure = [cw for cz, cw in divs if cz == 0 < cw]
-        self._W_SCALE = Fraction(1, math.prod(pure))
-        self._FIBER_DEGREE = hyp[1] or None
-        self._RES = {prev: (len(pure), prev == "b" and bool(twisted), bool(twisted))
-                     for prev in "ab"[2 - n:]}
+        self._COLUMNS = tuple(Counter(cols).items())
 
     def params(self):
         return tuple((p, getattr(self, p)) for p in self.param_defaults)
@@ -206,7 +178,7 @@ class Geometry:
 
     def check_insertion(self, a):
         a = parse_insertion(self, a)
-        if a not in self.basis():
+        if a not in self._basis:
             raise InvalidInsertion("%s is not in the %s basis" % (a.label(), self.name))
         return a
 
@@ -221,7 +193,7 @@ class Geometry:
         first, so a basis without one (cpn with N = 2) is refused here."""
         n = self.n_forms
         classes = [Insertion(*(int(i == j) for j in range(n))) for i in range(n)]
-        if not all(v in self.basis() for v in classes):
+        if not all(v in self._basis for v in classes):
             raise ValueError("%r has no degree-one class" % self)
         return classes
 
@@ -280,7 +252,9 @@ class _OneFormGeometry(Geometry):
         a, b, c = (self.check_insertion(x) for x in (a, b, c))
         if a.degree() + b.degree() + c.degree() != self.dim:
             return Fraction(0)
-        return self._FIBER_DEGREE * self._W_SCALE
+        hyp = self._HYPERSURFACE
+        return Fraction(hyp[1] if hyp else 1,
+                        math.prod(cw ** m for (_, cw), m in self._COLUMNS))
 
 
 class _TwoFormGeometry(Geometry):
@@ -310,22 +284,36 @@ class _TwoFormGeometry(Geometry):
     def classical_triple(self, a, b, c):
         """The degree-zero pairing: the w residue at the chain start, then z.
 
-        The integrand is scale z^(s-2) w^(t-p) / (w - c z), with p its pole
-        order and c the branch constant; its residues at w = 0 and w = c z
-        sum to (c z)^(t-p) for t >= p and cancel below, and the z residue
-        keeps s + t - p = 1.  A hypersurface adds its class _FIBER_DEGREE * w
-        at the orbifold weight of a fiber residue.
+        The integrand is z^s w^t times the measures of the chain start:
+        1/(c_z z + c_w w) for each of the P divisors with c_w > 0 >= c_z,
+        the twisted ones (c_z < 0) with roots w = r z, and 1/(c_z z) for
+        each of the M divisors with c_w = 0 < c_z.  Its w residues at 0 and
+        at every root sum to minus the one at infinity, h_j(r) z^j over the
+        constants, where j = t + 1 - P and h_j is the complete homogeneous
+        polynomial in the roots (1 at j = 0 when there is none); the z
+        residue keeps s + j = M - 1.  A hypersurface (each has c_z = 0)
+        adds its class c_w w.
         """
         a, b, c = (self.check_insertion(x) for x in (a, b, c))
         s = a.exps[0] + b.exps[0] + c.exps[0]
         t = a.exps[1] + b.exps[1] + c.exps[1]
-        scale = 1
-        if self._FIBER_DEGREE:
-            scale, t = self._FIBER_DEGREE * self._W_SCALE, t + 1
-        p = self._RES["b"][0]
-        if t < p or s + t - p != 1:
+        scale = Fraction(1)
+        if self._HYPERSURFACE:
+            scale, t = Fraction(self._HYPERSURFACE[1]), t + 1
+        j, m, roots = t + 1, 0, []
+        for (cz, cw), mult in self._COLUMNS:
+            if cw > 0 >= cz:
+                scale, j = scale / cw ** mult, j - mult
+                roots += [Fraction(-cz, cw)] * mult if cz else []
+            elif cw == 0 < cz:
+                scale, m = scale / cz ** mult, m + mult
+        if j < 0 or s + j != m - 1:
             return Fraction(0)
-        return Fraction(scale * self._BRANCH ** (t - p))
+        h = [1] + [0] * j
+        for r in roots:
+            for n in range(1, j + 1):
+                h[n] += r * h[n - 1]
+        return scale * h[j]
 
 
 class CpnGeometry(_OneFormGeometry):

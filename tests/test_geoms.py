@@ -23,10 +23,13 @@ from resmirror.geoms import (
     parse_insertion,
     two_point_cpn,
 )
-from resmirror.chains import _axis, _hypersurface_roots, _part_deg, _part_poles
 from resmirror.parts import InvalidDegree
 from resmirror.polys import RatFunc, VarSet
 from resmirror.residues import residue_at, residue_sum
+
+import literal_engine
+from literal_engine import _axis, _hypersurface_roots, _part_deg, _part_poles
+from test_toric import literal_geometry
 
 KF0, F3, WP1, WP2, WP3 = (geometry(name) for name in ("kf0", "f3", "wp1", "wp2", "wp3"))
 
@@ -497,9 +500,10 @@ def test_chain_amplitudes(name, params, dd, a, b, chains):
 # -- the whole-integrand amplitudes, kept as oracles ------------------------
 #
 # Both engines used to multiply a chain's whole integrand together before
-# the first residue.  The engines now bring in each factor at the first
-# vertex it touches; these copies of the old construction check that every
-# chain's value stays the same rational.
+# the first residue, from blocks built out of hand-set constants.  The
+# engine now brings in each factor at the first vertex it touches, read off
+# the toric table; these copies of the old construction, on the old blocks
+# of literal_engine, check that every chain's value stays the same rational.
 
 
 def one_form_oracle(g, sigma, a, b):
@@ -535,6 +539,7 @@ def one_form_oracle(g, sigma, a, b):
 
 
 def two_form_oracle(g, sigma, a, b):
+    g = literal_geometry(g)
     a, b = g.check_insertion(a), g.check_insertion(b)
     sigma = tuple(tuple(p) for p in sigma)
     l = len(sigma)
@@ -553,14 +558,15 @@ def two_form_oracle(g, sigma, a, b):
             d, p, q, other = part[0], z[i], z[i + 1], w[i]
         else:
             d, p, q, other = part[1], w[i], w[i + 1], z[i]
-        block = chains._section_block if axis in g._SECTION_AXES else chains._fiber_block
+        block = (literal_engine._section_block if axis in g._SECTION_AXES
+                 else literal_engine._fiber_block)
         f = f * block(g, d, p, q, other)
     for j in range(1, l):
         prv, nxt = sigma[j - 1], sigma[j]
         A = (z[j] - z[j - 1]) if _axis(prv) == "a" else (w[j] - w[j - 1])
         B = (z[j] - z[j + 1]) if _axis(nxt) == "a" else (w[j] - w[j + 1])
         form = A * F(1, _part_deg(prv)) + B * F(1, _part_deg(nxt))
-        f = f * chains._node(g, (_axis(prv), _axis(nxt)), z[j], w[j], form)
+        f = f * literal_engine._node(g, (_axis(prv), _axis(nxt)), z[j], w[j], form)
 
     for j in range(l):
         if _axis(sigma[j]) == "a":
@@ -569,9 +575,9 @@ def two_form_oracle(g, sigma, a, b):
             f = residue_at(f, "z%d" % j)
         else:
             prof = g._RES[_axis(sigma[j - 1]) if j else "b"]
-            f = chains._w_residue(g, f, "w%d" % j, z[j], prof)
+            f = literal_engine._w_residue(g, f, "w%d" % j, z[j], prof)
             f = _subs(f, "z%d" % j, z[j + 1])
-    f = chains._w_residue(g, f, "w%d" % l, z[l], g._RES[_axis(sigma[-1])])
+    f = literal_engine._w_residue(g, f, "w%d" % l, z[l], g._RES[_axis(sigma[-1])])
     f = f * RatFunc(vs.const(1), [(z[l], 2)])
     f = residue_at(f, "z%d" % l)
 
@@ -661,8 +667,7 @@ def test_zero_chain_stops_building_blocks(monkeypatch):
             return block(*args)
         return wrapper
 
-    for name in ("_section_block", "_fiber_block"):
-        monkeypatch.setattr(chains, name, counted(getattr(chains, name)))
+    monkeypatch.setattr(chains, "_part", counted(chains._part))
     early = []
     for sigma in g._chains((3, 2)):
         built.clear()
@@ -694,26 +699,30 @@ def hypersurface_roots_oracle(num, k, d, p, q):
                                geometry("kf0"), geometry("f3"), geometry("wp1"),
                                geometry("wp2"), geometry("wp3")], ids=repr)
 def test_block_numerators_match_linear_form_products(g, d):
+    # each part the table gives, against the section or fiber block of the
+    # hand-set constants with its numerator a product of MultiPoly forms
+    old = literal_geometry(g)
     vs = VarSet(["z0", "w0", "z1", "w1"])
     z0, w0, z1, w1 = (vs.poly(n) for n in vs.names)
-    checked = 0
-    if g._SPAN:
-        block = chains._section_block(g, d, z0, z1, w0)
-        want = RatFunc(section_numerator_oracle(g, d, z0, z1, w0),
-                       _part_poles([(1, 0, 2)], d, z0, z1))
-        assert (block.num, block.den) == (want.num, want.den)
-        checked += 1
-    if g._FIBER_DEGREE:
-        for num in (vs.const(1), F(3, 2) * z0 - w1 * F(1, 7)):
-            want = hypersurface_roots_oracle(num, g._FIBER_DEGREE, d, w0, w1)
-            assert _hypersurface_roots(num, g._FIBER_DEGREE, d, w0, w1) == want
-        checked += 1
-    assert checked
+    for i in range(2 - g.n_forms, 2):
+        p, q, o = (z0, z1, w0) if i == 0 else (w0, w1, z0)
+        if "ab"[i] in old._SECTION_AXES:
+            want = RatFunc(section_numerator_oracle(old, d, p, q, o),
+                           _part_poles(old._SECTION_BASE, d, p, q))
+        else:
+            num = vs.const(1)
+            if old._FIBER_DEGREE:
+                num = hypersurface_roots_oracle(num, old._FIBER_DEGREE, d, p, q)
+            want = RatFunc(num, _part_poles(old._FIBER, d, p, q, o))
+        block = chains._part(g, i, d, p, q, o)
+        assert (block.num, dict(block.den)) == (want.num, dict(want.den)), i
 
 
 def classical_triple_oracle(g, a, b, c):
     """The two-form classical triple as the residue sum over w at 0 and at
-    the branch point c z, then the residue at z = 0."""
+    the branch point c z, then the residue at z = 0, from the hand-set
+    constants."""
+    g = literal_geometry(g)
     a, b, c = (g.check_insertion(x) for x in (a, b, c))
     vs = VarSet(["z", "w"])
     zz, ww = vs.poly("z"), vs.poly("w")
