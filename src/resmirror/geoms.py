@@ -9,8 +9,12 @@ table; at construction Geometry._derive only groups the divisors and the
 bundle into (column, multiplicity) pairs and sets the dimension and first
 Chern class of the selection rule dim - 1 + c1 . d.  A table with no
 twisted divisor (c_z < 0 < c_w) has its w poles at 0 alone.
-Geometry.two_point sums one amplitude
-per chain; chains is imported on the first amplitude and parts, which
+Geometry.classical_triple is one degree-zero rule for every table: the w
+residue at the chain start over the pure-w columns of either sign and the
+twisted divisors, then the z residue over the pure-z divisors; a one-form
+table has no z, so it keeps the w residue alone (kf0 alone declares its
+virtual-ring table instead).  Geometry.two_point sums one amplitude per
+chain; chains is imported on the first amplitude and parts, which
 enumerates the chains, on the first sum, so a cache hit loads none of
 chains, parts, polys and residues.  The declared parameters are what the
 CLI accepts.
@@ -29,7 +33,6 @@ Supported geometries and their string names:
         K3 surfaces of wp2
 """
 
-import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -95,12 +98,12 @@ class Insertion:
         return "Insertion(%s)" % ", ".join(map(str, self.exps))
 
 
-def _check_integers(**params):
-    """Raise ValueError for the first parameter that is not an int (nor a
-    bool), so that no number is answered for a coerced parameter."""
-    for name, x in params.items():
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ValueError("%s must be an integer, got %r" % (name, x))
+def _check_int(name, v):
+    """v itself if its type is int; a ValueError otherwise (a bool or any
+    other int subclass too), so no number answers a coerced parameter."""
+    if type(v) is not int:
+        raise ValueError("%s must be an integer, got %r" % (name, v))
+    return v
 
 
 _TWO_FORM_LABEL = re.compile(r"^(?:(z)(\d*))?(?:(w)(\d*))?$")
@@ -225,7 +228,40 @@ class Geometry:
         return chains.amplitude(self, sigma, a, b)
 
     def classical_triple(self, a, b, c):
-        raise NotImplementedError
+        """The degree-zero pairing <a, b, c>, one rule for every table: the
+        w residue at the chain start, then the z residue.
+
+        The integrand is z^s w^t times the measures of the chain start:
+        1/(c_z z + c_w w) for each of the P columns with a w pole, the
+        pure-w ones (c_z = 0, c_w of either sign: divisors and a bundle)
+        and the twisted divisors (c_z < 0 < c_w, with roots w = r z), and
+        1/(c_z z) for each of the M pure-z divisors (c_w = 0 < c_z).  Its
+        w residues at 0 and at every root sum to minus the one at infinity,
+        h_j(r) z^j over the constants, where j = t + 1 - P and h_j is the
+        complete homogeneous polynomial in the roots (1 at j = 0 when there
+        is none); the z residue keeps s + j = M - 1.  A one-form table has
+        no z to integrate, so it keeps j = 0.  A hypersurface (each has
+        c_z = 0) adds its class c_w w.
+        """
+        a, b, c = (self.check_insertion(x) for x in (a, b, c))
+        *s, t = (sum(e) for e in zip(a.exps, b.exps, c.exps))
+        scale = Fraction(1)
+        if self._HYPERSURFACE:
+            scale, t = Fraction(self._HYPERSURFACE[1]), t + 1
+        j, m, roots = t + 1, 0, []
+        for (cz, cw), mult in self._COLUMNS:
+            if cw > 0 >= cz or cw < 0 == cz:
+                scale, j = scale / cw ** mult, j - mult
+                roots += [Fraction(-cz, cw)] * mult if cz else []
+            elif cw == 0 < cz:
+                scale, m = scale / cz ** mult, m + mult
+        if j < 0 or j != (m - 1 - s[0] if s else 0):
+            return Fraction(0)
+        h = [1] + [0] * j
+        for r in roots:
+            for n in range(1, j + 1):
+                h[n] += r * h[n - 1]
+        return scale * h[j]
 
 
 class _OneFormGeometry(Geometry):
@@ -247,14 +283,6 @@ class _OneFormGeometry(Geometry):
     def _chains(self, d):
         from .parts import ordered_partitions
         return ordered_partitions(d)
-
-    def classical_triple(self, a, b, c):
-        a, b, c = (self.check_insertion(x) for x in (a, b, c))
-        if a.degree() + b.degree() + c.degree() != self.dim:
-            return Fraction(0)
-        hyp = self._HYPERSURFACE
-        return Fraction(hyp[1] if hyp else 1,
-                        math.prod(cw ** m for (_, cw), m in self._COLUMNS))
 
 
 class _TwoFormGeometry(Geometry):
@@ -281,40 +309,6 @@ class _TwoFormGeometry(Geometry):
         from .parts import ordered_bipartitions
         return ordered_bipartitions(*dd)
 
-    def classical_triple(self, a, b, c):
-        """The degree-zero pairing: the w residue at the chain start, then z.
-
-        The integrand is z^s w^t times the measures of the chain start:
-        1/(c_z z + c_w w) for each of the P divisors with c_w > 0 >= c_z,
-        the twisted ones (c_z < 0) with roots w = r z, and 1/(c_z z) for
-        each of the M divisors with c_w = 0 < c_z.  Its w residues at 0 and
-        at every root sum to minus the one at infinity, h_j(r) z^j over the
-        constants, where j = t + 1 - P and h_j is the complete homogeneous
-        polynomial in the roots (1 at j = 0 when there is none); the z
-        residue keeps s + j = M - 1.  A hypersurface (each has c_z = 0)
-        adds its class c_w w.
-        """
-        a, b, c = (self.check_insertion(x) for x in (a, b, c))
-        s = a.exps[0] + b.exps[0] + c.exps[0]
-        t = a.exps[1] + b.exps[1] + c.exps[1]
-        scale = Fraction(1)
-        if self._HYPERSURFACE:
-            scale, t = Fraction(self._HYPERSURFACE[1]), t + 1
-        j, m, roots = t + 1, 0, []
-        for (cz, cw), mult in self._COLUMNS:
-            if cw > 0 >= cz:
-                scale, j = scale / cw ** mult, j - mult
-                roots += [Fraction(-cz, cw)] * mult if cz else []
-            elif cw == 0 < cz:
-                scale, m = scale / cz ** mult, m + mult
-        if j < 0 or s + j != m - 1:
-            return Fraction(0)
-        h = [1] + [0] * j
-        for r in roots:
-            for n in range(1, j + 1):
-                h[n] += r * h[n - 1]
-        return scale * h[j]
-
 
 class CpnGeometry(_OneFormGeometry):
     """Two-point numbers of degree-k hypersurface data in projective space.
@@ -328,10 +322,9 @@ class CpnGeometry(_OneFormGeometry):
     param_defaults = {"N": None, "k": None}
 
     def __init__(self, N, k):
-        _check_integers(N=N, k=k)
+        self.N, self.k = _check_int("N", N), _check_int("k", k)
         if N < 2 or k < 1:
             raise ValueError("need N >= 2 and k >= 1")
-        self.N, self.k = N, k
         self._DIVISORS, self._HYPERSURFACE = ((0, 1),) * N, (0, k)
         super().__init__()
 
@@ -365,8 +358,7 @@ class Kf0Geometry(_TwoFormGeometry):
     _BUNDLE = (-2, -2)
 
     def __init__(self, k=param_defaults["k"]):
-        _check_integers(k=k)
-        self.k = k
+        self.k = _check_int("k", k)
         super().__init__()
 
     def basis(self):

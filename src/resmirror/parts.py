@@ -4,7 +4,8 @@ A degree-d chain decomposes into an ordered tuple of positive part degrees
 summing to d; there are 2^(d-1) of them.  For two-form geometries each part
 carries one of the two axes, giving tuples of (d_j, 0) / (0, d_j) parts
 with both coordinates summing to the target bi-degree.  Adjacent parts on
-the same axis are allowed.
+the same axis are allowed.  Both enumerations read one recursion over axis
+parts; a one-form degree d is the bi-degree (0, d) read along axis 1.
 """
 
 
@@ -12,27 +13,36 @@ class InvalidDegree(ValueError):
     """Degree outside the domain of the enumeration."""
 
 
+def _compositions(da, db):
+    """Every ordered tuple of axis parts (0, q) / (p, 0) summing to
+    (da, db), by one append/pop recursion; each step tries the axis-1
+    parts, then the axis-0 parts, by size."""
+    out, prefix = [], []
+
+    def grow(ra, rb):
+        if ra == 0 and rb == 0:
+            out.append(tuple(prefix))
+            return
+        steps = [(0, q) for q in range(1, rb + 1)] + [(p, 0) for p in range(1, ra + 1)]
+        for part in steps:
+            prefix.append(part)
+            grow(ra - part[0], rb - part[1])
+            prefix.pop()
+
+    grow(da, db)
+    return out
+
+
 def ordered_partitions(d):
-    """All compositions of d into positive parts, in lexicographic order.
+    """All compositions of d into positive parts, in lexicographic order:
+    the compositions of (0, d), read along axis 1.
 
     >>> ordered_partitions(3)
     [(1, 1, 1), (1, 2), (2, 1), (3,)]
     """
     if not isinstance(d, int) or isinstance(d, bool) or d <= 0:
         raise InvalidDegree("degree must be a positive integer, got %r" % (d,))
-    out = []
-
-    def grow(prefix, left):
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(1, left + 1):
-            prefix.append(p)
-            grow(prefix, left - p)
-            prefix.pop()
-
-    grow([], d)
-    return out
+    return [tuple(q for _, q in sigma) for sigma in _compositions(0, d)]
 
 
 def ordered_bipartitions(da, db):
@@ -46,20 +56,4 @@ def ordered_bipartitions(da, db):
         raise InvalidDegree("bi-degree must be a pair of non-negative integers")
     if da == 0 and db == 0:
         raise InvalidDegree("bi-degree (0, 0) has no chains")
-    out = []
-
-    def grow(prefix, ra, rb):
-        if ra == 0 and rb == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(1, ra + 1):
-            prefix.append((p, 0))
-            grow(prefix, ra - p, rb)
-            prefix.pop()
-        for q in range(1, rb + 1):
-            prefix.append((0, q))
-            grow(prefix, ra, rb - q)
-            prefix.pop()
-
-    grow([], da, db)
-    return sorted(out)
+    return sorted(_compositions(da, db))

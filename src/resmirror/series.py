@@ -34,7 +34,7 @@ import math
 from fractions import Fraction
 
 from .cache import cached_two_point, frac_from_str, frac_to_str
-from .geoms import Insertion, geometry, parse_insertion
+from .geoms import Insertion, _check_int, geometry, parse_insertion
 
 _F0, _F1 = Fraction(0), Fraction(1)
 _NO_AFFINE = (_F0, _F0)
@@ -53,13 +53,6 @@ def _exact(c):
     if isinstance(c, (int, Fraction)):
         return c if type(c) is Fraction else Fraction(c)
     raise TypeError("coefficient must be an int or Fraction, got %r" % (c,))
-
-
-def _check_int(name, v):
-    """v itself if it is an int and not a bool; a ValueError otherwise."""
-    if type(v) is not int:
-        raise ValueError("%s must be an integer, got %r" % (name, v))
-    return v
 
 
 def _integral(terms):

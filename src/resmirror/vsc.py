@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 from math import prod
 
-from .geoms import _check_integers, two_point_cpn
+from .geoms import _check_int, two_point_cpn
 from .polys import MultiPoly, RatFunc, VarSet
 
 
@@ -197,7 +197,8 @@ def _initial_coeffs(k):
 
 def _check_domain(N, k, d, n=0):
     """Every route needs integers N >= 2, k >= 1, d >= 1 and an integer n."""
-    _check_integers(N=N, k=k, d=d, n=n)
+    for name, v in (("N", N), ("k", k), ("d", d), ("n", n)):
+        _check_int(name, v)
     if N < 2 or k < 1 or d < 1:
         raise ValueError("need N >= 2, k >= 1, d >= 1")
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,11 @@ def test_bad_label_is_refused_before_the_cache(tmp_path, monkeypatch, label):
                              geometry("f3"), (3, 2), "z", label)
 
 
+def test_integer_label_on_a_two_form_geometry_is_refused():
+    with pytest.raises(InvalidInsertion, match="^integer labels are for one-form geometries$"):
+        cached_two_point(geometry("f3"), (1, 0), 1, "z")
+
+
 def test_store_after_torn_last_line_keeps_both_records(tmp_path):
     path = str(tmp_path / "c.jsonl")
     first, second = key_for(b="z2"), key_for(a="z", b="z")
@@ -163,6 +169,21 @@ def test_damaged_line_warns_and_keeps_later_records(tmp_path, capsys, damage):
     assert rc == 0 and capsys.readouterr().out == "3\n"
     # the clean record on line 2 was loaded, so nothing was appended
     assert path.read_bytes() == damaged
+
+
+def test_blank_lines_are_skipped_without_a_warning(tmp_path, capsys):
+    path = tmp_path / "memo.jsonl"
+    argv = F3_ARGV + ["--cache", str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    padded = b"\n  \n" + path.read_bytes() + b"\n\t\n"
+    path.write_bytes(padded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    assert rc == 0 and capsys.readouterr().out == "3\n"
+    # the record after the blank lines answered, so nothing was appended
+    assert path.read_bytes() == padded
 
 
 @pytest.mark.parametrize("argv,damage,want", [

@@ -233,6 +233,8 @@ def test_validation_failures_exit_2(capsys):
          "--N does not apply to nowhere"),
         (("mirror-map", "--geometry", "cpn", "--N", "1", "--k", "5"),
          "need N >= 2 and k >= 1"),
+        (("two-point", "--geometry", "f3", "--d", "x", "--a", "z", "--b", "z"),
+         "bad degree 'x'"),
     ]:
         assert run(capsys, *argv) == (2, "", "error: %s\n" % msg), argv
 
@@ -352,6 +354,14 @@ def test_malformed_config_is_a_usage_error(tmp_path, capsys, cfg):
     rc, _, err = run(capsys, "series", "--geometry", "cpn", "--N", "5", "--k", "5",
                      "--a", "z", "--b", "z", "--config", str(path))
     assert rc == 2 and err.startswith("error:")
+
+
+def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[3]")
+    rc, out, err = run(capsys, "two-point", "--geometry", "f3", "--d", "3,2",
+                       "--a", "z", "--b", "z", "--config", str(path))
+    assert (rc, out, err) == (2, "", "error: config %s must hold a JSON object\n" % path)
 
 
 def test_cache_path_that_is_a_directory_fails_with_exit_1(tmp_path, capsys):

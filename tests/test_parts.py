@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,3 +86,25 @@ def test_bipartition_reversal_closure(da, db):
         return
     chains = set(ordered_bipartitions(da, db))
     assert {tuple(reversed(c)) for c in chains} == chains
+
+
+def _cuts(n):
+    """The compositions of n, one per subset of its n - 1 cut points."""
+    return [tuple(b - a for a, b in zip((0,) + cut, cut + (n,)))
+            for r in range(n) for cut in combinations(range(1, n), r)]
+
+
+def test_partitions_match_the_cut_point_oracle():
+    for d in range(1, 12):
+        assert ordered_partitions(d) == sorted(_cuts(d)), d
+
+
+def test_bipartitions_match_the_axis_assignment_oracle():
+    # each composition of da + db with every assignment of axes to its
+    # parts whose axis-0 parts sum to da
+    for da, db in product(range(6), repeat=2):
+        if da or db:
+            want = [tuple((p, 0) if ax == 0 else (0, p) for p, ax in zip(c, axes))
+                    for c in _cuts(da + db) for axes in product((0, 1), repeat=len(c))
+                    if sum(p for p, ax in zip(c, axes) if ax == 0) == da]
+            assert ordered_bipartitions(da, db) == sorted(want), (da, db)

@@ -314,3 +314,61 @@ def test_every_pair_matches_the_literal_engine(g):
             assert g.two_point(dd, a, b) == want, (dd, a, b)
             nonzero += want != 0
     assert nonzero
+
+
+# -- one classical-triple rule against the two formulas it replaced ----------
+
+
+def _closed_form_triple(g, a, b, c):
+    """The one-form formula: the hypersurface degree over the product of
+    every column's c_w, on the dimension alone."""
+    if a.degree() + b.degree() + c.degree() != g.dim:
+        return F(0)
+    hyp = g._HYPERSURFACE
+    return F(hyp[1] if hyp else 1, math.prod(cw ** m for (_, cw), m in g._COLUMNS))
+
+
+def _chain_start_triple(g, a, b, c):
+    """The two-form formula: the w residues at the chain start over the
+    divisors with c_w > 0 >= c_z, then the z residue over those with
+    c_w = 0 < c_z."""
+    s, t = (sum(e) for e in zip(a.exps, b.exps, c.exps))
+    scale = F(1)
+    if g._HYPERSURFACE:
+        scale, t = F(g._HYPERSURFACE[1]), t + 1
+    j, m, roots = t + 1, 0, []
+    for (cz, cw), mult in g._COLUMNS:
+        if cw > 0 >= cz:
+            scale, j = scale / cw ** mult, j - mult
+            roots += [F(-cz, cw)] * mult if cz else []
+        elif cw == 0 < cz:
+            scale, m = scale / cz ** mult, m + mult
+    if j < 0 or s + j != m - 1:
+        return F(0)
+    h = [1] + [0] * j
+    for r in roots:
+        for n in range(1, j + 1):
+            h[n] += r * h[n - 1]
+    return scale * h[j]
+
+
+def _triple_rows():
+    rows = [geometry("cpn", N=N, k=k)
+            for N, k in ((5, 5), (4, 3), (6, 6), (5, 6), (3, 2), (2, 1), (7, 5))]
+    rows += [geometry(name) for name in ("wp2", "f3", "wp1", "wp3")]
+    rows += [compact_f0()] + [hirzebruch(n) for n in (1, 2, 4)]
+    rows += [local_projective(n) for n in (2, 3, 4)]
+    return [pytest.param(g, id=repr(g)) for g in rows]
+
+
+@pytest.mark.parametrize("g", _triple_rows())
+def test_one_triple_rule_matches_the_formula_of_its_form(g):
+    # every basis triple (2,012 over these rows); no row has a two-form
+    # pure-w bundle, the one column where the two formulas disagreed
+    oracle = _closed_form_triple if g.n_forms == 1 else _chain_start_triple
+    nonzero = 0
+    for a, b, c in product(g.basis(), repeat=3):
+        want = oracle(g, a, b, c)
+        assert g.classical_triple(a, b, c) == want, (a, b, c)
+        nonzero += want != 0
+    assert nonzero
