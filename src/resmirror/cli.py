@@ -33,8 +33,7 @@ def _load_config(path):
     if not isinstance(cfg, dict):
         raise UsageError("config %s must hold a JSON object" % path)
     table = cfg.get("truncation", {})
-    if not (isinstance(table, dict) and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in table.values())):
+    if not (isinstance(table, dict) and all(type(v) is int for v in table.values())):
         raise UsageError("config %s: \"truncation\" must map geometry names to "
                          "integers" % path)
     cache = cfg.get("cache")
@@ -76,10 +75,9 @@ def _parse_degree(g, text):
             parts = int(text)
     except ValueError:
         raise UsageError("bad degree %r" % text)
-    if g.n_forms == 2 and not isinstance(parts, tuple):
-        raise UsageError("%s takes a bi-degree, e.g. --d 1,2" % g.name)
-    if g.n_forms == 1 and isinstance(parts, tuple):
-        raise UsageError("%s takes a single degree, e.g. --d 2" % g.name)
+    if isinstance(parts, tuple) != (g.n_forms > 1):
+        raise UsageError(("%s takes a bi-degree, e.g. --d 1,2" if g.n_forms > 1 else
+                          "%s takes a single degree, e.g. --d 2") % g.name)
     return parts
 
 

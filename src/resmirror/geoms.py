@@ -1,23 +1,24 @@
 """The target geometries, declared as toric data, and the sum over chains.
 
-Each geometry declares three fields, every class a (c_z, c_w) pair of
-pairings with the Kahler forms z and w: _DIVISORS, its toric divisors;
-_HYPERSURFACE, its defining equation, or None; _BUNDLE, a local target's
-bundle, or None.  A one-form target pairs along w alone.  The engine in
-chains and the classical triples read every factor straight off this
-table; at construction Geometry._derive only groups the divisors and the
+Each geometry declares three fields, every class a column of pairings
+with its r Kahler forms, one entry per form: _DIVISORS, its toric
+divisors; _HYPERSURFACE, its defining equation, or None; _BUNDLE, a local
+target's bundle, or None.  The form count r is the length of a column;
+axis 0 pairs with z and axis 1 with w.  The engine in chains and the
+classical triples read every factor straight off this table; at
+construction Geometry._derive only sets r, groups the divisors and the
 bundle into (column, multiplicity) pairs and sets the dimension and first
 Chern class of the selection rule dim - 1 + c1 . d.  A table with no
 twisted divisor (c_z < 0 < c_w) has its w poles at 0 alone.
-Geometry.classical_triple is one degree-zero rule for every table: the w
-residue at the chain start over the pure-w columns of either sign and the
-twisted divisors, then the z residue over the pure-z divisors; a one-form
-table has no z, so it keeps the w residue alone (kf0 alone declares its
-virtual-ring table instead).  Geometry.two_point sums one amplitude per
-chain; chains is imported on the first amplitude and parts, which
-enumerates the chains, on the first sum, so a cache hit loads none of
-chains, parts, polys and residues.  The declared parameters are what the
-CLI accepts.
+Geometry.classical_triple is one degree-zero rule for every table with at
+most two forms: the residue in the last axis at the chain start over its
+columns of either sign and the twisted divisors, then the z residue over
+the pure-z divisors; a one-form table has no z, so it keeps the first
+residue alone (kf0 alone declares its virtual-ring table instead).
+Geometry.two_point sums one amplitude per chain; chains is imported on
+the first amplitude and parts, which enumerates the chains, on the first
+sum, so a cache hit loads none of chains, parts, polys and residues.  The
+declared parameters are what the CLI accepts.
 
 Supported geometries and their string names:
 
@@ -39,6 +40,8 @@ from fractions import Fraction
 
 from .cache import cached_two_point
 
+_AXES = "zwu"   # the letter of each axis, in labels and in chains' variables
+
 
 def __getattr__(name):
     # residues' binding, which bench/tracer.py reads; ROADMAP item 1 retires it
@@ -59,16 +62,15 @@ class InvalidInsertion(ValueError):
 
 
 class Insertion:
-    """A monomial cohomology class, stored as generator exponents.
-
-    One-form geometries use a single exponent (powers of the hyperplane
-    class); two-form geometries use a pair (s, t) for z^s w^t.
+    """A monomial cohomology class, stored as generator exponents: one
+    exponent per form, so (s,) for z^s on a one-form target and (s, t) for
+    z^s w^t on a two-form one.  The label names axis i by _AXES[i].
     """
 
     __slots__ = ("exps",)
 
     def __init__(self, *exps):
-        if not all(isinstance(e, int) and not isinstance(e, bool) for e in exps):
+        if not all(type(e) is int for e in exps):
             raise InvalidInsertion("non-integer exponent in %r" % (exps,))
         self.exps = exps
         if any(e < 0 for e in exps):
@@ -78,15 +80,8 @@ class Insertion:
         return sum(self.exps)
 
     def label(self):
-        if len(self.exps) == 1:
-            a = self.exps[0]
-            return "1" if a == 0 else ("z" if a == 1 else "z%d" % a)
-        s, t = self.exps
-        if s == 0 and t == 0:
-            return "1"
-        zs = "" if s == 0 else ("z" if s == 1 else "z%d" % s)
-        ws = "" if t == 0 else ("w" if t == 1 else "w%d" % t)
-        return zs + ws
+        return "".join(c if e == 1 else "%s%d" % (c, e)
+                       for c, e in zip(_AXES, self.exps) if e) or "1"
 
     def __eq__(self, other):
         return isinstance(other, Insertion) and self.exps == other.exps
@@ -106,14 +101,12 @@ def _check_int(name, v):
     return v
 
 
-_TWO_FORM_LABEL = re.compile(r"^(?:(z)(\d*))?(?:(w)(\d*))?$")
-
-
 def parse_insertion(geom, label):
     """Turn a CLI-style label into an Insertion for the given geometry.
 
     One-form labels: an integer, or "1", "z", "z2", ..., or "h0", "h1", ...
-    Two-form labels: "1", "z", "w", "zw", "w2", "z2w3", ...
+    Labels on more forms: "1", "z", "w", "zw", "w2", "z2w3", ..., each axis
+    by its letter in _AXES.
     """
     if isinstance(label, Insertion):
         return label
@@ -133,40 +126,37 @@ def parse_insertion(geom, label):
         g = m.group(1)
         return Insertion(1 if g in ("h", "z") else int(g))
     if label == "1":
-        return Insertion(0, 0)
-    m = _TWO_FORM_LABEL.match(label)
-    if not m or (m.group(1) is None and m.group(3) is None):
+        return Insertion(*(0,) * geom.n_forms)
+    m = re.match("".join(r"(?:%s(\d*))?" % c for c in _AXES[:geom.n_forms]) + "$", label)
+    if not m or all(e is None for e in m.groups()):
         raise InvalidInsertion("bad label %r" % label)
-    s = 0 if m.group(1) is None else int(m.group(2) or 1)
-    t = 0 if m.group(3) is None else int(m.group(4) or 1)
-    return Insertion(s, t)
+    return Insertion(*(0 if e is None else int(e or 1) for e in m.groups()))
 
 
 class Geometry:
     """Base for all targets: the toric data, its derivation, the chain sum."""
 
     name = None
-    n_forms = None
     param_defaults = {}     # parameter name -> default, None when required
-    _DIVISORS = ()          # (c_z, c_w) per toric divisor
-    _HYPERSURFACE = None    # (c_z, c_w) of the defining equation, if any
-    _BUNDLE = None          # (c_z, c_w) of a local target's bundle, if any
+    _DIVISORS = ()          # one column of pairings per toric divisor
+    _HYPERSURFACE = None    # the column of the defining equation, if any
+    _BUNDLE = None          # the column of a local target's bundle, if any
 
     def __init__(self):
         self._derive()
         self._basis = frozenset(self.basis())
 
     def _derive(self):
-        """The dimension, the first Chern class _C1 of the selection rule,
-        and _COLUMNS, the divisors and the bundle grouped into (column,
-        multiplicity) pairs, which chains reads with _HYPERSURFACE.  Axis 0
-        pairs with z, axis 1 with w; a one-form target pairs along w alone.
-        """
-        n, divs, bundle = self.n_forms, self._DIVISORS, self._BUNDLE
-        hyp = self._HYPERSURFACE or (0, 0)
+        """The form count n_forms, the length of a column; the dimension;
+        the first Chern class _C1 of the selection rule; and _COLUMNS, the
+        divisors and the bundle grouped into (column, multiplicity) pairs,
+        which chains reads with _HYPERSURFACE."""
+        divs, bundle = self._DIVISORS, self._BUNDLE
+        self.n_forms = n = len(divs[0])
+        hyp = self._HYPERSURFACE or (0,) * n
         cols = divs + ((bundle,) if bundle else ())
         self.dim = len(divs) - n - bool(self._HYPERSURFACE) + bool(bundle)
-        self._C1 = tuple(sum(c[i] for c in cols) - hyp[i] for i in (0, 1))[2 - n:]
+        self._C1 = tuple(sum(c[i] for c in cols) - hyp[i] for i in range(n))
         self._COLUMNS = tuple(Counter(cols).items())
 
     def params(self):
@@ -190,6 +180,30 @@ class Geometry:
         dd: the virtual dimension dim - 1 + c1 . dd."""
         dd = (dd,) if isinstance(dd, int) else dd
         return self.dim - 1 + sum(c * d for c, d in zip(self._C1, dd))
+
+    def check_degree(self, dd):
+        """dd as the chains take it: a positive int on one form (a 1-tuple
+        is unwrapped), a tuple of r non-negative ints, not all 0, on r."""
+        n = self.n_forms
+        if n == 1:
+            dd, = dd if isinstance(dd, tuple) and len(dd) == 1 else (dd,)
+            if type(dd) is not int or dd <= 0:
+                raise _invalid_degree("degree must be a positive integer, got %r" % (dd,))
+        elif not (isinstance(dd, tuple) and len(dd) == n and all(type(x) is int for x in dd)):
+            raise _invalid_degree("bi-degree required, got %r" % (dd,))
+        elif min(dd) < 0:
+            raise _invalid_degree("bi-degree must be a pair of non-negative integers")
+        elif not any(dd):
+            raise _invalid_degree("bi-degree %s has no chains" % (dd,))
+        return dd
+
+    def _chains(self, dd):
+        """The ordered partitions of dd, by parts: plain compositions on one
+        form, parts along one axis each on more."""
+        from . import parts
+        if self.n_forms == 1:
+            return parts.ordered_partitions(dd)
+        return parts.ordered_bipartitions(*dd)
 
     def kahler_classes(self):
         """Degree-one generators, one per form; the series layer reads them
@@ -228,33 +242,38 @@ class Geometry:
         return chains.amplitude(self, sigma, a, b)
 
     def classical_triple(self, a, b, c):
-        """The degree-zero pairing <a, b, c>, one rule for every table: the
-        w residue at the chain start, then the z residue.
+        """The degree-zero pairing <a, b, c>, one rule for every table of at
+        most two forms: the residue in the last axis at the chain start,
+        then the z residue.  Three forms or more raise ValueError.
 
-        The integrand is z^s w^t times the measures of the chain start:
-        1/(c_z z + c_w w) for each of the P columns with a w pole, the
-        pure-w ones (c_z = 0, c_w of either sign: divisors and a bundle)
-        and the twisted divisors (c_z < 0 < c_w, with roots w = r z), and
-        1/(c_z z) for each of the M pure-z divisors (c_w = 0 < c_z).  Its
-        w residues at 0 and at every root sum to minus the one at infinity,
-        h_j(r) z^j over the constants, where j = t + 1 - P and h_j is the
-        complete homogeneous polynomial in the roots (1 at j = 0 when there
-        is none); the z residue keeps s + j = M - 1.  A one-form table has
-        no z to integrate, so it keeps j = 0.  A hypersurface (each has
-        c_z = 0) adds its class c_w w.
+        On two forms the integrand is z^s w^t times the measures of the
+        chain start: 1/(c_z z + c_w w) for each of the P columns with a w
+        pole, the pure-w ones (c_z = 0, c_w of either sign: divisors and a
+        bundle) and the twisted divisors (c_z < 0 < c_w, with roots
+        w = r z), and 1/(c_z z) for each of the M pure-z divisors
+        (c_w = 0 < c_z).  Its w residues at 0 and at every root sum to
+        minus the one at infinity, h_j(r) z^j over the constants, where
+        j = t + 1 - P and h_j is the complete homogeneous polynomial in the
+        roots (1 at j = 0 when there is none); the z residue keeps
+        s + j = M - 1.  A one-form table integrates its one axis alone, so
+        it keeps j = 0.  A hypersurface (each pairs with the last axis
+        alone) adds its class.
         """
+        if self.n_forms > 2:
+            raise ValueError("%r has %d forms; the classical triple takes at most two"
+                             % (self, self.n_forms))
         a, b, c = (self.check_insertion(x) for x in (a, b, c))
         *s, t = (sum(e) for e in zip(a.exps, b.exps, c.exps))
         scale = Fraction(1)
         if self._HYPERSURFACE:
-            scale, t = Fraction(self._HYPERSURFACE[1]), t + 1
+            scale, t = Fraction(self._HYPERSURFACE[-1]), t + 1
         j, m, roots = t + 1, 0, []
-        for (cz, cw), mult in self._COLUMNS:
-            if cw > 0 >= cz or cw < 0 == cz:
+        for (*rest, cw), mult in self._COLUMNS:
+            if cw > 0 >= max(rest, default=0) or cw < 0 and not any(rest):
                 scale, j = scale / cw ** mult, j - mult
-                roots += [Fraction(-cz, cw)] * mult if cz else []
-            elif cw == 0 < cz:
-                scale, m = scale / cz ** mult, m + mult
+                roots += [Fraction(-rest[0], cw)] * mult if any(rest) else []
+            elif cw == 0 < rest[0]:
+                scale, m = scale / rest[0] ** mult, m + mult
         if j < 0 or j != (m - 1 - s[0] if s else 0):
             return Fraction(0)
         h = [1] + [0] * j
@@ -264,53 +283,7 @@ class Geometry:
         return scale * h[j]
 
 
-class _OneFormGeometry(Geometry):
-    """A hypersurface in weighted projective space: divisors (0, weight)
-    and the equation (0, k).  Every part is a fiber part, and each vertex
-    takes one residue, in its one variable.
-    """
-
-    n_forms = 1
-
-    def check_degree(self, dd):
-        if isinstance(dd, tuple) and len(dd) == 1:
-            dd, = dd
-        if not isinstance(dd, int) or isinstance(dd, bool) or dd <= 0:
-            raise _invalid_degree("degree must be a positive integer, got %r"
-                                  % (dd,))
-        return dd
-
-    def _chains(self, d):
-        from .parts import ordered_partitions
-        return ordered_partitions(d)
-
-
-class _TwoFormGeometry(Geometry):
-    """A surface or a threefold with two Kahler forms, z and w.
-
-    Subclasses declare the divisor table; each vertex carries the two
-    variables z_j and w_j.
-    """
-
-    n_forms = 2
-
-    def check_degree(self, dd):
-        if not (isinstance(dd, tuple) and len(dd) == 2
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in dd)):
-            raise _invalid_degree("bi-degree required, got %r" % (dd,))
-        da, db = dd
-        if da < 0 or db < 0:
-            raise _invalid_degree("bi-degree must be a pair of non-negative integers")
-        if da == 0 and db == 0:
-            raise _invalid_degree("bi-degree (0, 0) has no chains")
-        return (da, db)
-
-    def _chains(self, dd):
-        from .parts import ordered_bipartitions
-        return ordered_bipartitions(*dd)
-
-
-class CpnGeometry(_OneFormGeometry):
+class CpnGeometry(Geometry):
     """Two-point numbers of degree-k hypersurface data in projective space.
 
     Insertions are powers of the hyperplane class, 0 .. N-2.  Chains are
@@ -325,25 +298,25 @@ class CpnGeometry(_OneFormGeometry):
         self.N, self.k = _check_int("N", N), _check_int("k", k)
         if N < 2 or k < 1:
             raise ValueError("need N >= 2 and k >= 1")
-        self._DIVISORS, self._HYPERSURFACE = ((0, 1),) * N, (0, k)
+        self._DIVISORS, self._HYPERSURFACE = ((1,),) * N, (k,)
         super().__init__()
 
     def basis(self):
         return [Insertion(i) for i in range(self.N - 1)]
 
 
-class Wp2Geometry(_OneFormGeometry):
+class Wp2Geometry(Geometry):
     """Degree-6 hypersurface in P(1,1,1,3): a K3 surface with one form."""
 
     name = "wp2"
-    _DIVISORS = ((0, 1), (0, 1), (0, 1), (0, 3))
-    _HYPERSURFACE = (0, 6)
+    _DIVISORS = ((1,), (1,), (1,), (3,))
+    _HYPERSURFACE = (6,)
 
     def basis(self):
         return [Insertion(i) for i in range(4)]
 
 
-class Kf0Geometry(_TwoFormGeometry):
+class Kf0Geometry(Geometry):
     """The canonical bundle over P1 x P1 (a local surface).
 
     Both axes carry the section block of the bundle O(-2, -2) over the
@@ -386,7 +359,7 @@ class Kf0Geometry(_TwoFormGeometry):
         return table.get((s, t), Fraction(0))
 
 
-class F3Geometry(_TwoFormGeometry):
+class F3Geometry(Geometry):
     """The Hirzebruch surface of twist 3 (fiber class squares to zero).
 
     The divisors are z, z, w - 3z and w: the fiber has one coordinate
@@ -400,7 +373,7 @@ class F3Geometry(_TwoFormGeometry):
         return [Insertion(0, 0), Insertion(1, 0), Insertion(0, 1), Insertion(0, 2)]
 
 
-class _WeightedFibration(_TwoFormGeometry):
+class _WeightedFibration(Geometry):
     """A Calabi-Yau hypersurface in weighted projective space, fibered
     over P1 by a K3 hypersurface: base divisors z, z, untwisted fiber
     coordinates w and one fiber coordinate twisted by 2, w - 2z."""

@@ -40,8 +40,8 @@ class InvalidComb(ValueError):
 
 
 def _check_d(d):
-    """Raise InvalidComb unless d is a positive int (not a bool)."""
-    if not isinstance(d, int) or isinstance(d, bool):
+    """Raise InvalidComb unless d is a positive int (its type int itself)."""
+    if type(d) is not int:
         raise InvalidComb("d must be an integer, got %r" % (d,))
     if d < 1:
         raise InvalidComb("d must be positive, got %r" % (d,))
@@ -49,7 +49,7 @@ def _check_d(d):
 
 def _check_indices(d, indices):
     idx = tuple(indices)
-    if not all(isinstance(i, int) and not isinstance(i, bool) for i in idx) \
+    if not all(type(i) is int for i in idx) \
             or list(idx) != sorted(set(idx)) or any(not 1 <= i <= d - 1 for i in idx):
         raise InvalidComb(
             "need 1 <= i_1 < ... < i_k <= %d, got %r" % (d - 1, indices))

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 import math
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,10 @@ from resmirror.geoms import (
     parse_insertion,
     two_point_cpn,
 )
-from resmirror.parts import InvalidDegree
+from resmirror.parts import InvalidDegree, ordered_bipartitions, ordered_partitions
 from resmirror.polys import RatFunc, VarSet
 from resmirror.residues import residue_at, residue_sum
+from resmirror.vsc import InvalidComb, decomposition_coefficient, poly_d
 
 import literal_engine
 from literal_engine import _axis, _hypersurface_roots, _part_deg, _part_poles
@@ -112,6 +114,30 @@ class TestInsertionLabels:
         for bad in [1.0, (1.0,), (1, 1)]:
             with pytest.raises(InvalidDegree):
                 cached_two_point(g, bad, one, zz)
+
+    def test_int_subclasses_rejected(self):
+        # one predicate, type(x) is int: an IntEnum member is no degree,
+        # exponent, composition degree or vsc index, as cpn's N is no N
+        class Small(IntEnum):
+            ONE = 1
+            TWO = 2
+
+        with pytest.raises(InvalidDegree):
+            geometry("wp2").two_point(Small.ONE, "1", "z")
+        with pytest.raises(InvalidDegree):
+            geometry("f3").check_degree((Small.ONE, 0))
+        with pytest.raises(InvalidInsertion):
+            Insertion(Small.TWO)
+        with pytest.raises(InvalidInsertion):
+            geometry("f3").check_insertion((Small.ONE, 0))
+        with pytest.raises(InvalidDegree):
+            ordered_partitions(Small.TWO)
+        with pytest.raises(InvalidDegree):
+            ordered_bipartitions(Small.ONE, 1)
+        with pytest.raises(InvalidComb):
+            poly_d(Small.TWO)
+        with pytest.raises(InvalidComb):
+            decomposition_coefficient(3, [Small.ONE])
 
     def test_bool_degrees_rejected(self):
         g = geometry("cpn", N=5, k=5)
@@ -510,8 +536,8 @@ def one_form_oracle(g, sigma, a, b):
     a, b = g.check_insertion(a), g.check_insertion(b)
     sigma = tuple(sigma)
     l = len(sigma)
-    weights = [cw for _, cw in g._DIVISORS]
-    k = g._HYPERSURFACE[1]
+    weights = [cw for cw, in g._DIVISORS]
+    k, = g._HYPERSURFACE
     n = len(weights)
     coords = [(m, 0, weights.count(m)) for m in sorted(set(weights))]
     vs = VarSet(["z%d" % j for j in range(l + 1)])
@@ -700,12 +726,16 @@ def hypersurface_roots_oracle(num, k, d, p, q):
                                geometry("wp2"), geometry("wp3")], ids=repr)
 def test_block_numerators_match_linear_form_products(g, d):
     # each part the table gives, against the section or fiber block of the
-    # hand-set constants with its numerator a product of MultiPoly forms
+    # hand-set constants with its numerator a product of MultiPoly forms;
+    # the hand-set constants put a one-form part on axis b, which the table
+    # reads as its one axis
     old = literal_geometry(g)
     vs = VarSet(["z0", "w0", "z1", "w1"])
     z0, w0, z1, w1 = (vs.poly(n) for n in vs.names)
-    for i in range(2 - g.n_forms, 2):
+    skip = 2 - g.n_forms
+    for i in range(skip, 2):
         p, q, o = (z0, z1, w0) if i == 0 else (w0, w1, z0)
+        here, there = [z0, w0], ([z1, w0] if i == 0 else [z0, w1])
         if "ab"[i] in old._SECTION_AXES:
             want = RatFunc(section_numerator_oracle(old, d, p, q, o),
                            _part_poles(old._SECTION_BASE, d, p, q))
@@ -714,7 +744,7 @@ def test_block_numerators_match_linear_form_products(g, d):
             if old._FIBER_DEGREE:
                 num = hypersurface_roots_oracle(num, old._FIBER_DEGREE, d, p, q)
             want = RatFunc(num, _part_poles(old._FIBER, d, p, q, o))
-        block = chains._part(g, i, d, p, q, o)
+        block = chains._part(g, i - skip, d, here[skip:], there[skip:])
         assert (block.num, dict(block.den)) == (want.num, dict(want.den)), i
 
 

@@ -94,9 +94,19 @@ def _cuts(n):
             for r in range(n) for cut in combinations(range(1, n), r)]
 
 
+def _on_axis(p, i, r):
+    """The part of degree p along axis i of r."""
+    return tuple(p if c == i else 0 for c in range(r))
+
+
 def test_partitions_match_the_cut_point_oracle():
     for d in range(1, 12):
         assert ordered_partitions(d) == sorted(_cuts(d)), d
+    # a degree on one axis of three: the same compositions, on that axis
+    for d in range(1, 8):
+        for i in range(3):
+            want = [tuple(_on_axis(p, i, 3) for p in c) for c in _cuts(d)]
+            assert ordered_bipartitions(*_on_axis(d, i, 3)) == sorted(want), (d, i)
 
 
 def test_bipartitions_match_the_axis_assignment_oracle():
@@ -108,3 +118,23 @@ def test_bipartitions_match_the_axis_assignment_oracle():
                     for c in _cuts(da + db) for axes in product((0, 1), repeat=len(c))
                     if sum(p for p, ax in zip(c, axes) if ax == 0) == da]
             assert ordered_bipartitions(da, db) == sorted(want), (da, db)
+
+
+def test_three_axis_parts_match_the_axis_assignment_oracle():
+    # the same oracle on three axes: every assignment of axes to the parts
+    # of a composition whose parts on each axis sum to that axis's degree
+    for dd in product(range(4), repeat=3):
+        if 0 < sum(dd) <= 6:
+            want = [tuple(_on_axis(p, ax, 3) for p, ax in zip(c, axes))
+                    for c in _cuts(sum(dd)) for axes in product(range(3), repeat=len(c))
+                    if all(sum(p for p, ax in zip(c, axes) if ax == i) == dd[i]
+                           for i in range(3))]
+            assert ordered_bipartitions(*dd) == sorted(want), dd
+
+
+def test_three_axis_refusals_keep_their_messages():
+    with pytest.raises(InvalidDegree, match=r"^bi-degree \(0, 0, 0\) has no chains$"):
+        ordered_bipartitions(0, 0, 0)
+    for bad in ((1, -1, 0), (1, 0, True), (1,), ()):
+        with pytest.raises(InvalidDegree, match="^bi-degree must be a pair"):
+            ordered_bipartitions(*bad)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resmirror import chains, residues
+from resmirror import residues
 from resmirror.geoms import geometry
 from resmirror.polys import RatFunc, VarSet
 from resmirror.residues import DuplicatePole, residue_at, residue_sum
@@ -288,9 +288,9 @@ def test_engine_residues_match_inverse_series_oracle(monkeypatch):
         seen.append((r, var, loc, out))
         return out
 
-    # vsc imports residue_at from residues where it takes one
-    for mod in (residues, chains):
-        monkeypatch.setattr(mod, "residue_at", recording)
+    # the engine takes every residue through residue_sum, which looks
+    # residue_at up in residues; vsc imports it from there where it takes one
+    monkeypatch.setattr(residues, "residue_at", recording)
     for name, params, dd, a, b in ENGINE_CASES:
         geometry(name, **params).two_point(dd, a, b)
     monkeypatch.undo()

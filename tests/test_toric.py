@@ -21,7 +21,7 @@ import pytest
 
 import literal_engine
 from resmirror import chains
-from resmirror.geoms import F3Geometry, Insertion, Wp2Geometry, geometry
+from resmirror.geoms import F3Geometry, Geometry, Insertion, Wp2Geometry, geometry
 from resmirror.series import mirror_map
 
 
@@ -109,11 +109,11 @@ def test_derived_constants_match_the_hand_set_literals(name, params):
 
 
 def local_projective(n):
-    """K_{P^{n-1}} as a one-form row: n divisors (0, 1) and the bundle
-    (0, -n), no hypersurface."""
+    """K_{P^{n-1}} as a one-form row: n divisors (1,) and the bundle
+    (-n,), no hypersurface."""
     return type("KP%dGeometry" % (n - 1), (Wp2Geometry,), {
-        "name": "kp%d" % (n - 1), "_DIVISORS": ((0, 1),) * n,
-        "_HYPERSURFACE": None, "_BUNDLE": (0, -n),
+        "name": "kp%d" % (n - 1), "_DIVISORS": ((1,),) * n,
+        "_HYPERSURFACE": None, "_BUNDLE": (-n,),
         "basis": lambda self: [Insertion(i) for i in range(n)]})()
 
 
@@ -244,14 +244,16 @@ def test_flatness_sees_the_old_f3_profile_on_f1(monkeypatch):
     # the contour after a z-part: the one gap is at degree (1, 1)
     g = hirzebruch(1)
     old = literal_geometry(g)
-    w_residue = chains._w_residue
+    residue = chains._residue
 
-    def old_profile(g, f, wname, zj, prev):
-        if prev != 0:
-            return w_residue(g, f, wname, zj, prev)
-        return literal_engine._w_residue(old, f, wname, zj, (1, False, False))
+    def old_profile(g, f, name, c, xs, inside):
+        # the w residue (axis 1) whose class spans a z-part (axis 0): the
+        # one right after a z-part
+        if c != 1 or 0 not in inside:
+            return residue(g, f, name, c, xs, inside)
+        return literal_engine._w_residue(old, f, name, xs[0], (1, False, False))
 
-    monkeypatch.setattr(chains, "_w_residue", old_profile)
+    monkeypatch.setattr(chains, "_residue", old_profile)
     defect = flatness_defect(g, 3)
     assert defect and {key for _, _, key in defect} == {(1, 1)}
 
@@ -325,7 +327,7 @@ def _closed_form_triple(g, a, b, c):
     if a.degree() + b.degree() + c.degree() != g.dim:
         return F(0)
     hyp = g._HYPERSURFACE
-    return F(hyp[1] if hyp else 1, math.prod(cw ** m for (_, cw), m in g._COLUMNS))
+    return F(hyp[0] if hyp else 1, math.prod(cw ** m for (cw,), m in g._COLUMNS))
 
 
 def _chain_start_triple(g, a, b, c):
@@ -372,3 +374,75 @@ def test_one_triple_rule_matches_the_formula_of_its_form(g):
         assert g.classical_triple(a, b, c) == want, (a, b, c)
         nonzero += want != 0
     assert nonzero
+
+
+# -- three forms --------------------------------------------------------------
+
+
+def p1_cubed():
+    """P1 x P1 x P1 as a row of three forms: two divisors on each axis, on
+    the basis of square-free monomials in z, w and u."""
+    return type("P1CubedGeometry", (Geometry,), {
+        "name": "p1p1p1", "_DIVISORS": ((1, 0, 0),) * 2 + ((0, 1, 0),) * 2 + ((0, 0, 1),) * 2,
+        "basis": lambda self: [Insertion(*e) for e in product((0, 1), repeat=3)]})()
+
+
+def f3_times_p1():
+    """F3 x P1: f3's columns, each with a third entry 0, and the two
+    divisors (0, 0, 1) of the P1, on the basis of products a u^e."""
+    return type("F3P1Geometry", (Geometry,), {
+        "name": "f3p1",
+        "_DIVISORS": ((1, 0, 0), (1, 0, 0), (-3, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
+        "basis": lambda self: [Insertion(*a.exps, u) for u in (0, 1) for a in F3Geometry().basis()]})()
+
+
+def _p1_cubed_number(dd, a, b):
+    # a line of the i-th ruling meets a and b only if both contain x_i and
+    # together they cut out a point; the selection rule asks for degree
+    # dim - 1 + c1 . e_i = 4
+    if sorted(dd) != [0, 0, 1] or a.degree() + b.degree() != 4:
+        return 0
+    i = dd.index(1)
+    return int(a.exps[i] == b.exps[i] == 1 and all(x + y for x, y in zip(a.exps, b.exps)))
+
+
+def _f3_times_p1_number(dd, a, b):
+    # the product rule, with a = x u^e and b = y u^f: a degree in F3 alone
+    # pairs the P1 factors, the P1 line integrates the F3 factors when both
+    # P1 factors are the point, and a mixed degree gives 0
+    f3 = geometry("f3")
+    (*x, e), (*y, f) = a.exps, b.exps
+    x, y = Insertion(*x), Insertion(*y)
+    if dd[2] == 0:
+        return f3.two_point(dd[:2], x, y) * (e + f == 1)
+    if dd == (0, 0, 1):
+        return f3.classical_triple(x, y, "1") * (e == f == 1)
+    return 0
+
+
+@pytest.mark.parametrize("make,rule,nonzero", [(p1_cubed, _p1_cubed_number, 6),
+                                               (f3_times_p1, _f3_times_p1_number, 16)],
+                         ids=["P1xP1xP1", "F3xP1"])
+def test_three_forms_through_two_point(make, rule, nonzero):
+    # every basis pair at total degree <= 3; on F3 x P1 the w class can
+    # span a u-part as well as a z-part, so a twisted pole left out after
+    # the part just before its vertex, rather than after any part of its
+    # class, breaks this test and no one- or two-form one
+    g = make()
+    degrees = [dd for dd in product(range(4), repeat=3) if 0 < sum(dd) <= 3]
+    found = 0
+    for dd in degrees:
+        for a, b in combinations_with_replacement(g.basis(), 2):
+            want = rule(dd, a, b)
+            assert g.two_point(dd, a, b) == want, (dd, a.label(), b.label())
+            found += want != 0
+    assert found == nonzero
+
+
+def test_classical_triple_refuses_three_forms():
+    # the degree-zero rule integrates at most two axes; no three-form row
+    # is registered, so it raises rather than answer
+    g = f3_times_p1()
+    assert (g.n_forms, g.dim, g._C1) == (3, 3, (-1, 2, 2))
+    with pytest.raises(ValueError, match="at most two"):
+        g.classical_triple("1", "zu", "w")
