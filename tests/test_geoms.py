@@ -117,7 +117,8 @@ class TestInsertionLabels:
 
     def test_int_subclasses_rejected(self):
         # one predicate, type(x) is int: an IntEnum member is no degree,
-        # exponent, composition degree or vsc index, as cpn's N is no N
+        # exponent, composition degree or vsc argument, as _check_int
+        # already refuses one as a parameter
         class Small(IntEnum):
             ONE = 1
             TWO = 2
