@@ -12,9 +12,9 @@ import importlib
 _EXPORTS = {
     "polys": ("Fraction", "MultiPoly", "RatFunc", "VarSet"),
     "residues": ("DuplicatePole", "residue_at", "residue_sum"),
-    "parts": ("InvalidDegree", "ordered_bipartitions", "ordered_partitions"),
-    "geoms": ("Insertion", "InvalidInsertion", "geometry", "parse_insertion",
-              "two_point_cpn"),
+    "parts": ("ordered_bipartitions", "ordered_partitions"),
+    "geoms": ("Insertion", "InvalidDegree", "InvalidInsertion", "geometry",
+              "parse_insertion", "two_point_cpn"),
     "vsc": ("InvalidComb", "check_theorem1", "decomposition_coefficient",
             "gmt_upto3", "poly_d", "vsc_merged_contour", "vsc_recursive",
             "vsc_residue"),

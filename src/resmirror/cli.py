@@ -11,6 +11,7 @@ loads no chain engine (chains, polys, residues).
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import cache as cache_mod
@@ -69,10 +70,7 @@ def _build_geometry(args):
 
 def _parse_degree(g, text):
     try:
-        if "," in text:
-            parts = tuple(int(p) for p in text.split(","))
-        else:
-            parts = int(text)
+        parts = tuple(map(int, text.split(","))) if "," in text else int(text)
     except ValueError:
         raise UsageError("bad degree %r" % text)
     if isinstance(parts, tuple) != (g.n_forms > 1):
@@ -282,6 +280,11 @@ def _parser():
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        # argparse takes a signed degree list ("--d -1,2") for an option
+        if argv[i - 1] == "--d" and re.fullmatch(r"-\d+(,-?\d+)*", argv[i]):
+            argv[i - 1:i + 1] = ["--d=" + argv[i]]
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:

@@ -6,9 +6,10 @@ divisors; _HYPERSURFACE, its defining equation, or None; _BUNDLE, a local
 target's bundle, or None.  The form count r is the length of a column;
 axis 0 pairs with z and axis 1 with w.  The engine in chains and the
 classical triples read every factor straight off this table; at
-construction Geometry._derive only sets r, groups the divisors and the
-bundle into (column, multiplicity) pairs and sets the dimension and first
-Chern class of the selection rule dim - 1 + c1 . d.  A table with no
+construction Geometry._derive only sets r (refusing more forms than _AXES
+has letters), groups the divisors and the bundle into (column,
+multiplicity) pairs and sets the dimension and first Chern class of the
+selection rule dim - 1 + c1 . d.  A table with no
 twisted divisor (c_z < 0 < c_w) has its w poles at 0 alone.
 Geometry.classical_triple is one degree-zero rule for every table with at
 most two forms: the residue in the last axis at the chain start over its
@@ -51,10 +52,27 @@ def __getattr__(name):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-def _invalid_degree(msg):
-    """parts.InvalidDegree, imported only when a degree is refused."""
-    from .parts import InvalidDegree
-    return InvalidDegree(msg)
+class InvalidDegree(ValueError):
+    """A degree outside the domain of the chains; parts re-exports it."""
+
+
+def check_degree(dd, n=None):
+    """dd as the chains take it on n forms: a positive int on one (a 1-tuple
+    is unwrapped), a tuple of n non-negative ints, not all 0, on more.  The
+    one rule for Geometry.check_degree and both enumerations in parts;
+    n=None takes any tuple of two or more, its length the form count."""
+    if n == 1:
+        dd, = dd if isinstance(dd, tuple) and len(dd) == 1 else (dd,)
+        if type(dd) is not int or dd <= 0:
+            raise InvalidDegree("degree must be a positive integer, got %r" % (dd,))
+    elif not (isinstance(dd, tuple) and len(dd) == (n or len(dd))
+              and all(type(x) is int for x in dd)):
+        raise InvalidDegree("bi-degree required, got %r" % (dd,))
+    elif len(dd) < 2 or min(dd) < 0:
+        raise InvalidDegree("bi-degree must be a pair of non-negative integers")
+    elif not any(dd):
+        raise InvalidDegree("bi-degree %s has no chains" % (dd,))
+    return dd
 
 
 class InvalidInsertion(ValueError):
@@ -104,9 +122,10 @@ def _check_int(name, v):
 def parse_insertion(geom, label):
     """Turn a CLI-style label into an Insertion for the given geometry.
 
-    One-form labels: an integer, or "1", "z", "z2", ..., or "h0", "h1", ...
-    Labels on more forms: "1", "z", "w", "zw", "w2", "z2w3", ..., each axis
-    by its letter in _AXES.
+    Labels: "1", or each axis by its letter in _AXES with its exponent
+    ("z", "w", "zw", "w2", "z2w3", ...).  On one form "h" and a bare
+    exponent are aliases of "z" ("h3" and "3" read "z3"), and an integer
+    is the exponent itself.
     """
     if isinstance(label, Insertion):
         return label
@@ -117,17 +136,10 @@ def parse_insertion(geom, label):
     if isinstance(label, tuple):
         return Insertion(*label)
     label = str(label).strip()
-    if geom.n_forms == 1:
-        if label == "1":
-            return Insertion(0)
-        m = re.match(r"^(?:h|z)?(\d+)$", label) or re.match(r"^(h|z)$", label)
-        if not m:
-            raise InvalidInsertion("bad label %r" % label)
-        g = m.group(1)
-        return Insertion(1 if g in ("h", "z") else int(g))
     if label == "1":
         return Insertion(*(0,) * geom.n_forms)
-    m = re.match("".join(r"(?:%s(\d*))?" % c for c in _AXES[:geom.n_forms]) + "$", label)
+    letters = [r"(?:z|h|(?=\d))"] if geom.n_forms == 1 else _AXES[:geom.n_forms]
+    m = re.match("".join(r"(?:%s(\d*))?" % c for c in letters) + "$", label)
     if not m or all(e is None for e in m.groups()):
         raise InvalidInsertion("bad label %r" % label)
     return Insertion(*(0 if e is None else int(e or 1) for e in m.groups()))
@@ -147,12 +159,16 @@ class Geometry:
         self._basis = frozenset(self.basis())
 
     def _derive(self):
-        """The form count n_forms, the length of a column; the dimension;
-        the first Chern class _C1 of the selection rule; and _COLUMNS, the
-        divisors and the bundle grouped into (column, multiplicity) pairs,
-        which chains reads with _HYPERSURFACE."""
+        """The form count n_forms, the length of a column, at most one per
+        letter of _AXES; the dimension; the first Chern class _C1 of the
+        selection rule; and _COLUMNS, the divisors and the bundle grouped
+        into (column, multiplicity) pairs, which chains reads with
+        _HYPERSURFACE."""
         divs, bundle = self._DIVISORS, self._BUNDLE
         self.n_forms = n = len(divs[0])
+        if n > len(_AXES):
+            raise ValueError("%s has %d forms; labels name at most %d axes (%s)"
+                             % (self.name, n, len(_AXES), _AXES))
         hyp = self._HYPERSURFACE or (0,) * n
         cols = divs + ((bundle,) if bundle else ())
         self.dim = len(divs) - n - bool(self._HYPERSURFACE) + bool(bundle)
@@ -182,20 +198,8 @@ class Geometry:
         return self.dim - 1 + sum(c * d for c, d in zip(self._C1, dd))
 
     def check_degree(self, dd):
-        """dd as the chains take it: a positive int on one form (a 1-tuple
-        is unwrapped), a tuple of r non-negative ints, not all 0, on r."""
-        n = self.n_forms
-        if n == 1:
-            dd, = dd if isinstance(dd, tuple) and len(dd) == 1 else (dd,)
-            if type(dd) is not int or dd <= 0:
-                raise _invalid_degree("degree must be a positive integer, got %r" % (dd,))
-        elif not (isinstance(dd, tuple) and len(dd) == n and all(type(x) is int for x in dd)):
-            raise _invalid_degree("bi-degree required, got %r" % (dd,))
-        elif min(dd) < 0:
-            raise _invalid_degree("bi-degree must be a pair of non-negative integers")
-        elif not any(dd):
-            raise _invalid_degree("bi-degree %s has no chains" % (dd,))
-        return dd
+        """dd as the chains take it, by the one rule check_degree."""
+        return check_degree(dd, self.n_forms)
 
     def _chains(self, dd):
         """The ordered partitions of dd, by parts: plain compositions on one
@@ -354,8 +358,7 @@ class Kf0Geometry(Geometry):
         for x in exps:
             if x not in ring:
                 raise InvalidInsertion("%s is outside the virtual ring" % x.label())
-        s = sum(x.exps[0] for x in exps)
-        t = sum(x.exps[1] for x in exps)
+        s, t = (sum(e) for e in zip(*(x.exps for x in exps)))
         return table.get((s, t), Fraction(0))
 
 

@@ -5,12 +5,12 @@ summing to d; there are 2^(d-1) of them.  For a geometry with r >= 2 forms
 each part lies along one of the r axes, giving tuples of parts with one
 positive entry each, summing to the target degree axis by axis.  Adjacent
 parts on the same axis are allowed.  Both enumerations read one recursion
-over axis parts; a one-form degree d is the degree (d,) on one axis.
+over axis parts and check their degree by the one rule of geoms, whose
+InvalidDegree they raise; a one-form degree d is the degree (d,) on one
+axis.
 """
 
-
-class InvalidDegree(ValueError):
-    """Degree outside the domain of the enumeration."""
+from .geoms import InvalidDegree, check_degree
 
 
 def _compositions(*dd):
@@ -41,9 +41,7 @@ def ordered_partitions(d):
     >>> ordered_partitions(3)
     [(1, 1, 1), (1, 2), (2, 1), (3,)]
     """
-    if type(d) is not int or d <= 0:
-        raise InvalidDegree("degree must be a positive integer, got %r" % (d,))
-    return [tuple(q for q, in sigma) for sigma in _compositions(d)]
+    return [tuple(q for q, in sigma) for sigma in _compositions(check_degree(d, 1))]
 
 
 def ordered_bipartitions(*dd):
@@ -51,11 +49,7 @@ def ordered_bipartitions(*dd):
     two, the parts (p, 0) / (0, q) summing to (da, db).
 
     Parts are positive on exactly one axis; consecutive parts may share an
-    axis.  The list is sorted lexicographically.  A degree of all zeros is
+    axis.  The list is in lexicographic order.  A degree of all zeros is
     rejected; a vanishing axis is fine.
     """
-    if len(dd) < 2 or any(type(x) is not int or x < 0 for x in dd):
-        raise InvalidDegree("bi-degree must be a pair of non-negative integers")
-    if not any(dd):
-        raise InvalidDegree("bi-degree %s has no chains" % (dd,))
-    return sorted(_compositions(*dd))
+    return _compositions(*check_degree(dd))

@@ -323,10 +323,6 @@ def series_from_json(obj):
 # -- generating functions --------------------------------------------------
 
 
-def _unit(g):
-    return Insertion(*([0] * g.n_forms))
-
-
 def _degree_list(g, D):
     if g.n_forms == 1:
         return [(d, 0) for d in range(1, D + 1)]
@@ -399,7 +395,7 @@ def mirror_map(g, D):
     _check_int("truncation bound", D)
     rows = g.kahler_classes()
     cols = g.pairing_partners()
-    unit = _unit(g)
+    unit = parse_insertion(g, "1")
     if len(rows) != len(cols):
         raise SingularMetric("pairing block is not square for %s" % g.name)
     block = [[g.classical_triple(v, alpha, unit) for alpha in cols] for v in rows]

@@ -239,6 +239,20 @@ def test_validation_failures_exit_2(capsys):
         assert run(capsys, *argv) == (2, "", "error: %s\n" % msg), argv
 
 
+@pytest.mark.parametrize("argv,msg", [
+    (("two-point", "--geometry", "wp1", "--d", "-1,2", "--a", "z", "--b", "z"),
+     "bi-degree must be a pair of non-negative integers"),
+    (("two-point", "--geometry", "wp1", "--d=-1,2", "--a", "z", "--b", "z"),
+     "bi-degree must be a pair of non-negative integers"),
+    (("two-point", "--geometry", "cpn", "--N", "5", "--k", "5", "--d", "-2",
+      "--a", "1", "--b", "z2"),
+     "degree must be a positive integer, got -2"),
+], ids=["signed-list", "signed-list-joined", "negative-cpn"])
+def test_negative_degree_reaches_the_degree_check(capsys, argv, msg):
+    # "-1,2" is no number to argparse, which would read it as an option
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % msg)
+
+
 def test_vsc_far_below_the_grounding_level(capsys):
     rc, out, err = run(capsys, "vsc", "--N", "2", "--k", "400", "--d", "1", "--n", "0")
     assert (rc, err) == (0, "")

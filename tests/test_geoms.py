@@ -9,10 +9,11 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 import math
+import re
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from resmirror import cache, chains
@@ -31,7 +32,7 @@ from resmirror.vsc import InvalidComb, decomposition_coefficient, poly_d
 
 import literal_engine
 from literal_engine import _axis, _hypersurface_roots, _part_deg, _part_poles
-from test_toric import literal_geometry
+from test_toric import literal_geometry, p1_cubed
 
 KF0, F3, WP1, WP2, WP3 = (geometry(name) for name in ("kf0", "f3", "wp1", "wp2", "wp3"))
 
@@ -149,6 +150,75 @@ class TestInsertionLabels:
             for bad in ((True, 0), (0, True), (True, True), (False, 1)):
                 with pytest.raises(InvalidDegree, match="bi-degree required"):
                     geometry(name).check_degree(bad)
+
+    # every refusal, by form count: bools, floats, strings, negatives, zeros
+    # and wrong lengths
+    REFUSED = {
+        1: [0, -1, -3, True, False, 1.5, 1.0, "2", "a", None, (True,), (1.5,),
+            ("1",), (0,), (-1,), (), (1, 1), (1, 0, 0)],
+        2: [(True, 0), (0, False), (1.0, 1), (1, 1.5), ("1", 1), (1, "a"), (None, 1),
+            (-1, 2), (0, -1), (0, 0), (), (1,), (1, 1, 0), 2, True, "1,1"],
+        3: [(True, 0, 0), (1, 0, 1.0), (1, "a", 0), (-1, 1, 1), (0, 0, -2), (0, 0, 0),
+            (1, 1), (1, 1, 1, 1), 3, (1.5,)],
+    }
+
+    @pytest.mark.parametrize("r", sorted(REFUSED))
+    def test_one_refusal_per_degree_at_every_entry_point(self, r):
+        # Geometry.check_degree, cached_two_point and the enumeration of
+        # chains read one rule: the same class and the same message.  An
+        # enumeration of several axes reads its form count off the degree,
+        # so it joins for degrees of r entries
+        g, a, b = {1: (geometry("cpn", N=5, k=5), "1", "z2"), 2: (F3, "z", "z"),
+                   3: (p1_cubed(), "zw", "u")}[r]
+        for bad in self.REFUSED[r]:
+            calls = [lambda: g.check_degree(bad), lambda: cached_two_point(g, bad, a, b)]
+            if r == 1:
+                calls.append(lambda: ordered_partitions(bad))
+            elif isinstance(bad, tuple) and len(bad) == r:
+                calls.append(lambda: ordered_bipartitions(*bad))
+            seen = set()
+            for call in calls:
+                with pytest.raises(ValueError) as info:
+                    call()
+                seen.add((type(info.value), str(info.value)))
+            assert len(seen) == 1 and next(iter(seen))[0] is InvalidDegree, (bad, seen)
+
+    @staticmethod
+    def _split_grammar(n, label):
+        """The exponents of label by the earlier parser, which read one-form
+        labels by a grammar of their own; None for a refused label."""
+        label = label.strip()
+        if n == 1:
+            if label == "1":
+                return (0,)
+            m = re.match(r"^(?:h|z)?(\d+)$", label) or re.match(r"^(h|z)$", label)
+            return m and (1 if m.group(1) in ("h", "z") else int(m.group(1)),)
+        if label == "1":
+            return (0,) * n
+        m = re.match("".join(r"(?:%s(\d*))?" % c for c in "zwu"[:n]) + "$", label)
+        if not m or all(e is None for e in m.groups()):
+            return None
+        return tuple(0 if e is None else int(e or 1) for e in m.groups())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from([1, 2, 3]), st.text(alphabet="hzwu0123 -,", max_size=7))
+    @example(1, "h3")
+    @example(1, "3")
+    @example(1, "1")
+    @example(1, "01")
+    @example(1, "h")
+    @example(1, "")
+    @example(1, " z0 ")
+    @example(2, "h")
+    @example(3, "z2wu3")
+    def test_one_grammar_reads_every_label_as_the_split_one_did(self, n, label):
+        g = {1: geometry("cpn", N=5, k=5), 2: KF0, 3: p1_cubed()}[n]
+        want = self._split_grammar(n, label)
+        if want is None:
+            with pytest.raises(InvalidInsertion, match="^bad label"):
+                parse_insertion(g, label)
+        else:
+            assert parse_insertion(g, label).exps == want, label
 
 
 class TestCpn:

@@ -135,6 +135,9 @@ def test_three_axis_parts_match_the_axis_assignment_oracle():
 def test_three_axis_refusals_keep_their_messages():
     with pytest.raises(InvalidDegree, match=r"^bi-degree \(0, 0, 0\) has no chains$"):
         ordered_bipartitions(0, 0, 0)
-    for bad in ((1, -1, 0), (1, 0, True), (1,), ()):
+    for bad in ((1, -1, 0), (1,), ()):
         with pytest.raises(InvalidDegree, match="^bi-degree must be a pair"):
             ordered_bipartitions(*bad)
+    # a non-integer entry reads as Geometry.check_degree reads it
+    with pytest.raises(InvalidDegree, match=r"^bi-degree required, got \(1, 0, True\)$"):
+        ordered_bipartitions(1, 0, True)

@@ -446,3 +446,14 @@ def test_classical_triple_refuses_three_forms():
     assert (g.n_forms, g.dim, g._C1) == (3, 3, (-1, 2, 2))
     with pytest.raises(ValueError, match="at most two"):
         g.classical_triple("1", "zu", "w")
+
+
+def test_a_fourth_form_is_refused_at_construction():
+    # labels name each axis by a letter of geoms._AXES, and there are three:
+    # a fourth form's exponent would drop out of its label and cache key
+    cls = type("P1FourGeometry", (Geometry,), {
+        "name": "p1x4", "_DIVISORS": tuple(tuple(int(i == j) for j in range(4))
+                                           for i in range(4) for _ in (0, 1)),
+        "basis": lambda self: [Insertion(*e) for e in product((0, 1), repeat=4)]})
+    with pytest.raises(ValueError, match="^p1x4 has 4 forms; labels name at most 3 axes"):
+        cls()
