@@ -68,15 +68,22 @@ def _build_geometry(args):
         raise UsageError(str(e))
 
 
+def _integer(text):
+    """Every integer flag's one grammar: ASCII digits after an optional minus."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    return int(text)
+
+
 def _parse_degree(g, text):
     try:
-        parts = tuple(map(int, text.split(","))) if "," in text else int(text)
-    except ValueError:
+        parts = tuple(map(_integer, text.split(",")))
+    except argparse.ArgumentTypeError:
         raise UsageError("bad degree %r" % text)
-    if isinstance(parts, tuple) != (g.n_forms > 1):
+    if (len(parts) > 1) != (g.n_forms > 1):
         raise UsageError(("%s takes a bi-degree, e.g. --d 1,2" if g.n_forms > 1 else
                           "%s takes a single degree, e.g. --d 2") % g.name)
-    return parts
+    return g.check_degree(parts)
 
 
 def _emit(args, table_lines, payload):
@@ -106,7 +113,7 @@ def _cmd_two_point(args, cfg):
     val = cached_two_point(g, dd, a, b)
     _emit(args, [frac_to_str(val)],
           {"geometry": g.name, "params": dict(g.params()),
-           "degree": list(dd) if isinstance(dd, tuple) else [dd],
+           "degree": list(dd),
            "a": a.label(), "b": b.label(), "value": frac_to_str(val)})
     return 0
 
@@ -135,7 +142,7 @@ def _cmd_mirror_map(args, cfg):
         m = invert_mirror_map(m)
     lines = ["t%d = %s" % (i + 1, t.pretty()) for i, t in enumerate(m.forward)]
     if m.inverse:
-        lines += ["x%d = %s" % (i + 1, x.pretty(names=("t1", "t2")))
+        lines += ["x%d = %s" % (i + 1, x.pretty(["t%d" % (j + 1) for j in range(len(x.affine))]))
                   for i, x in enumerate(m.inverse)]
     _emit(args, lines,
           {"geometry": g.name, "params": dict(g.params()), "trunc": D,
@@ -224,16 +231,16 @@ def _parser():
     common.add_argument("--config", help="JSON config with default truncations")
     geom = argparse.ArgumentParser(add_help=False)
     geom.add_argument("--geometry", required=True)
-    geom.add_argument("--N", type=int)
-    geom.add_argument("--k", type=int)
+    geom.add_argument("--N", type=_integer)
+    geom.add_argument("--k", type=_integer)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vsc", parents=[common],
                        help="virtual structure constants of the projective family")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--N", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--d", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--route", choices=("recursive", "residue", "contour"),
                    default="recursive")
     p.set_defaults(func=_cmd_vsc)
@@ -248,33 +255,33 @@ def _parser():
                        help="generating function of two-point numbers")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--trunc", type=int)
+    p.add_argument("--trunc", type=_integer)
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("mirror-map", parents=[common, geom],
                        help="flat coordinates from the pairing contraction")
-    p.add_argument("--trunc", type=int)
+    p.add_argument("--trunc", type=_integer)
     p.add_argument("--invert", action="store_true")
     p.set_defaults(func=_cmd_mirror_map)
 
     p = sub.add_parser("gw", parents=[common],
                        help="invariants of the projective family")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--N", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--a")
     p.add_argument("--b")
-    p.add_argument("--dmax", type=int)
+    p.add_argument("--dmax", type=_integer)
     p.set_defaults(func=_cmd_gw)
 
     p = sub.add_parser("j", parents=[common], help="modular expansion coefficients")
-    p.add_argument("--dmax", type=int, default=6)
+    p.add_argument("--dmax", type=_integer, default=6)
     p.set_defaults(func=_cmd_j)
 
     p = sub.add_parser("check", parents=[common], help="self-consistency reports")
     p.add_argument("what", choices=("theorem1", "conjecture2"))
-    p.add_argument("--N", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
+    p.add_argument("--N", type=_integer)
+    p.add_argument("--k", type=_integer)
+    p.add_argument("--d", type=_integer)
     p.set_defaults(func=_cmd_check)
     return top
 

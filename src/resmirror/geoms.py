@@ -57,14 +57,15 @@ class InvalidDegree(ValueError):
 
 
 def check_degree(dd, n=None):
-    """dd as the chains take it on n forms: a positive int on one (a 1-tuple
-    is unwrapped), a tuple of n non-negative ints, not all 0, on more.  The
-    one rule for Geometry.check_degree and both enumerations in parts;
-    n=None takes any tuple of two or more, its length the form count."""
+    """dd as the chains take it on n forms, a tuple of n ints: on one a
+    positive int, bare or as a 1-tuple; on more, non-negative ints, not all
+    0.  The one rule for Geometry.check_degree and both enumerations in
+    parts; n=None takes any tuple of two or more, its length the form count."""
     if n == 1:
-        dd, = dd if isinstance(dd, tuple) and len(dd) == 1 else (dd,)
-        if type(dd) is not int or dd <= 0:
-            raise InvalidDegree("degree must be a positive integer, got %r" % (dd,))
+        d, = dd if isinstance(dd, tuple) and len(dd) == 1 else (dd,)
+        if type(d) is not int or d <= 0:
+            raise InvalidDegree("degree must be a positive integer, got %r" % (d,))
+        dd = (d,)
     elif not (isinstance(dd, tuple) and len(dd) == (n or len(dd))
               and all(type(x) is int for x in dd)):
         raise InvalidDegree("bi-degree required, got %r" % (dd,))
@@ -194,8 +195,7 @@ class Geometry:
     def selection_degree(self, dd):
         """Total insertion degree required for a nonzero number at degree
         dd: the virtual dimension dim - 1 + c1 . dd."""
-        dd = (dd,) if isinstance(dd, int) else dd
-        return self.dim - 1 + sum(c * d for c, d in zip(self._C1, dd))
+        return self.dim - 1 + sum(c * d for c, d in zip(self._C1, self.check_degree(dd)))
 
     def check_degree(self, dd):
         """dd as the chains take it, by the one rule check_degree."""

@@ -41,7 +41,7 @@ def ordered_partitions(d):
     >>> ordered_partitions(3)
     [(1, 1, 1), (1, 2), (2, 1), (3,)]
     """
-    return [tuple(q for q, in sigma) for sigma in _compositions(check_degree(d, 1))]
+    return [tuple(q for q, in sigma) for sigma in _compositions(*check_degree(d, 1))]
 
 
 def ordered_bipartitions(*dd):

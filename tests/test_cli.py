@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -398,3 +399,44 @@ def test_checks_go_through_the_cache(tmp_path, capsys, argv):
     rc, warm, _ = run(capsys, *argv, "--cache", str(path))
     assert rc == 0 and warm == cold
     assert path.stat().st_size == size
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-point", "--geometry", "cpn", "--N", "5", "--k", "5", "--d", "0_1",
+     "--a", "h0", "--b", "h2"],
+    ["two-point", "--geometry", "f3", "--d", " 0, +1", "--a", "z", "--b", "w"],
+    ["two-point", "--geometry", "cpn", "--N", "٥", "--k", "5", "--d", "1",
+     "--a", "h0", "--b", "h2"],
+    ["series", "--geometry", "cpn", "--N", "5", "--k", "5", "--a", "h", "--b", "h",
+     "--trunc", "0_2"],
+    ["gw", "--N", "+5", "--k", "5", "--a", "h", "--b", "h"],
+    ["j", "--dmax", " 2"],
+    ["vsc", "--N", "5", "--k", "5", "--d", "2", "--n", "1٠"],
+], ids=["underscore-degree", "spaced-signed-degree", "arabic-indic-N", "underscore-trunc",
+        "plus-N", "spaced-dmax", "arabic-indic-n"])
+def test_integer_flags_take_ascii_digits_only(capsys, argv):
+    # int() reads all of these; the CLI's one integer grammar reads none
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert "bad degree" in err or "invalid int value" in err
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.txt")
+
+
+def _golden():
+    """(argv, transcript) per command of golden_cli.txt: '$ resmirror ARGS',
+    its stdout, then '[exit N]'."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        blocks = fh.read().split("$ resmirror ")[1:]
+    return [(shlex.split(block.split("\n", 1)[0]), "$ resmirror " + block)
+            for block in blocks]
+
+
+@pytest.mark.parametrize("argv, transcript", _golden(),
+                         ids=[" ".join(argv) for argv, _ in _golden()])
+def test_golden_transcript(capsys, monkeypatch, argv, transcript):
+    # the same list is replayed through the installed console script in CI
+    monkeypatch.delenv("RESMIRROR_CACHE", raising=False)
+    rc, out, _ = run(capsys, *argv)
+    assert "$ resmirror %s\n%s[exit %d]\n" % (shlex.join(argv), out, rc) == transcript

@@ -851,3 +851,12 @@ def test_classical_triple_matches_residue_oracle(name):
                 assert g.classical_triple(a, b, c) == want, (a, b, c)
                 nonzero += want != 0
     assert nonzero
+
+
+def test_one_form_degree_is_a_one_tuple():
+    # the shape the cache key and the CLI's JSON "degree" list already had
+    g = geometry("cpn", N=5, k=5)
+    assert g.check_degree(2) == g.check_degree((2,)) == (2,)
+    assert g.selection_degree(2) == g.selection_degree((2,)) == g.dim - 1
+    with pytest.raises(InvalidDegree, match=r"^degree must be a positive integer, got 0$"):
+        g.selection_degree(0)

@@ -868,3 +868,89 @@ def test_connection_tables_agree_with_two_point_numbers():
     report = check_conjecture2()
     assert report.ok
     assert len(report.rows) == 33
+
+
+# -- three slots, against tuple-keyed loops --------------------------------
+
+
+def tuple_mul(s, t):
+    """s * t by a double loop over tuple-keyed terms, constants at zero."""
+    zero = (0,) * len(s.affine)
+    out = {}
+    for m, x in {zero: s.const, **s.terms}.items():
+        for e, y in {zero: t.const, **t.terms}.items():
+            dd = tuple(a + b for a, b in zip(m, e))
+            if sum(dd) <= s.trunc:
+                out[dd] = out.get(dd, 0) + x * y
+    return GradedSeries(zero, out.pop(zero, 0), out, s.trunc)
+
+
+def tuple_exp(s):
+    """exp(s) as the sum of s^m / m! over tuple_mul powers."""
+    out = power = GradedSeries(s.affine, 1, None, s.trunc)
+    for m in range(1, s.trunc + 1):
+        power = tuple_mul(power, s)
+        out = out + power.scale(F(1, math.factorial(m)))
+    return out
+
+
+@st.composite
+def three_slot_series(draw, count):
+    D = draw(st.integers(1, 4))
+    degrees = st.tuples(*[st.integers(0, D)] * 3).filter(lambda dd: 0 < sum(dd) <= D)
+    coefs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+    return [GradedSeries((0, 0, 0), draw(coefs),
+                         draw(st.dictionaries(degrees, coefs, max_size=5)), D)
+            for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(three_slot_series(3))
+def test_three_slot_arithmetic_matches_tuple_loops(series):
+    s, t, u = series
+    assert s * t == tuple_mul(s, t)
+    pure = s.quantum_part()
+    assert pure.exp_of_pure_q() == tuple_exp(pure)
+    if u.const:
+        assert tuple_mul(t.div_unit(u), u) == t
+
+
+def test_three_slot_inversion_and_transform_round_trip():
+    D = 3
+    forward = (GradedSeries((1, 0, 0), 0, {(1, 0, 0): 2, (0, 1, 1): -1, (0, 0, 2): F(1, 3)}, D),
+               GradedSeries((0, 1, 0), 0, {(0, 0, 1): 5, (1, 1, 0): 1}, D),
+               GradedSeries((0, 0, 1), 0, {(1, 0, 0): -3, (0, 2, 0): F(1, 2)}, D))
+    m = invert_mirror_map(MirrorMap(None, D, forward))
+    for t in forward:
+        assert transform(t, m) == GradedSeries(t.affine, 0, None, D)
+    assert invert_mirror_map(MirrorMap(None, D, m.inverse)).inverse == forward
+
+
+def test_three_slot_json_and_labels():
+    s = GradedSeries((1, 0, F(-2, 3)), 4, {(1, 0, 0): 2, (0, 1, 2): -1, (0, 0, 1): F(1, 2)}, 3)
+    assert series_to_json(s)["affine"] == {"x1": "1", "x2": "0", "x3": "-2/3", "const": "4"}
+    assert series_from_json(series_to_json(s)) == s
+    assert s.pretty() == "x1 - 2/3*x3 + 4 + 2*q1 + 1/2*q3 - q2*q3^2"
+    assert s.pretty(["t1", "t2", "t3"]).startswith("t1 - 2/3*t3 + 4")
+
+
+def test_slot_mismatch_is_refused():
+    two, three = q_series({(1, 0): 1}, 2), GradedSeries((0, 0, 0), 1, {(0, 0, 1): 1}, 2)
+    for op in (lambda: two + three, lambda: three * two, lambda: two.div_unit(three)):
+        with pytest.raises(ValueError, match=r"^slot mismatch: [23] vs [23]$"):
+            op()
+
+
+@pytest.mark.parametrize("cls, triple, g", [
+    (F3Geometry, lambda self, a, b, c: 1, geometry("f3")),
+    (CpnGeometry, lambda self, a, b, c: 0, geometry("cpn", N=5, k=5)),
+])
+def test_singular_block_stops_before_any_two_point_number(monkeypatch, cls, triple, g):
+    def no_number(*args):
+        raise AssertionError("a two-point number was asked for")
+
+    monkeypatch.setattr(cls, "classical_triple", triple)
+    monkeypatch.setattr("resmirror.cache.cached_two_point", no_number)
+    monkeypatch.setattr("resmirror.series.cached_two_point", no_number)
+    with pytest.raises(SingularMetric, match="pairing block is singular"):
+        mirror_map(g, 2)
