@@ -28,8 +28,9 @@ time, with x_i the axis-i variable (z, w, ... in geoms._AXES):
   part   a part of degree d along axis i runs from p to q with every other
          x_o fixed.  A column c, with n = |c_i| d, has the points
          c_i (j p + (n - j) q)/n + sum_o c_o x_o for 0 < j < n: poles of
-         the part when c_i > 0, zeros when c_i < 0.  The hypersurface puts
-         in its points for 0 <= j <= n as zeros.
+         the part when c_i > 0, zeros when c_i < 0.  The hypersurface,
+         which may pair with every axis, puts in its points for
+         0 <= j <= n as zeros.
   node   the smoothing form, times the value sum_i c_i x_i of each column
          that pairs negatively with both adjacent parts, over the value of
          the hypersurface.

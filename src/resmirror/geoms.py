@@ -10,12 +10,14 @@ construction Geometry._derive only sets r (refusing more forms than _AXES
 has letters), groups the divisors and the bundle into (column,
 multiplicity) pairs and sets the dimension and first Chern class of the
 selection rule dim - 1 + c1 . d.  A table with no
-twisted divisor (c_z < 0 < c_w) has its w poles at 0 alone.
-Geometry.classical_triple is one degree-zero rule for every table with at
-most two forms: the residue in the last axis at the chain start over its
-columns of either sign and the twisted divisors, then the z residue over
-the pure-z divisors; a one-form table has no z, so it keeps the first
-residue alone (kf0 alone declares its virtual-ring table instead).
+twisted divisor (c_z < 0 < c_w) has its w poles at 0 alone.  A
+hypersurface may pair with every axis.
+Geometry.classical_triple is one degree-zero rule for every table, of any
+form count: the residue at the chain start, axis by axis from the last to
+the first, each over the columns whose last nonzero entry sits there, with
+the hypersurface's whole linear form in the integrand; a column the rule
+cannot place raises ValueError (kf0 alone declares its virtual-ring table
+instead).
 Geometry.two_point sums one amplitude per chain; chains is imported on
 the first amplitude and parts, which enumerates the chains, on the first
 sum, so a cache hit loads none of chains, parts, polys and residues.  The
@@ -246,45 +248,62 @@ class Geometry:
         return chains.amplitude(self, sigma, a, b)
 
     def classical_triple(self, a, b, c):
-        """The degree-zero pairing <a, b, c>, one rule for every table of at
-        most two forms: the residue in the last axis at the chain start,
-        then the z residue.  Three forms or more raise ValueError.
+        """The degree-zero pairing <a, b, c>, one rule for every table: the
+        chain-start residue, taken axis by axis from the last to the first.
 
-        On two forms the integrand is z^s w^t times the measures of the
-        chain start: 1/(c_z z + c_w w) for each of the P columns with a w
-        pole, the pure-w ones (c_z = 0, c_w of either sign: divisors and a
-        bundle) and the twisted divisors (c_z < 0 < c_w, with roots
-        w = r z), and 1/(c_z z) for each of the M pure-z divisors
-        (c_w = 0 < c_z).  Its w residues at 0 and at every root sum to
-        minus the one at infinity, h_j(r) z^j over the constants, where
-        j = t + 1 - P and h_j is the complete homogeneous polynomial in the
-        roots (1 at j = 0 when there is none); the z residue keeps
-        s + j = M - 1.  A one-form table integrates its one axis alone, so
-        it keeps j = 0.  A hypersurface (each pairs with the last axis
-        alone) adds its class.
+        The integrand is x^e, e the summed exponents, times the
+        hypersurface's linear form sum_i c_i x_i, over one factor
+        1/(sum_i c_i x_i) per column.  Axis c takes the columns whose last
+        nonzero entry sits at c: a pure one (no other entry, either sign)
+        has its pole at 0, a twisted one (c_c > 0 >= every earlier entry)
+        at its root -sum_{i<c} c_i x_i / c_c.  The residues at every pole
+        sum to minus the one at infinity, so x_c^n y becomes
+        h_{n+1-P}(roots) y over the product of the c_c, where P counts the
+        poles and h_j is the complete homogeneous polynomial in the roots,
+        a polynomial in the earlier axes.  Any other column raises
+        ValueError.
         """
-        if self.n_forms > 2:
-            raise ValueError("%r has %d forms; the classical triple takes at most two"
-                             % (self, self.n_forms))
         a, b, c = (self.check_insertion(x) for x in (a, b, c))
-        *s, t = (sum(e) for e in zip(a.exps, b.exps, c.exps))
-        scale = Fraction(1)
+        poly = {tuple(map(sum, zip(a.exps, b.exps, c.exps))): Fraction(1)}
         if self._HYPERSURFACE:
-            scale, t = Fraction(self._HYPERSURFACE[-1]), t + 1
-        j, m, roots = t + 1, 0, []
-        for (*rest, cw), mult in self._COLUMNS:
-            if cw > 0 >= max(rest, default=0) or cw < 0 and not any(rest):
-                scale, j = scale / cw ** mult, j - mult
-                roots += [Fraction(-rest[0], cw)] * mult if any(rest) else []
-            elif cw == 0 < rest[0]:
-                scale, m = scale / rest[0] ** mult, m + mult
-        if j < 0 or j != (m - 1 - s[0] if s else 0):
-            return Fraction(0)
-        h = [1] + [0] * j
-        for r in roots:
-            for n in range(1, j + 1):
-                h[n] += r * h[n - 1]
-        return scale * h[j]
+            poly = _times(poly, self._HYPERSURFACE)
+        for ax in reversed(range(self.n_forms)):
+            scale, poles, roots = Fraction(1), 0, []
+            for col, mult in self._COLUMNS:
+                cc, rest = col[ax], col[:ax]
+                if not cc or any(col[ax + 1:]):
+                    continue
+                if any(rest):
+                    if cc < 0 or max(rest) > 0:
+                        raise ValueError("%r: column %s is outside the classical-triple rule"
+                                         % (self, col))
+                    roots += [tuple(Fraction(-x, cc) for x in rest)] * mult
+                scale, poles = scale / cc ** mult, poles + mult
+            top = max((e[-1] for e in poly), default=0) + 1 - poles
+            h = [{(0,) * ax: scale}] + [{}] * max(top, 0)
+            for r in roots:
+                for n in range(1, top + 1):
+                    h[n] = _times(h[n - 1], r, h[n])
+            out = {}
+            for e, v in poly.items():
+                j = e[-1] + 1 - poles
+                for f, w in h[j].items() if j >= 0 else ():
+                    k = tuple(map(sum, zip(e, f)))
+                    out[k] = out.get(k, 0) + v * w
+            poly = out
+        return poly.get((), Fraction(0))
+
+
+def _times(poly, form, acc=None):
+    """acc (default 0) plus poly times the linear form sum_i form[i] x_i,
+    polynomials as dicts from exponent tuples to coefficients."""
+    out = dict(acc or {})
+    for e, v in poly.items():
+        for i, c in enumerate(form):
+            if c:
+                k = e[:i] + (e[i] + 1,) + e[i + 1:]
+                out[k] = out.get(k, 0) + v * c
+    return out
 
 
 class CpnGeometry(Geometry):

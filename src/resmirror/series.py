@@ -392,7 +392,10 @@ def _inverse(block, name):
 def mirror_map(g, D):
     """The coordinate change t_i = x_i + (pure exponential terms), from
     the unit-insertion generating functions contracted with the inverse of
-    the degree-one pairing block.  A slot past the forms pairs with itself
+    the degree-one pairing block.  Row k of the block is the affine part
+    of partner k's generating function, one entry per class, so its
+    inverse takes those affine parts to the unit axes whether or not the
+    block is symmetric.  A slot past the forms pairs with itself
     alone and its generating function is its coordinate, so t_i = x_i
     there.  The block is inverted before any generating function is built,
     so a singular one computes no two-point number.  For the local surface
@@ -404,8 +407,8 @@ def mirror_map(g, D):
     if len(rows) != len(cols):
         raise SingularMetric("pairing block is not square for %s" % g.name)
     n, r = _slots(g), len(rows)
-    block = [[g.classical_triple(v, alpha, unit) for alpha in cols] + [0] * (n - r)
-             for v in rows] + [_axis(i, n) for i in range(r, n)]
+    block = [[g.classical_triple(alpha, v, unit) for v in rows] + [0] * (n - r)
+             for alpha in cols] + [_axis(i, n) for i in range(r, n)]
     inv = _inverse(block, g.name)
     gens = [build_generating_function(g, unit, alpha, D) for alpha in cols]
     gens += [GradedSeries(_axis(i, n), 0, None, D) for i in range(r, n)]

@@ -65,6 +65,32 @@ def test_cache_hit_loads_no_engine(tmp_path, argv):
         assert repr(module) not in warm, warm
 
 
+def test_warm_three_form_row_loads_no_engine(tmp_path):
+    # F3 x P1, declared in the child: once its two-point numbers are in the
+    # store, the classical triple and the mirror map compute no chain
+    code = """
+import sys
+from resmirror.cache import activate
+from resmirror.geoms import F3Geometry, Geometry, Insertion
+from resmirror.series import mirror_map
+activate(sys.argv[1])
+g = type("F3P1Geometry", (Geometry,), {
+    "name": "f3p1",
+    "_DIVISORS": ((1, 0, 0), (1, 0, 0), (-3, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
+    "basis": lambda self: [Insertion(*a.exps, u) for u in (0, 1) for a in F3Geometry().basis()]})()
+assert g.classical_triple("w", "w", "u") == 3
+assert mirror_map(g, 3).forward[1].terms == {(2, 1, 0): -16}
+print(%s)
+""" % LOADED
+    store = str(tmp_path / "memo.jsonl")
+    cold = _python(code, store)
+    for module in ("resmirror.chains", "resmirror.parts"):
+        assert repr(module) in cold, cold
+    warm = _python(code, store)
+    for module in ENGINE:
+        assert repr(module) not in warm, warm
+
+
 def test_deep_series_route_loads_no_engine():
     # the route of the deep-series benchmark job, at a lower truncation
     code = """

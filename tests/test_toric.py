@@ -6,23 +6,25 @@ engine constants by hand; LITERALS keeps them, and literal_geometry hands
 them to tests/literal_engine.py, the engine of that time, so every two-point
 number can be compared with the one the old construction gives.  The
 flatness check reads nothing but two_point and classical_triple, so it
-holds any two-form table to Conjecture 2 without published data; the
-Hirzebruch surfaces F_n, compact F0 and the local projective spaces are
-declared here as rows with their own names (cache keys are name plus
-parameters).
+holds any table to Conjecture 2 on every pair of axes without published
+data; the Hirzebruch surfaces F_n, compact F0, the local projective
+spaces, the three-form rows and two Calabi-Yau hypersurfaces in products
+of projective spaces are declared here as rows with their own names
+(cache keys are name plus parameters).
 """
 
 import copy
 import math
+import re
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 import literal_engine
 from resmirror import chains
 from resmirror.geoms import F3Geometry, Geometry, Insertion, Wp2Geometry, geometry
-from resmirror.series import mirror_map
+from resmirror.series import invert_mirror_map, mirror_map, transform
 
 
 def _one_form_literals(weights, k):
@@ -170,31 +172,32 @@ def _mat_inverse(G):
 
 
 def _series_matmul(X, Y, T):
-    """Product of matrices whose entries are {(i, j): coefficient} series
-    in q1, q2, cut above total degree T."""
+    """Product of matrices whose entries are {degree tuple: coefficient}
+    series in q_1 .. q_r, cut above total degree T."""
     n = len(X)
     out = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for k in range(n):
             for j in range(n):
                 acc = out[i][j]
-                for (a1, a2), x in X[i][k].items():
-                    for (b1, b2), y in Y[k][j].items():
-                        if a1 + a2 + b1 + b2 <= T:
-                            key = (a1 + b1, a2 + b2)
+                for a, x in X[i][k].items():
+                    for b, y in Y[k][j].items():
+                        if sum(a) + sum(b) <= T:
+                            key = tuple(map(sum, zip(a, b)))
                             acc[key] = acc.get(key, 0) + x * y
     return out
 
 
 def flatness_defect(g, T):
-    """The nonzero entries of [A_z, A_w] through total degree T, where
-    A_i = G^-1 M_i, G_ab = <a, b, 1> and M_i[a][b] = <a, b, phi_i> plus
-    the sum over beta of beta_i w(a, b)_beta q^beta."""
+    """The nonzero entries of every commutator [A_p, A_q], p < q, through
+    total degree T, keyed (p, q, i, j, degree), where A_p = G^-1 M_p,
+    G_ab = <a, b, 1> and M_p[a][b] = <a, b, phi_p> plus the sum over beta
+    of beta_p w(a, b)_beta q^beta."""
     basis = [a for a in g.basis() if a not in (Insertion(0, 3), Insertion(1, 3))]
-    n = len(basis)
-    one = Insertion(0, 0)
+    n, r = len(basis), g.n_forms
+    one, zero = Insertion(*(0,) * r), (0,) * r
     Ginv = _mat_inverse([[g.classical_triple(a, b, one) for b in basis] for a in basis])
-    degrees = [(da, t - da) for t in range(1, T + 1) for da in range(t + 1)]
+    degrees = [dd for dd in product(range(T + 1), repeat=r) if 0 < sum(dd) <= T]
     raw = {}
     for i in range(n):
         for j in range(i, n):
@@ -203,27 +206,28 @@ def flatness_defect(g, T):
                 if v:
                     raw[i, j, dd] = raw[j, i, dd] = v
     A = []
-    for axis, phi in enumerate((Insertion(1, 0), Insertion(0, 1))):
+    for axis, phi in enumerate(g.kahler_classes()):
         M = [[{} for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 c = g.classical_triple(basis[i], basis[j], phi)
                 if c:
-                    M[i][j][0, 0] = F(c)
+                    M[i][j][zero] = F(c)
         for (i, j, dd), v in raw.items():
             M[i][j][dd] = dd[axis] * v
         A.append([[{key: sum(Ginv[i][k] * M[k][j].get(key, 0) for k in range(n))
                     for key in {key for k in range(n) for key in M[k][j]}}
                    for j in range(n)] for i in range(n)])
-    zw = _series_matmul(A[0], A[1], T)
-    wz = _series_matmul(A[1], A[0], T)
     defect = {}
-    for i in range(n):
-        for j in range(n):
-            for key in zw[i][j].keys() | wz[i][j].keys():
-                c = zw[i][j].get(key, 0) - wz[i][j].get(key, 0)
-                if c:
-                    defect[i, j, key] = c
+    for p, q in combinations(range(r), 2):
+        pq = _series_matmul(A[p], A[q], T)
+        qp = _series_matmul(A[q], A[p], T)
+        for i in range(n):
+            for j in range(n):
+                for key in pq[i][j].keys() | qp[i][j].keys():
+                    c = pq[i][j].get(key, 0) - qp[i][j].get(key, 0)
+                    if c:
+                        defect[p, q, i, j, key] = c
     return defect
 
 
@@ -255,7 +259,7 @@ def test_flatness_sees_the_old_f3_profile_on_f1(monkeypatch):
 
     monkeypatch.setattr(chains, "_residue", old_profile)
     defect = flatness_defect(g, 3)
-    assert defect and {key for _, _, key in defect} == {(1, 1)}
+    assert defect and {key for *_, key in defect} == {(1, 1)}
 
 
 def test_f1_line_through_two_points():
@@ -439,13 +443,160 @@ def test_three_forms_through_two_point(make, rule, nonzero):
     assert found == nonzero
 
 
-def test_classical_triple_refuses_three_forms():
-    # the degree-zero rule integrates at most two axes; no three-form row
-    # is registered, so it raises rather than answer
-    g = f3_times_p1()
+def test_p1_cubed_triples_integrate_the_point_class():
+    g = p1_cubed()
+    for a, b, c in product(g.basis(), repeat=3):
+        e = tuple(map(sum, zip(a.exps, b.exps, c.exps)))
+        assert g.classical_triple(a, b, c) == int(e == (1, 1, 1)), (a, b, c)
+
+
+def test_f3_times_p1_triples_follow_the_product_rule():
+    # all 512 basis triples: f3's triple of the F3 factors when the u
+    # exponents sum to 1 (the P1 factor integrates to 1), 0 otherwise
+    g, f3 = f3_times_p1(), geometry("f3")
     assert (g.n_forms, g.dim, g._C1) == (3, 3, (-1, 2, 2))
-    with pytest.raises(ValueError, match="at most two"):
-        g.classical_triple("1", "zu", "w")
+    triples = list(product(g.basis(), repeat=3))
+    assert len(triples) == 512
+    nonzero = 0
+    for xs in triples:
+        want = F(0)
+        if sum(x.exps[2] for x in xs) == 1:
+            want = f3.classical_triple(*(Insertion(*x.exps[:2]) for x in xs))
+        assert g.classical_triple(*xs) == want, xs
+        nonzero += want != 0
+    assert nonzero
+
+
+@pytest.mark.parametrize("column", [(1, 1), (-1, 1, 1), (1, -2)], ids=str)
+def test_a_column_outside_the_rule_is_refused(column):
+    # a positive earlier entry, or a negative last entry beside another
+    # nonzero one, has no pole the chain-start rule can place
+    r = len(column)
+    units = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    g = type("OffRuleGeometry", (Geometry,), {
+        "name": "offrule", "_DIVISORS": units * 2 + (column,),
+        "basis": lambda self: [Insertion(*e) for e in product((0, 1), repeat=r)]})()
+    with pytest.raises(ValueError, match=re.escape("column %s is outside" % (column,))):
+        g.classical_triple("1", "1", "1")
+
+
+def test_three_form_mirror_maps():
+    # F3 x P1's block pairs the classes z, w, u with the partners w2, zu,
+    # wu and is not symmetric; its map is f3's, with t3 = x3
+    D = 4
+    m, f3 = mirror_map(f3_times_p1(), D), mirror_map(geometry("f3"), D)
+    assert m.forward[0].terms == {(2, 1, 0): F(135, 2)}
+    assert m.forward[1].terms == {(2, 1, 0): F(-16)}
+    for i in range(2):
+        assert m.forward[i].terms == {dd + (0,): c for dd, c in f3.forward[i].terms.items()}
+    for i, t in enumerate(m.forward):
+        assert t.affine == tuple(int(i == j) for j in range(3)) and t.const == 0
+    assert m.forward[2].terms == {}
+    m = invert_mirror_map(m)
+    for t in m.forward:
+        back = transform(t, m)
+        assert back.affine == t.affine and back.const == 0 and not back.terms
+    for t in mirror_map(p1_cubed(), D).forward:
+        assert t.const == 0 and t.terms == {}
+
+
+# -- hypersurfaces that pair with every axis ----------------------------------
+
+
+def bicubic():
+    """P2 x P2[3,3]: three divisors on each axis cut by (3, 3)."""
+    return type("BicubicGeometry", (Geometry,), {
+        "name": "bicubic", "_DIVISORS": ((1, 0),) * 3 + ((0, 1),) * 3,
+        "_HYPERSURFACE": (3, 3),
+        "basis": lambda self: [Insertion(*e) for e in
+                               ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (2, 1))]})()
+
+
+def p1_p3():
+    """P1 x P3[2,4], a K3 fibration with quartic fibres: z the P1 class,
+    w the P3 class."""
+    return type("P1P3Geometry", (Geometry,), {
+        "name": "p1p3", "_DIVISORS": ((1, 0),) * 2 + ((0, 1),) * 4,
+        "_HYPERSURFACE": (2, 4),
+        "basis": lambda self: [Insertion(*e) for e in
+                               ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))]})()
+
+
+def test_mixed_hypersurface_triples():
+    # the integrand carries the hypersurface's whole linear form: the
+    # bicubic's 3z + 3w, P1 x P3's 2z + 4w
+    g = bicubic()
+    assert (g.dim, g._C1) == (3, (0, 0))
+    assert g.classical_triple("z", "z", "w") == 3 == g.classical_triple("z", "w", "w")
+    assert g.classical_triple("z", "z", "z") == 0 == g.classical_triple("w", "w", "w")
+    g = p1_p3()
+    assert (g.dim, g._C1) == (3, (0, 0))
+    assert g.classical_triple("z", "w", "w") == 4
+    assert g.classical_triple("w", "w", "w") == 2
+    assert g.classical_triple("z", "z", "w") == 0
+
+
+def harmonic(n):
+    return sum((F(1, j) for j in range(1, n + 1)), F(0))
+
+
+def gkz_mirror_map(counts, hyp, D):
+    """The mirror map of a Calabi-Yau hypersurface of degree hyp in a
+    product of projective spaces with counts[i] coordinates on axis i, as
+    {degree: coefficient} per component, from its GKZ periods: w0 = sum
+    c(b) q^b with c(b) = (hyp . b)! / prod (b_i!)^counts[i], the log-free
+    part of w1_i is c(b) (hyp_i H(hyp . b) - counts[i] H(b_i)), and
+    t_i = x_i + w1_i / w0."""
+    fact = math.factorial
+    degrees = sorted((b for b in product(range(D + 1), repeat=len(hyp)) if sum(b) <= D), key=sum)
+    w0, comps = {}, []
+    for b in degrees:
+        n = sum(h * d for h, d in zip(hyp, b))
+        w0[b] = F(fact(n), math.prod(fact(d) ** c for d, c in zip(b, counts)))
+    for i, (h, c) in enumerate(zip(hyp, counts)):
+        t = {}
+        for b in degrees:
+            n = sum(x * d for x, d in zip(hyp, b))
+            t[b] = w0[b] * (h * harmonic(n) - c * harmonic(b[i])) - sum(
+                w * t[tuple(x - y for x, y in zip(b, a))] for a, w in w0.items()
+                if any(a) and all(y <= x for x, y in zip(b, a)))
+        comps.append({b: v for b, v in t.items() if v})
+    return comps
+
+
+@pytest.mark.parametrize("make,counts,hyp", [(bicubic, (3, 3), (3, 3)),
+                                             (p1_p3, (2, 4), (2, 4))],
+                         ids=["bicubic", "P1xP3"])
+def test_mixed_hypersurface_mirror_map_matches_gkz(make, counts, hyp):
+    D = 3
+    m = mirror_map(make(), D)
+    for i, want in enumerate(gkz_mirror_map(counts, hyp, D)):
+        assert m.forward[i].affine == ((1, 0), (0, 1))[i] and m.forward[i].const == 0
+        assert m.forward[i].terms == want
+
+
+# -- flatness on every pair of axes -------------------------------------------
+
+
+def p1_bundle(n, a, b):
+    """P(O + O(D)) over F_n, D = a z + b w: F_n's columns with a third
+    entry 0, then (-a, -b, 1) and (0, 0, 1); the basis is F_n's times
+    {1, u}, with zw in place of w2 when n = 0."""
+    top = (1, 1) if n == 0 else (0, 2)
+    return type("P1BundleGeometry", (Geometry,), {
+        "name": "pb%d_%d_%d" % (n, a, b),
+        "_DIVISORS": ((1, 0, 0), (1, 0, 0), (-n, 1, 0), (0, 1, 0), (-a, -b, 1), (0, 0, 1)),
+        "basis": lambda self: [Insertion(*e, u) for u in (0, 1)
+                               for e in ((0, 0), (1, 0), (0, 1), top)]})()
+
+
+@pytest.mark.parametrize("make", [
+    f3_times_p1,
+    lambda: p1_bundle(1, 0, 1), lambda: p1_bundle(2, 1, 1), lambda: p1_bundle(3, 0, 1),
+    lambda: p1_bundle(1, 1, 0), lambda: p1_bundle(0, 1, 1),
+], ids=["F3xP1", "F1(0,1)", "F2(1,1)", "F3(0,1)", "F1(1,0)", "F0(1,1)"])
+def test_three_form_raw_connection_is_flat(make):
+    assert flatness_defect(make(), 3) == {}
 
 
 def test_a_fourth_form_is_refused_at_construction():
