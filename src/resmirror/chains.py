@@ -35,16 +35,9 @@ time, with x_i the axis-i variable (z, w, ... in geoms._AXES):
          that pairs negatively with both adjacent parts, over the value of
          the hypersurface.
   axis c at each vertex the residues run from the last axis to the first,
-         over the classes that end there.  Axis c takes the columns whose
-         last nonzero entry is positive and sits at c, with every earlier
-         entry <= 0, each a factor 1/(sum_i c_i x_i).  A pure column (no
-         earlier entry) is a pole at 0; a twisted one is a pole at its
-         root, which the contour encloses, and its factor is left out when
-         a part inside its class pairs negatively with it.
-
-On two forms axis 0 is z and axis 1 is w: the w residue takes the divisors
-with c_w > 0 >= c_z, a twisted one (c_z < 0) left out right after a z-part,
-and the z residue the divisors with c_w = 0 < c_z.
+         over the classes that end there and the poles Geometry._derive
+         placed on axis c (the rule is stated there), a twisted one's
+         factor left out when a part inside its class pairs negatively.
 """
 
 from fractions import Fraction
@@ -163,17 +156,17 @@ def _node(g, axes, xs, form):
 
 def _residue(g, f, name, c, xs, inside):
     """The residue in the axis-c variable name, xs[c], at one vertex whose
-    class spans parts on the axes in inside.  The pure columns of axis c
-    make one pole at 0; a twisted one is left out after a part of its
-    class that pairs negatively with it, and its root stays in the contour."""
+    class spans parts on the axes in inside, over g._POLES[c] with c_c > 0:
+    a pure pole at 0, and each twisted root in the contour, its factor left
+    out after a part of its class that pairs negatively with it."""
     scale, order, twisted, locs = Fraction(1), 0, [], [0]
-    for col, m in g._COLUMNS:
-        if col[c] <= 0 or any(col[c + 1:]) or max(col[:c], default=0) > 0:
+    for col, cc, m, root in g._POLES[c]:
+        if cc < 0:
             continue
-        if not any(col[:c]):
-            scale, order = scale / col[c] ** m, order + m
+        if root is None:
+            scale, order = scale / cc ** m, order + m
             continue
-        locs.append(sum(Fraction(-e, col[c]) * v for e, v in zip(col, xs[:c]) if e))
+        locs.append(sum(r * v for r, v in zip(root, xs) if r))
         if all(col[p] >= 0 for p in inside):
             twisted.append((_value(col, xs), m))
     f = f * RatFunc(f.vars.const(scale), [(xs[c], order)] + twisted)

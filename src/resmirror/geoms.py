@@ -4,20 +4,11 @@ Each geometry declares three fields, every class a column of pairings
 with its r Kahler forms, one entry per form: _DIVISORS, its toric
 divisors; _HYPERSURFACE, its defining equation, or None; _BUNDLE, a local
 target's bundle, or None.  The form count r is the length of a column;
-axis 0 pairs with z and axis 1 with w.  The engine in chains and the
-classical triples read every factor straight off this table; at
-construction Geometry._derive only sets r (refusing more forms than _AXES
-has letters), groups the divisors and the bundle into (column,
-multiplicity) pairs and sets the dimension and first Chern class of the
-selection rule dim - 1 + c1 . d.  A table with no
-twisted divisor (c_z < 0 < c_w) has its w poles at 0 alone.  A
-hypersurface may pair with every axis.
-Geometry.classical_triple is one degree-zero rule for every table, of any
-form count: the residue at the chain start, axis by axis from the last to
-the first, each over the columns whose last nonzero entry sits there, with
-the hypersurface's whole linear form in the integrand; a column the rule
-cannot place raises ValueError (kf0 alone declares its virtual-ring table
-instead).
+axis 0 pairs with z and axis 1 with w; a hypersurface may pair with
+every axis.  Geometry._derive checks the table and places each column on
+an axis once, at construction, by the one rule stated there; the engine
+in chains and Geometry.classical_triple read that placement (kf0 alone
+declares its virtual-ring triple table instead).
 Geometry.two_point sums one amplitude per chain; chains is imported on
 the first amplitude and parts, which enumerates the chains, on the first
 sum, so a cache hit loads none of chains, parts, polys and residues.  The
@@ -162,21 +153,44 @@ class Geometry:
         self._basis = frozenset(self.basis())
 
     def _derive(self):
-        """The form count n_forms, the length of a column, at most one per
-        letter of _AXES; the dimension; the first Chern class _C1 of the
-        selection rule; and _COLUMNS, the divisors and the bundle grouped
-        into (column, multiplicity) pairs, which chains reads with
-        _HYPERSURFACE."""
-        divs, bundle = self._DIVISORS, self._BUNDLE
+        """Check the table and derive, once per geometry: n_forms, the
+        length of a column, at most one per letter of _AXES; the dimension
+        and first Chern class _C1 of the selection rule; _COLUMNS, the
+        divisors and the bundle as (column, multiplicity) pairs, which
+        chains reads with _HYPERSURFACE; and _POLES, their placement.
+
+        The placement rule (torus localization, Kontsevich hep-th/9405035):
+        _POLES[c] holds, as (column, c_c, multiplicity, root), each column
+        whose last nonzero entry c_c sits at axis c, a factor
+        1/(sum_i c_i x_i) in the residue in x_c.  A pure one (no other
+        entry) has root None and its pole at 0, with scale 1/c_c; a twisted
+        one (c_c > 0 >= every earlier entry) has its pole at its root
+        sum_{i<c} (-c_i/c_c) x_i, kept as that tuple.  The chain residues
+        take the columns with c_c > 0; the classical triple takes every
+        pure one and refuses a negative c_c beside earlier entries (kf0's
+        bundle).  A positive entry before the last nonzero one has no pole:
+        such a column raises ValueError here, as does one of the wrong
+        length or of zeros alone."""
+        divs, bundle, hyp = self._DIVISORS, self._BUNDLE, self._HYPERSURFACE
         self.n_forms = n = len(divs[0])
         if n > len(_AXES):
             raise ValueError("%s has %d forms; labels name at most %d axes (%s)"
                              % (self.name, n, len(_AXES), _AXES))
-        hyp = self._HYPERSURFACE or (0,) * n
         cols = divs + ((bundle,) if bundle else ())
-        self.dim = len(divs) - n - bool(self._HYPERSURFACE) + bool(bundle)
-        self._C1 = tuple(sum(c[i] for c in cols) - hyp[i] for i in range(n))
+        for col in cols + ((hyp,) if hyp else ()):
+            if len(col) != n or not any(col):
+                raise ValueError("%s: column %s needs %d entries, not all 0" % (self.name, col, n))
+        self.dim = len(divs) - n - bool(hyp) + bool(bundle)
+        self._C1 = tuple(sum(c[i] for c in cols) - (hyp[i] if hyp else 0) for i in range(n))
         self._COLUMNS = tuple(Counter(cols).items())
+        self._POLES = tuple([] for _ in range(n))
+        for col, m in self._COLUMNS:
+            c = max(i for i, e in enumerate(col) if e)
+            rest, cc = col[:c], col[c]
+            if max(rest, default=0) > 0:
+                raise ValueError("%s: column %s is outside the placement rule" % (self.name, col))
+            root = tuple(Fraction(-e, cc) for e in rest) if any(rest) else None
+            self._POLES[c].append((col, cc, m, root))
 
     def params(self):
         return tuple((p, getattr(self, p)) for p in self.param_defaults)
@@ -248,20 +262,16 @@ class Geometry:
         return chains.amplitude(self, sigma, a, b)
 
     def classical_triple(self, a, b, c):
-        """The degree-zero pairing <a, b, c>, one rule for every table: the
-        chain-start residue, taken axis by axis from the last to the first.
+        """The degree-zero pairing <a, b, c>: the chain-start residue,
+        over the poles _derive placed, axis by axis from the last.
 
         The integrand is x^e, e the summed exponents, times the
-        hypersurface's linear form sum_i c_i x_i, over one factor
-        1/(sum_i c_i x_i) per column.  Axis c takes the columns whose last
-        nonzero entry sits at c: a pure one (no other entry, either sign)
-        has its pole at 0, a twisted one (c_c > 0 >= every earlier entry)
-        at its root -sum_{i<c} c_i x_i / c_c.  The residues at every pole
-        sum to minus the one at infinity, so x_c^n y becomes
-        h_{n+1-P}(roots) y over the product of the c_c, where P counts the
-        poles and h_j is the complete homogeneous polynomial in the roots,
-        a polynomial in the earlier axes.  Any other column raises
-        ValueError.
+        hypersurface's linear form, over each column's factor.  The
+        residues at the P poles of axis c sum to minus the one at
+        infinity, so x_c^n y becomes h_{n+1-P}(roots) y over the product
+        of the c_c, h_j the complete homogeneous polynomial in the roots,
+        a polynomial in the earlier axes.  A column with no pole here
+        raises ValueError.
         """
         a, b, c = (self.check_insertion(x) for x in (a, b, c))
         poly = {tuple(map(sum, zip(a.exps, b.exps, c.exps))): Fraction(1)}
@@ -269,15 +279,11 @@ class Geometry:
             poly = _times(poly, self._HYPERSURFACE)
         for ax in reversed(range(self.n_forms)):
             scale, poles, roots = Fraction(1), 0, []
-            for col, mult in self._COLUMNS:
-                cc, rest = col[ax], col[:ax]
-                if not cc or any(col[ax + 1:]):
-                    continue
-                if any(rest):
-                    if cc < 0 or max(rest) > 0:
-                        raise ValueError("%r: column %s is outside the classical-triple rule"
-                                         % (self, col))
-                    roots += [tuple(Fraction(-x, cc) for x in rest)] * mult
+            for col, cc, mult, root in self._POLES[ax]:
+                if root and cc < 0:
+                    raise ValueError("%s: column %s is outside the classical-triple rule"
+                                     % (self.name, col))
+                roots += [root] * mult if root else []
                 scale, poles = scale / cc ** mult, poles + mult
             top = max((e[-1] for e in poly), default=0) + 1 - poles
             h = [{(0,) * ax: scale}] + [{}] * max(top, 0)

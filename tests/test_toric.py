@@ -467,17 +467,68 @@ def test_f3_times_p1_triples_follow_the_product_rule():
     assert nonzero
 
 
-@pytest.mark.parametrize("column", [(1, 1), (-1, 1, 1), (1, -2)], ids=str)
-def test_a_column_outside_the_rule_is_refused(column):
-    # a positive earlier entry, or a negative last entry beside another
-    # nonzero one, has no pole the chain-start rule can place
+def _units_twice(column):
+    # two divisors on each axis, then the column
     r = len(column)
-    units = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-    g = type("OffRuleGeometry", (Geometry,), {
-        "name": "offrule", "_DIVISORS": units * 2 + (column,),
-        "basis": lambda self: [Insertion(*e) for e in product((0, 1), repeat=r)]})()
+    return tuple(tuple(int(i == j) for j in range(r)) for i in range(r)) * 2 + (column,)
+
+
+@pytest.mark.parametrize("column,divisors", [
+    *(pytest.param(c, _units_twice(c), id=str(c)) for c in [(1, 1), (-1, 1, 1), (1, -2)]),
+    pytest.param((1, 1), ((1, 0), (1, 0), (0, 1), (0, 1), (1, 1)), id="P1xP1+(1, 1)"),
+])
+def test_a_column_outside_the_rule_is_refused(column, divisors):
+    # a positive entry before the last nonzero one has no pole the
+    # placement rule can put on an axis, so the row is refused when it is
+    # built; on compact P1 x P1 with one more divisor (1, 1), unrefused,
+    # the chain sums would skip the column while the triple refused it
+    r = len(column)
+    cls = type("OffRuleGeometry", (Geometry,), {
+        "name": "offrule", "_DIVISORS": divisors,
+        "basis": lambda self: [Insertion(*e) for e in product((0, 1), repeat=r)]})
     with pytest.raises(ValueError, match=re.escape("column %s is outside" % (column,))):
-        g.classical_triple("1", "1", "1")
+        cls()
+
+
+def test_the_triple_refuses_kf0s_bundle_on_a_plain_row():
+    # a negative last entry beside another nonzero one places no pole in
+    # the triple, so kf0 declares its virtual-ring table; a plain row of
+    # kf0's table still builds, and its chain sums are kf0's
+    kf0 = geometry("kf0")
+    g = type("Kf0TableGeometry", (Geometry,), {
+        "name": "kf0table", "_DIVISORS": kf0._DIVISORS, "_BUNDLE": kf0._BUNDLE,
+        "basis": lambda self: kf0.basis()})()
+    degrees = [dd for dd in product(range(4), repeat=2) if 0 < sum(dd) <= 3]
+    nonzero = 0
+    for dd in degrees:
+        for a, b in product(kf0.basis(), repeat=2):
+            want = kf0.two_point(dd, a, b)
+            assert g.two_point(dd, a, b) == want, (dd, a, b)
+            nonzero += want != 0
+    assert nonzero
+    with pytest.raises(ValueError, match=re.escape("kf0table: column (-2, -2) is outside")):
+        g.classical_triple("z", "w", "1")
+
+
+_P1_P1 = ((1, 0),) * 2 + ((0, 1),) * 2
+
+
+@pytest.mark.parametrize("fields,column", [
+    ({"_BUNDLE": (-2, -2, 1)}, (-2, -2, 1)),
+    ({"_HYPERSURFACE": (2,)}, (2,)),
+    ({"_DIVISORS": _P1_P1 + ((1,),)}, (1,)),
+    ({"_DIVISORS": _P1_P1 + ((0, 0),)}, (0, 0)),
+], ids=["long bundle", "short hypersurface", "short divisor", "zero divisor"])
+def test_a_malformed_table_is_refused_at_construction(fields, column):
+    # P1 x P1 with one malformed column, unrefused: a long bundle would be
+    # cut to two entries in _C1, a short column would raise IndexError, and
+    # a zero divisor would raise dim by one, so every two-point number 0
+    cls = type("MalformedGeometry", (Geometry,), {
+        "name": "malformed", "_DIVISORS": _P1_P1, **fields,
+        "basis": lambda self: [Insertion(*e) for e in product((0, 1), repeat=2)]})
+    with pytest.raises(ValueError, match=re.escape("malformed: column %s needs 2 entries"
+                                                   % (column,))):
+        cls()
 
 
 def test_three_form_mirror_maps():
