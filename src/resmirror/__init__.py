@@ -13,7 +13,7 @@ _EXPORTS = {
     "polys": ("Fraction", "MultiPoly", "RatFunc", "VarSet"),
     "residues": ("DuplicatePole", "residue_at", "residue_sum"),
     "parts": ("ordered_bipartitions", "ordered_partitions"),
-    "geoms": ("Insertion", "InvalidDegree", "InvalidInsertion", "geometry",
+    "geoms": ("Geometry", "Insertion", "InvalidDegree", "InvalidInsertion", "geometry",
               "parse_insertion", "two_point_cpn"),
     "vsc": ("InvalidComb", "check_theorem1", "decomposition_coefficient",
             "gmt_upto3", "poly_d", "vsc_merged_contour", "vsc_recursive",

@@ -16,7 +16,7 @@ import sys
 
 from . import cache as cache_mod
 from .cache import CacheCorruption, cached_two_point, frac_to_str
-from .geoms import GEOMETRIES, geometry, parse_insertion
+from .geoms import declared_params, geometry, parse_insertion
 
 
 class UsageError(ValueError):
@@ -50,7 +50,7 @@ def _default_trunc(cfg, name):
 
 def _build_geometry(args):
     name = args.geometry
-    declared = GEOMETRIES[name].param_defaults if name in GEOMETRIES else {}
+    declared = declared_params(name)
     params = {}
     for p in ("N", "k"):
         val = getattr(args, p)

@@ -1,18 +1,18 @@
-"""The target geometries, declared as toric data, and the sum over chains.
+"""The target geometries, each a row of toric data, and the sum over chains.
 
-Each geometry declares three fields, every class a column of pairings
-with its r Kahler forms, one entry per form: _DIVISORS, its toric
-divisors; _HYPERSURFACE, its defining equation, or None; _BUNDLE, a local
-target's bundle, or None.  The form count r is the length of a column;
-axis 0 pairs with z and axis 1 with w; a hypersurface may pair with
-every axis.  Geometry._derive checks the table and places each column on
-an axis once, at construction, by the one rule stated there; the engine
-in chains and Geometry.classical_triple read that placement (kf0 alone
+A row is one Geometry call: its name, its columns of pairings with its r
+Kahler forms, one entry per form (its toric divisors; its defining
+equation, or None; a local target's bundle, or None), its basis and its
+parameters.  The form count r is the length of a column; axis 0 pairs
+with z and axis 1 with w; a hypersurface may pair with every axis.
+Geometry._derive checks the row and places each column on an axis once,
+at construction, by the one rule stated there; the engine in chains and
+Geometry.classical_triple read that placement (kf0, the one subclass,
 declares its virtual-ring triple table instead).
 Geometry.two_point sums one amplitude per chain; chains is imported on
 the first amplitude and parts, which enumerates the chains, on the first
 sum, so a cache hit loads none of chains, parts, polys and residues.  The
-declared parameters are what the CLI accepts.
+parameters GEOMETRIES declares are what the CLI accepts.
 
 Supported geometries and their string names:
 
@@ -31,6 +31,7 @@ Supported geometries and their string names:
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 from .cache import cached_two_point
 
@@ -140,17 +141,20 @@ def parse_insertion(geom, label):
 
 
 class Geometry:
-    """Base for all targets: the toric data, its derivation, the chain sum."""
+    """A target as one row: the toric data, its derivation, the chain sum.
+    basis lists the accepted insertions in order, as labels or exponents;
+    params holds the ordered (name, value) pairs of repr and cache keys."""
 
-    name = None
-    param_defaults = {}     # parameter name -> default, None when required
-    _DIVISORS = ()          # one column of pairings per toric divisor
-    _HYPERSURFACE = None    # the column of the defining equation, if any
-    _BUNDLE = None          # the column of a local target's bundle, if any
-
-    def __init__(self):
+    def __init__(self, name, divisors, hypersurface=None, bundle=None, basis=(), params=()):
+        self.name = name
+        self._params = tuple((p, _check_int("%s: parameter %s" % (name, p), v)) for p, v in params)
+        self._DIVISORS, self._HYPERSURFACE, self._BUNDLE = tuple(divisors), hypersurface, bundle
         self._derive()
-        self._basis = frozenset(self.basis())
+        self._BASIS = tuple(parse_insertion(self, a) for a in basis)
+        for a in self._BASIS:
+            if len(a.exps) != self.n_forms:
+                raise ValueError("%s: basis entry %s needs %d exponents" % (name, a, self.n_forms))
+        self._basis = frozenset(self._BASIS)
 
     def _derive(self):
         """Check the table and derive, once per geometry: n_forms, the
@@ -169,17 +173,23 @@ class Geometry:
         take the columns with c_c > 0; the classical triple takes every
         pure one and refuses a negative c_c beside earlier entries (kf0's
         bundle).  A positive entry before the last nonzero one has no pole:
-        such a column raises ValueError here, as does one of the wrong
-        length or of zeros alone."""
+        such a column raises ValueError here, as does a row with no
+        divisor and a column not of ints, of the wrong length or of 0s."""
         divs, bundle, hyp = self._DIVISORS, self._BUNDLE, self._HYPERSURFACE
+        if not divs:
+            raise ValueError("%s has no divisors" % self.name)
+        cols = divs + ((bundle,) if bundle else ())
+        for col in cols + ((hyp,) if hyp else ()):
+            # divs[0] is checked first, so its length is the form count
+            if type(col) is not tuple or not all(type(e) is int for e in col):
+                raise ValueError("%s: column %r is not a tuple of integers" % (self.name, col))
+            if len(col) != len(divs[0]) or not any(col):
+                raise ValueError("%s: column %s needs %d entries, not all 0"
+                                 % (self.name, col, len(divs[0])))
         self.n_forms = n = len(divs[0])
         if n > len(_AXES):
             raise ValueError("%s has %d forms; labels name at most %d axes (%s)"
                              % (self.name, n, len(_AXES), _AXES))
-        cols = divs + ((bundle,) if bundle else ())
-        for col in cols + ((hyp,) if hyp else ()):
-            if len(col) != n or not any(col):
-                raise ValueError("%s: column %s needs %d entries, not all 0" % (self.name, col, n))
         self.dim = len(divs) - n - bool(hyp) + bool(bundle)
         self._C1 = tuple(sum(c[i] for c in cols) - (hyp[i] if hyp else 0) for i in range(n))
         self._COLUMNS = tuple(Counter(cols).items())
@@ -193,14 +203,14 @@ class Geometry:
             self._POLES[c].append((col, cc, m, root))
 
     def params(self):
-        return tuple((p, getattr(self, p)) for p in self.param_defaults)
+        return self._params
 
     def __repr__(self):
         ps = ", ".join("%s=%s" % kv for kv in self.params())
         return "%s(%s)" % (self.name, ps)
 
     def basis(self):
-        raise NotImplementedError
+        return list(self._BASIS)
 
     def check_insertion(self, a):
         a = parse_insertion(self, a)
@@ -236,7 +246,7 @@ class Geometry:
 
     def pairing_partners(self):
         """Classes of degree dim-1 pairing against the generators."""
-        return [a for a in self.basis() if a.degree() == self.dim - 1]
+        return [a for a in self._BASIS if a.degree() == self.dim - 1]
 
     def two_point(self, dd, a, b):
         """Sum of chain amplitudes at degree dd with the two insertions,
@@ -312,37 +322,12 @@ def _times(poly, form, acc=None):
     return out
 
 
-class CpnGeometry(Geometry):
-    """Two-point numbers of degree-k hypersurface data in projective space.
-
-    Insertions are powers of the hyperplane class, 0 .. N-2.  Chains are
-    plain compositions; every vertex carries one variable, integrated about
-    the origin.
-    """
-
-    name = "cpn"
-    param_defaults = {"N": None, "k": None}
-
-    def __init__(self, N, k):
-        self.N, self.k = _check_int("N", N), _check_int("k", k)
-        if N < 2 or k < 1:
-            raise ValueError("need N >= 2 and k >= 1")
-        self._DIVISORS, self._HYPERSURFACE = ((1,),) * N, (k,)
-        super().__init__()
-
-    def basis(self):
-        return [Insertion(i) for i in range(self.N - 1)]
-
-
-class Wp2Geometry(Geometry):
-    """Degree-6 hypersurface in P(1,1,1,3): a K3 surface with one form."""
-
-    name = "wp2"
-    _DIVISORS = ((1,), (1,), (1,), (3,))
-    _HYPERSURFACE = (6,)
-
-    def basis(self):
-        return [Insertion(i) for i in range(4)]
+def _cpn(N, k):
+    """cpn's row, on the powers 0 .. N-2 of the hyperplane class."""
+    N, k = _check_int("N", N), _check_int("k", k)
+    if N < 2 or k < 1:
+        raise ValueError("need N >= 2 and k >= 1")
+    return Geometry("cpn", ((1,),) * N, (k,), basis=range(N - 1), params=(("N", N), ("k", k)))
 
 
 class Kf0Geometry(Geometry):
@@ -354,17 +339,10 @@ class Kf0Geometry(Geometry):
     the six-element virtual ring {1, z, w, z^2, zw, z^3}.
     """
 
-    name = "kf0"
-    param_defaults = {"k": 1}
-    _DIVISORS = ((1, 0), (1, 0), (0, 1), (0, 1))
-    _BUNDLE = (-2, -2)
-
-    def __init__(self, k=param_defaults["k"]):
-        self.k = _check_int("k", k)
-        super().__init__()
-
-    def basis(self):
-        return [Insertion(0, 0), Insertion(1, 0), Insertion(0, 1), Insertion(1, 1)]
+    def __init__(self, k):
+        super().__init__("kf0", ((1, 0), (1, 0), (0, 1), (0, 1)), bundle=(-2, -2),
+                         basis=("1", "z", "w", "zw"), params=(("k", k),))
+        self.k = k
 
     def virtual_ring(self):
         return [Insertion(0, 0), Insertion(1, 0), Insertion(0, 1),
@@ -387,69 +365,38 @@ class Kf0Geometry(Geometry):
         return table.get((s, t), Fraction(0))
 
 
-class F3Geometry(Geometry):
-    """The Hirzebruch surface of twist 3 (fiber class squares to zero).
+# wp1 and wp3, fibered over P1 with one fiber coordinate twisted by 2, w - 2z
+_FIBRATION_BASIS = ("1", "z", "w", "zw", "w2", "zw2", "w3", "zw3")
 
-    The divisors are z, z, w - 3z and w: the fiber has one coordinate
-    twisted by 3 and one untwisted.
-    """
-
-    name = "f3"
-    _DIVISORS = ((1, 0), (1, 0), (-3, 1), (0, 1))
-
-    def basis(self):
-        return [Insertion(0, 0), Insertion(1, 0), Insertion(0, 1), Insertion(0, 2)]
-
-
-class _WeightedFibration(Geometry):
-    """A Calabi-Yau hypersurface in weighted projective space, fibered
-    over P1 by a K3 hypersurface: base divisors z, z, untwisted fiber
-    coordinates w and one fiber coordinate twisted by 2, w - 2z."""
-
-    def basis(self):
-        return [Insertion(s, t) for t in range(4) for s in range(2)]
-
-
-class Wp1Geometry(_WeightedFibration):
-    """Degree-8 hypersurface in P(1,1,2,2,2), fibered over P1 by quartic K3
-    surfaces in P3: three untwisted fiber coordinates and one twisted by 2.
-    """
-
-    name = "wp1"
-    _DIVISORS = ((1, 0), (1, 0), (0, 1), (0, 1), (0, 1), (-2, 1))
-    _HYPERSURFACE = (0, 4)
-
-
-class Wp3Geometry(_WeightedFibration):
-    """Degree-12 hypersurface in P(1,1,2,2,6), fibered over P1.
-
-    The fiber is the P(1,1,1,3) sextic: two unit-weight directions, one
-    twisted unit-weight direction and one weight-3 direction.
-    """
-
-    name = "wp3"
-    _DIVISORS = ((1, 0), (1, 0), (0, 1), (0, 1), (-2, 1), (0, 3))
-    _HYPERSURFACE = (0, 6)
-
-
+# name -> (builder, {parameter: default, None when required})
 GEOMETRIES = {
-    "cpn": CpnGeometry,
-    "kf0": Kf0Geometry,
-    "f3": F3Geometry,
-    "wp1": Wp1Geometry,
-    "wp2": Wp2Geometry,
-    "wp3": Wp3Geometry,
+    "cpn": (_cpn, {"N": None, "k": None}),
+    "kf0": (Kf0Geometry, {"k": 1}),
+    "f3": (partial(Geometry, "f3", ((1, 0), (1, 0), (-3, 1), (0, 1)),
+                   basis=("1", "z", "w", "w2")), {}),
+    "wp1": (partial(Geometry, "wp1", ((1, 0), (1, 0), (0, 1), (0, 1), (0, 1), (-2, 1)),
+                    (0, 4), basis=_FIBRATION_BASIS), {}),
+    "wp2": (partial(Geometry, "wp2", ((1,), (1,), (1,), (3,)), (6,),
+                    basis=("1", "z", "z2", "z3")), {}),
+    "wp3": (partial(Geometry, "wp3", ((1, 0), (1, 0), (0, 1), (0, 1), (-2, 1), (0, 3)),
+                    (0, 6), basis=_FIBRATION_BASIS), {}),
 }
+
+
+def declared_params(name):
+    """The named row's parameters and defaults; ValueError for no row."""
+    if name not in GEOMETRIES:
+        raise ValueError("unknown geometry %r (have: %s)" % (name, ", ".join(sorted(GEOMETRIES))))
+    return GEOMETRIES[name][1]
 
 
 def geometry(name, **params):
     """A new instance of the named geometry.  Instances hold no memo:
     cache.cached_two_point keys two-point numbers by name and parameters."""
-    if name not in GEOMETRIES:
-        raise ValueError("unknown geometry %r (have: %s)" % (name, ", ".join(sorted(GEOMETRIES))))
-    return GEOMETRIES[name](**params)
+    params = dict(declared_params(name), **params)
+    return GEOMETRIES[name][0](**params)
 
 
 def two_point_cpn(N, k, d, a, b):
-    """cached_two_point on CpnGeometry(N, k): the raw number at degree d."""
-    return cached_two_point(CpnGeometry(N, k), d, a, b)
+    """cached_two_point on cpn's row (N, k): the raw number at degree d."""
+    return cached_two_point(_cpn(N, k), d, a, b)

@@ -389,7 +389,7 @@ def test_criterion_9_property_suites():
         # one dies: the insertion window is empty
         assert all(vsc_recursive(8, 4, 2, n) == 0 for n in range(8))
         g84 = geometry("cpn", N=8, k=4)
-        assert g84.selection_degree(2) > 2 * (g84.N - 2)
+        assert g84.selection_degree(2) > 2 * (8 - 2)
         assert g84.two_point(2, 6, 6) == 0
 
         cases = [("cpn", {"N": 5, "k": 5}, 3), ("kf0", {}, 3), ("f3", {}, 3),

@@ -70,7 +70,7 @@ def test_two_point_off_selection_rule_is_zero_without_chains(capsys, monkeypatch
         raise AssertionError("chain evaluated off the selection rule")
 
     monkeypatch.setattr(cache, "_MEMO", {})
-    monkeypatch.setattr(geoms.F3Geometry, "amplitude", refuse)
+    monkeypatch.setattr(geoms.Geometry, "amplitude", refuse)
     rc, out, err = run(capsys, "two-point", "--geometry", "f3",
                        "--d", "4,3", "--a", "z", "--b", "z")
     assert (rc, out, err) == (0, "0\n", "")
@@ -101,15 +101,15 @@ def test_mirror_map_forward_and_inverse(capsys):
     assert any(line.startswith("x1 = t1 - 744*q") for line in lines)
 
 
-@pytest.mark.parametrize("cls, triple, argv", [
+@pytest.mark.parametrize("triple, argv", [
     # a 2x2 block of equal entries, and a 1x1 zero block
-    ("F3Geometry", lambda self, a, b, c: 1, ["--geometry", "f3"]),
-    ("CpnGeometry", lambda self, a, b, c: 0, ["--geometry", "cpn", "--N", "5", "--k", "5"]),
-])
-def test_mirror_map_singular_pairing_block_fails(capsys, monkeypatch, cls, triple, argv):
+    (lambda self, a, b, c: 1, ["--geometry", "f3"]),
+    (lambda self, a, b, c: 0, ["--geometry", "cpn", "--N", "5", "--k", "5"]),
+], ids=["f3", "cpn"])
+def test_mirror_map_singular_pairing_block_fails(capsys, monkeypatch, triple, argv):
     from resmirror import geoms
 
-    monkeypatch.setattr(getattr(geoms, cls), "classical_triple", triple)
+    monkeypatch.setattr(geoms.Geometry, "classical_triple", triple)
     rc, out, err = run(capsys, "mirror-map", *argv, "--trunc", "2")
     want = "computation failed: degree-one pairing block is singular for %s\n" % argv[1]
     assert (rc, out, err) == (1, "", want)
@@ -231,7 +231,9 @@ def test_validation_failures_exit_2(capsys):
         (("series", "--geometry", "nowhere", "--a", "1", "--b", "z"),
          "unknown geometry 'nowhere' (have: cpn, f3, kf0, wp1, wp2, wp3)"),
         (("series", "--geometry", "nowhere", "--N", "3", "--a", "1", "--b", "z"),
-         "--N does not apply to nowhere"),
+         "unknown geometry 'nowhere' (have: cpn, f3, kf0, wp1, wp2, wp3)"),
+        (("two-point", "--geometry", "foo", "--N", "3", "--d", "1", "--a", "z", "--b", "z"),
+         "unknown geometry 'foo' (have: cpn, f3, kf0, wp1, wp2, wp3)"),
         (("mirror-map", "--geometry", "cpn", "--N", "1", "--k", "5"),
          "need N >= 2 and k >= 1"),
         (("two-point", "--geometry", "f3", "--d", "x", "--a", "z", "--b", "z"),

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from resmirror import cache, chains
 from resmirror.cache import cached_two_point
 from resmirror.geoms import (
+    Geometry,
     Insertion,
     InvalidInsertion,
     geometry,
@@ -247,7 +248,7 @@ class TestCpn:
     def test_fano_high_degree_vanishing(self):
         # N=8, k=4: required degree 5 + 4d exceeds 2(N-2) already at d = 2
         g = geometry("cpn", N=8, k=4)
-        assert g.selection_degree(2) > 2 * (g.N - 2)
+        assert g.selection_degree(2) > 2 * (8 - 2)
         assert g.two_point(2, 6, 6) == 0
 
     def test_classical_triple(self):
@@ -476,8 +477,7 @@ class TestStructuralProperties:
             return amplitude
 
         f3, cpn = geometry("f3"), geometry("cpn", N=7, k=5)
-        for cls in (type(f3), type(cpn)):
-            monkeypatch.setattr(cls, "amplitude", counting(cls.amplitude))
+        monkeypatch.setattr(Geometry, "amplitude", counting(Geometry.amplitude))
         one, w = parse_insertion(f3, "1"), parse_insertion(f3, "w")
         assert cached_two_point(f3, (2, 1), one, w) == F(39, 2)
         assert len(calls) == 5
@@ -493,6 +493,44 @@ class TestStructuralProperties:
     def test_unknown_geometry(self):
         with pytest.raises(ValueError):
             geometry("nosuch")
+
+    ROW_RECORD = '{"degree": %s, "geometry": "%s", "insertions": %s, "kind": "two-point", ' \
+                 '"params": %s, "provenance": "residue-chain", "schema": 1, "value": "%s"}\n'
+
+    def test_each_row_keeps_its_repr_params_basis_and_cache_record(self, tmp_path, monkeypatch):
+        # what a shipped row shows and files: cache keys are built from the
+        # name and parameters, so a record written by one version of a row
+        # must be read back by the next
+        monkeypatch.setattr(cache, "_MEMO", {})
+        fibration = ("1", "z", "w", "zw", "w2", "zw2", "w3", "zw3")
+        rows = [
+            ("cpn", dict(N=5, k=5), "cpn(N=5, k=5)", (("N", 5), ("k", 5)),
+             ("1", "z", "z2", "z3"), 1, "z", "z",
+             ("[1]", "cpn", "[[1], [1]]", '{"N": 5, "k": 5}', "6725")),
+            ("kf0", dict(), "kf0(k=1)", (("k", 1),), ("1", "z", "w", "zw"), (1, 0), "z", "w",
+             ("[1, 0]", "kf0", "[[0, 1], [1, 0]]", '{"k": 1}', "-1")),
+            ("kf0", dict(k=2), "kf0(k=2)", (("k", 2),), ("1", "z", "w", "zw"), (1, 0), "z", "w",
+             ("[1, 0]", "kf0", "[[0, 1], [1, 0]]", '{"k": 2}', "-1")),
+            ("f3", dict(), "f3()", (), ("1", "z", "w", "w2"), (1, 1), "z", "w",
+             ("[1, 1]", "f3", "[[0, 1], [1, 0]]", "{}", "-1")),
+            ("wp1", dict(), "wp1()", (), fibration, (0, 1), "z", "w",
+             ("[0, 1]", "wp1", "[[0, 1], [1, 0]]", "{}", "416")),
+            ("wp2", dict(), "wp2()", (), ("1", "z", "z2", "z3"), 1, "1", "z",
+             ("[1]", "wp2", "[[0], [1]]", "{}", "1488")),
+            ("wp3", dict(), "wp3()", (), fibration, (0, 1), "z", "w",
+             ("[0, 1]", "wp3", "[[0, 1], [1, 0]]", "{}", "1488")),
+        ]
+        for i, (name, params, rep, pairs, labels, dd, a, b, record) in enumerate(rows):
+            g = geometry(name, **params)
+            assert (repr(g), g.params()) == (rep, pairs)
+            assert tuple(x.label() for x in g.basis()) == labels
+            path = tmp_path / ("%d.jsonl" % i)
+            cache.activate(str(path))
+            try:
+                cached_two_point(g, dd, a, b)
+            finally:
+                cache.activate(None)
+            assert path.read_text(encoding="utf-8") == self.ROW_RECORD % record, rep
 
     def test_non_integer_parameters_rejected(self):
         # a parameter is never coerced: N=5.5 is not cpn(N=5)

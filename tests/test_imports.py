@@ -71,13 +71,11 @@ def test_warm_three_form_row_loads_no_engine(tmp_path):
     code = """
 import sys
 from resmirror.cache import activate
-from resmirror.geoms import F3Geometry, Geometry, Insertion
+from resmirror.geoms import Geometry
 from resmirror.series import mirror_map
 activate(sys.argv[1])
-g = type("F3P1Geometry", (Geometry,), {
-    "name": "f3p1",
-    "_DIVISORS": ((1, 0, 0), (1, 0, 0), (-3, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
-    "basis": lambda self: [Insertion(*a.exps, u) for u in (0, 1) for a in F3Geometry().basis()]})()
+g = Geometry("f3p1", ((1, 0, 0), (1, 0, 0), (-3, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
+             basis=("1", "z", "w", "w2", "u", "zu", "wu", "w2u"))
 assert g.classical_triple("w", "w", "u") == 3
 assert mirror_map(g, 3).forward[1].terms == {(2, 1, 0): -16}
 print(%s)
@@ -196,7 +194,8 @@ def test_names_the_benchmark_tracer_rebinds(monkeypatch):
     assert "two_point" in geoms.Geometry.__dict__
     classes = [c for c in vars(geoms).values()
                if isinstance(c, type) and issubclass(c, geoms.Geometry)]
-    for cls in geoms.GEOMETRIES.values():
+    for name in geoms.GEOMETRIES:
+        cls = type(geoms.geometry(name, **({"N": 5, "k": 5} if name == "cpn" else {})))
         owner = next(c for c in cls.__mro__ if "classical_triple" in c.__dict__)
         assert owner in classes, cls
         assert cls.classical_triple is owner.__dict__["classical_triple"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resmirror.cache import activate
-from resmirror.geoms import CpnGeometry, F3Geometry, InvalidInsertion, geometry
+from resmirror.geoms import Geometry, InvalidInsertion, geometry
 from resmirror.parts import ordered_partitions
 from resmirror.refdata import check_conjecture2
 from resmirror.series import (
@@ -552,13 +552,13 @@ def test_local_surface_map_computes_only_at_its_own_parameter(tmp_path):
     assert params and all(p == {"k": 1} for p in params)
 
 
-@pytest.mark.parametrize("cls, triple, g", [
-    (F3Geometry, lambda self, a, b, c: 1, geometry("f3")),
-    (CpnGeometry, lambda self, a, b, c: 0, geometry("cpn", N=5, k=5)),
-])
-def test_singular_pairing_block_raises(monkeypatch, cls, triple, g):
+@pytest.mark.parametrize("triple, g", [
+    (lambda self, a, b, c: 1, geometry("f3")),
+    (lambda self, a, b, c: 0, geometry("cpn", N=5, k=5)),
+], ids=["f3", "cpn"])
+def test_singular_pairing_block_raises(monkeypatch, triple, g):
     # a 2x2 block of equal entries and a 1x1 zero block have no inverse
-    monkeypatch.setattr(cls, "classical_triple", triple)
+    monkeypatch.setattr(Geometry, "classical_triple", triple)
     with pytest.raises(SingularMetric, match="pairing block is singular for %s" % g.name):
         mirror_map(g, 2)
 
@@ -941,15 +941,15 @@ def test_slot_mismatch_is_refused():
             op()
 
 
-@pytest.mark.parametrize("cls, triple, g", [
-    (F3Geometry, lambda self, a, b, c: 1, geometry("f3")),
-    (CpnGeometry, lambda self, a, b, c: 0, geometry("cpn", N=5, k=5)),
-])
-def test_singular_block_stops_before_any_two_point_number(monkeypatch, cls, triple, g):
+@pytest.mark.parametrize("triple, g", [
+    (lambda self, a, b, c: 1, geometry("f3")),
+    (lambda self, a, b, c: 0, geometry("cpn", N=5, k=5)),
+], ids=["f3", "cpn"])
+def test_singular_block_stops_before_any_two_point_number(monkeypatch, triple, g):
     def no_number(*args):
         raise AssertionError("a two-point number was asked for")
 
-    monkeypatch.setattr(cls, "classical_triple", triple)
+    monkeypatch.setattr(Geometry, "classical_triple", triple)
     monkeypatch.setattr("resmirror.cache.cached_two_point", no_number)
     monkeypatch.setattr("resmirror.series.cached_two_point", no_number)
     with pytest.raises(SingularMetric, match="pairing block is singular"):

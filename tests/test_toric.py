@@ -23,7 +23,7 @@ import pytest
 
 import literal_engine
 from resmirror import chains
-from resmirror.geoms import F3Geometry, Geometry, Insertion, Wp2Geometry, geometry
+from resmirror.geoms import Geometry, Insertion, geometry
 from resmirror.series import invert_mirror_map, mirror_map, transform
 
 
@@ -90,10 +90,11 @@ ROWS = {"f1": _hirzebruch_literals(1), "f2": _hirzebruch_literals(2),
 
 def literal_geometry(g):
     """A copy of g carrying the constants literal_engine reads: LITERALS
-    with CHANGED for a shipped class (any cpn by the same rule), ROWS for
+    with CHANGED for a shipped row (any cpn by the same rule), ROWS for
     a row declared here."""
     if g.name == "cpn":
-        consts = _one_form_literals((1,) * g.N, g.k)
+        p = dict(g.params())
+        consts = _one_form_literals((1,) * p["N"], p["k"])
     else:
         consts = LITERALS.get((g.name, g.params())) or ROWS[g.name]
     old = copy.copy(g)
@@ -113,10 +114,7 @@ def test_derived_constants_match_the_hand_set_literals(name, params):
 def local_projective(n):
     """K_{P^{n-1}} as a one-form row: n divisors (1,) and the bundle
     (-n,), no hypersurface."""
-    return type("KP%dGeometry" % (n - 1), (Wp2Geometry,), {
-        "name": "kp%d" % (n - 1), "_DIVISORS": ((1,),) * n,
-        "_HYPERSURFACE": None, "_BUNDLE": (-n,),
-        "basis": lambda self: [Insertion(i) for i in range(n)]})()
+    return Geometry("kp%d" % (n - 1), ((1,),) * n, bundle=(-n,), basis=range(n))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -135,9 +133,7 @@ def test_a_section_on_axis_b_reads_its_own_pairing(n):
 
 def hirzebruch(n):
     """F_n as a row of the divisor table: z, z, w - n z and w."""
-    cls = type("F%dGeometry" % n, (F3Geometry,),
-               {"name": "f%d" % n, "_DIVISORS": ((1, 0), (1, 0), (-n, 1), (0, 1))})
-    g = cls()
+    g = Geometry("f%d" % n, ((1, 0), (1, 0), (-n, 1), (0, 1)), basis=("1", "z", "w", "w2"))
     # the row is F_n only if its ring is: w^2 = n times the point class
     assert g.classical_triple("w", "w", "1") == n
     return g
@@ -146,9 +142,7 @@ def hirzebruch(n):
 def compact_f0():
     """P1 x P1 as a row with no twisted divisor, z, z, w and w, on the
     basis 1, z, w, zw; no geometry name is registered for it."""
-    return type("F0Geometry", (F3Geometry,), {
-        "name": "f0", "_DIVISORS": ((1, 0), (1, 0), (0, 1), (0, 1)),
-        "basis": lambda self: [Insertion(s, t) for t in range(2) for s in range(2)]})()
+    return Geometry("f0", ((1, 0), (1, 0), (0, 1), (0, 1)), basis=("1", "z", "w", "zw"))
 
 
 # -- flatness of the raw connection -----------------------------------------
@@ -386,18 +380,15 @@ def test_one_triple_rule_matches_the_formula_of_its_form(g):
 def p1_cubed():
     """P1 x P1 x P1 as a row of three forms: two divisors on each axis, on
     the basis of square-free monomials in z, w and u."""
-    return type("P1CubedGeometry", (Geometry,), {
-        "name": "p1p1p1", "_DIVISORS": ((1, 0, 0),) * 2 + ((0, 1, 0),) * 2 + ((0, 0, 1),) * 2,
-        "basis": lambda self: [Insertion(*e) for e in product((0, 1), repeat=3)]})()
+    return Geometry("p1p1p1", ((1, 0, 0),) * 2 + ((0, 1, 0),) * 2 + ((0, 0, 1),) * 2,
+                    basis=product((0, 1), repeat=3))
 
 
 def f3_times_p1():
     """F3 x P1: f3's columns, each with a third entry 0, and the two
     divisors (0, 0, 1) of the P1, on the basis of products a u^e."""
-    return type("F3P1Geometry", (Geometry,), {
-        "name": "f3p1",
-        "_DIVISORS": ((1, 0, 0), (1, 0, 0), (-3, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
-        "basis": lambda self: [Insertion(*a.exps, u) for u in (0, 1) for a in F3Geometry().basis()]})()
+    return Geometry("f3p1", ((1, 0, 0), (1, 0, 0), (-3, 1, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)),
+                    basis=("1", "z", "w", "w2", "u", "zu", "wu", "w2u"))
 
 
 def _p1_cubed_number(dd, a, b):
@@ -482,12 +473,8 @@ def test_a_column_outside_the_rule_is_refused(column, divisors):
     # placement rule can put on an axis, so the row is refused when it is
     # built; on compact P1 x P1 with one more divisor (1, 1), unrefused,
     # the chain sums would skip the column while the triple refused it
-    r = len(column)
-    cls = type("OffRuleGeometry", (Geometry,), {
-        "name": "offrule", "_DIVISORS": divisors,
-        "basis": lambda self: [Insertion(*e) for e in product((0, 1), repeat=r)]})
     with pytest.raises(ValueError, match=re.escape("column %s is outside" % (column,))):
-        cls()
+        Geometry("offrule", divisors, basis=product((0, 1), repeat=len(column)))
 
 
 def test_the_triple_refuses_kf0s_bundle_on_a_plain_row():
@@ -495,9 +482,7 @@ def test_the_triple_refuses_kf0s_bundle_on_a_plain_row():
     # the triple, so kf0 declares its virtual-ring table; a plain row of
     # kf0's table still builds, and its chain sums are kf0's
     kf0 = geometry("kf0")
-    g = type("Kf0TableGeometry", (Geometry,), {
-        "name": "kf0table", "_DIVISORS": kf0._DIVISORS, "_BUNDLE": kf0._BUNDLE,
-        "basis": lambda self: kf0.basis()})()
+    g = Geometry("kf0table", kf0._DIVISORS, bundle=kf0._BUNDLE, basis=kf0.basis())
     degrees = [dd for dd in product(range(4), repeat=2) if 0 < sum(dd) <= 3]
     nonzero = 0
     for dd in degrees:
@@ -513,22 +498,32 @@ def test_the_triple_refuses_kf0s_bundle_on_a_plain_row():
 _P1_P1 = ((1, 0),) * 2 + ((0, 1),) * 2
 
 
-@pytest.mark.parametrize("fields,column", [
-    ({"_BUNDLE": (-2, -2, 1)}, (-2, -2, 1)),
-    ({"_HYPERSURFACE": (2,)}, (2,)),
-    ({"_DIVISORS": _P1_P1 + ((1,),)}, (1,)),
-    ({"_DIVISORS": _P1_P1 + ((0, 0),)}, (0, 0)),
-], ids=["long bundle", "short hypersurface", "short divisor", "zero divisor"])
-def test_a_malformed_table_is_refused_at_construction(fields, column):
+@pytest.mark.parametrize("fields,message", [
+    ({"bundle": (-2, -2, 1)}, ": column (-2, -2, 1) needs 2 entries"),
+    ({"hypersurface": (2,)}, ": column (2,) needs 2 entries"),
+    ({"divisors": _P1_P1 + ((1,),)}, ": column (1,) needs 2 entries"),
+    ({"divisors": _P1_P1 + ((0, 0),)}, ": column (0, 0) needs 2 entries"),
+    ({"divisors": ()}, " has no divisors"),
+    ({"divisors": _P1_P1 + ((1.5, 0),)}, ": column (1.5, 0) is not a tuple of integers"),
+    ({"divisors": _P1_P1 + ((True, 0),)}, ": column (True, 0) is not a tuple of integers"),
+    ({"hypersurface": (0.5, 1)}, ": column (0.5, 1) is not a tuple of integers"),
+    ({"divisors": tuple(map(list, _P1_P1))}, ": column [1, 0] is not a tuple of integers"),
+    ({"basis": ((0, 0), (1, 0, 0))}, ": basis entry Insertion(1, 0, 0) needs 2 exponents"),
+    ({"params": (("t", "1"),)}, ": parameter t must be an integer, got '1'"),
+], ids=["long bundle", "short hypersurface", "short divisor", "zero divisor", "no divisor",
+        "float divisor", "bool divisor", "float hypersurface", "list columns", "long basis entry",
+        "text parameter"])
+def test_a_malformed_table_is_refused_at_construction(fields, message):
     # P1 x P1 with one malformed column, unrefused: a long bundle would be
-    # cut to two entries in _C1, a short column would raise IndexError, and
-    # a zero divisor would raise dim by one, so every two-point number 0
-    cls = type("MalformedGeometry", (Geometry,), {
-        "name": "malformed", "_DIVISORS": _P1_P1, **fields,
-        "basis": lambda self: [Insertion(*e) for e in product((0, 1), repeat=2)]})
-    with pytest.raises(ValueError, match=re.escape("malformed: column %s needs 2 entries"
-                                                   % (column,))):
-        cls()
+    # cut to two entries in _C1, a short column would raise IndexError, a
+    # zero divisor would raise dim by one, so every two-point number 0, a
+    # (1.5, 0) would give _C1 = (2.5, 2), and a list column would raise
+    # TypeError when grouped; a row with no divisor would raise IndexError,
+    # a basis entry of three exponents would match no insertion, and a
+    # text parameter would file cache records the store skips on reading
+    row = dict({"divisors": _P1_P1, "basis": product((0, 1), repeat=2)}, **fields)
+    with pytest.raises(ValueError, match="^" + re.escape("malformed" + message)):
+        Geometry("malformed", **row)
 
 
 def test_three_form_mirror_maps():
@@ -556,21 +551,15 @@ def test_three_form_mirror_maps():
 
 def bicubic():
     """P2 x P2[3,3]: three divisors on each axis cut by (3, 3)."""
-    return type("BicubicGeometry", (Geometry,), {
-        "name": "bicubic", "_DIVISORS": ((1, 0),) * 3 + ((0, 1),) * 3,
-        "_HYPERSURFACE": (3, 3),
-        "basis": lambda self: [Insertion(*e) for e in
-                               ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (2, 1))]})()
+    return Geometry("bicubic", ((1, 0),) * 3 + ((0, 1),) * 3, (3, 3),
+                    basis=((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (2, 1)))
 
 
 def p1_p3():
     """P1 x P3[2,4], a K3 fibration with quartic fibres: z the P1 class,
     w the P3 class."""
-    return type("P1P3Geometry", (Geometry,), {
-        "name": "p1p3", "_DIVISORS": ((1, 0),) * 2 + ((0, 1),) * 4,
-        "_HYPERSURFACE": (2, 4),
-        "basis": lambda self: [Insertion(*e) for e in
-                               ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))]})()
+    return Geometry("p1p3", ((1, 0),) * 2 + ((0, 1),) * 4, (2, 4),
+                    basis=((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)))
 
 
 def test_mixed_hypersurface_triples():
@@ -634,11 +623,9 @@ def p1_bundle(n, a, b):
     entry 0, then (-a, -b, 1) and (0, 0, 1); the basis is F_n's times
     {1, u}, with zw in place of w2 when n = 0."""
     top = (1, 1) if n == 0 else (0, 2)
-    return type("P1BundleGeometry", (Geometry,), {
-        "name": "pb%d_%d_%d" % (n, a, b),
-        "_DIVISORS": ((1, 0, 0), (1, 0, 0), (-n, 1, 0), (0, 1, 0), (-a, -b, 1), (0, 0, 1)),
-        "basis": lambda self: [Insertion(*e, u) for u in (0, 1)
-                               for e in ((0, 0), (1, 0), (0, 1), top)]})()
+    return Geometry("pb%d_%d_%d" % (n, a, b),
+                    ((1, 0, 0), (1, 0, 0), (-n, 1, 0), (0, 1, 0), (-a, -b, 1), (0, 0, 1)),
+                    basis=[e + (u,) for u in (0, 1) for e in ((0, 0), (1, 0), (0, 1), top)])
 
 
 @pytest.mark.parametrize("make", [
@@ -653,9 +640,6 @@ def test_three_form_raw_connection_is_flat(make):
 def test_a_fourth_form_is_refused_at_construction():
     # labels name each axis by a letter of geoms._AXES, and there are three:
     # a fourth form's exponent would drop out of its label and cache key
-    cls = type("P1FourGeometry", (Geometry,), {
-        "name": "p1x4", "_DIVISORS": tuple(tuple(int(i == j) for j in range(4))
-                                           for i in range(4) for _ in (0, 1)),
-        "basis": lambda self: [Insertion(*e) for e in product((0, 1), repeat=4)]})
+    divisors = tuple(tuple(int(i == j) for j in range(4)) for i in range(4) for _ in (0, 1))
     with pytest.raises(ValueError, match="^p1x4 has 4 forms; labels name at most 3 axes"):
-        cls()
+        Geometry("p1x4", divisors, basis=product((0, 1), repeat=4))
